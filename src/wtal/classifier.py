@@ -1,13 +1,9 @@
-"""Two-FC classification head, video loss, stream fusion, frame scoring.
+"""Two-FC classification head and video loss.
 
 The head is logits = FC2 @ relu(FC1 @ m + b1) + b2 with a softmax on top.
 Dropout (when given) multiplies the hidden layer by a pre-scaled 0-or-1/keep
 mask, so inference needs no rescaling; the unmasked hidden activations are
 returned too because the knowledge-transfer loss taps them.
-
-Frame scoring for detection runs the same stack on a single frame feature
-(tiled across heads to match the pooled width) and gates the class sigmoid
-by the frame's attention weight.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .numerics import sigmoid, stable_softmax
+from .numerics import stable_softmax
 
 LOG_EPS = 1e-12
 
@@ -143,31 +139,3 @@ def classifier_grads(m: np.ndarray, p: ClassifierParams, out: ClassifierOutput,
     g_m = p.fc1_w.T @ g_pre1
     return ClassifierGrads(fc1_w=g_fc1_w, fc1_b=g_fc1_b,
                            fc2_w=g_fc2_w, fc2_b=g_fc2_b, m=g_m)
-
-
-def fuse_streams(logits_rgb: np.ndarray, logits_flow: np.ndarray) -> np.ndarray:
-    """Late fusion: softmax of the average of the two streams' logits."""
-    if logits_rgb.shape != logits_flow.shape:
-        raise ShapeError("stream logits must have equal length")
-    return stable_softmax((logits_rgb + logits_flow) / 2.0)
-
-
-def frame_logits(x_i: np.ndarray, p: ClassifierParams, heads: int = 1) -> np.ndarray:
-    """Class logits of the full stack on one frame feature, dropout off.
-
-    Multi-head pooling widens the classifier input to r*d, so the frame
-    feature is tiled across heads to fit.
-    """
-    x_i = np.asarray(x_i, dtype=np.float64)
-    return classify(np.tile(x_i, heads), p).logits
-
-
-def frame_class_score(x_i: np.ndarray, a_i: float, p: ClassifierParams,
-                      c: int, heads: int = 1) -> float:
-    """w_i^c = a_i * sigmoid(class-c frame logit); always in [0, 1]."""
-    if not (0 <= c < p.n_classes):
-        raise InputError(f"class {c} outside [0, {p.n_classes})")
-    if not (0.0 <= a_i <= 1.0 + 1e-12):
-        raise InputError(f"attention weight {a_i} outside [0, 1]")
-    logit = frame_logits(x_i, p, heads)[c]
-    return float(a_i * sigmoid(np.asarray(logit)))

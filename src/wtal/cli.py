@@ -20,6 +20,7 @@ import json
 import shutil
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -147,18 +148,16 @@ class _Outputs:
     def __init__(self):
         self.created: list[Path] = []
 
-    def write_text(self, path: Path, text: str) -> None:
+    def write(self, path: Path, fill: Callable[[Path], object]) -> None:
+        """``fill(tmp)`` writes a sibling temp file, which then replaces ``path``."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (path.name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
-        self.created.append(path)
-
-    def write_bytes(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (path.name + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
+        try:
+            fill(tmp)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.created.append(path)
 
     def discard_all(self) -> None:
@@ -213,14 +212,10 @@ def _cmd_train(args) -> int:
                             "transfer is enabled: pass --source-rgb and --source-flow")
                     source_model, _, _ = load_checkpoint(src_path)
                 model, rows = train_target(data, stream, cfg, source_model)
-            ckpt = outdir / f"{args.role}_{stream.value}.ckpt"
-            tmp = ckpt.parent / (ckpt.name + ".tmp")
-            ckpt.parent.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(model, cfg, cfg.iterations, tmp)
-            tmp.replace(ckpt)
-            outputs.created.append(ckpt)
-            outputs.write_text(outdir / f"{args.role}_{stream.value}_loss.csv",
-                               "\n".join(rows) + "\n")
+            outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
+                          lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
+            outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
+                          lambda tmp: tmp.write_text("\n".join(rows) + "\n"))
     except BaseException:
         outputs.discard_all()
         raise
@@ -244,6 +239,9 @@ def _cmd_detect(args) -> int:
     model_flow, _, _ = load_checkpoint(args.ckpt_flow)
     if model_rgb.stream != Stream.RGB or model_flow.stream != Stream.FLOW:
         raise ConfigError("checkpoints passed to the wrong stream flags")
+    n_rgb, n_flow = model_rgb.classifier.n_classes, model_flow.classifier.n_classes
+    if n_rgb != n_flow:
+        raise ConfigError(f"RGB checkpoint has {n_rgb} classes, flow checkpoint has {n_flow}")
     data = load_dataset(args.data)
     detections = detect_split(data, args.split, model_rgb, model_flow,
                               run_cfg.detect)
@@ -251,8 +249,9 @@ def _cmd_detect(args) -> int:
     out = Path(args.out)
     outputs = _Outputs()
     try:
-        outputs.write_text(out, _json_text(detections))
-        outputs.write_text(_predictions_path(out), _json_text(predictions))
+        outputs.write(out, lambda tmp: tmp.write_text(_json_text(detections)))
+        outputs.write(_predictions_path(out),
+                      lambda tmp: tmp.write_text(_json_text(predictions)))
     except BaseException:
         outputs.discard_all()
         raise
@@ -358,7 +357,7 @@ def _cmd_ablate(args) -> int:
     lines += [f"{r['arm']},{r['accuracy']!r},{r['map']!r}" for r in rows]
     outputs = _Outputs()
     try:
-        outputs.write_text(Path(args.out), "\n".join(lines) + "\n")
+        outputs.write(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
     except BaseException:
         outputs.discard_all()
         raise

@@ -14,6 +14,16 @@ class loss alone.
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
 
+Each term carries a weight (``loss_weights``); a zero weight drops the term
+from both the loss and the gradient, which is how source training keeps the
+class loss alone and how the gradient certifier isolates single terms.
+
+A model's parameters live in one contiguous float64 vector, ``Model.flat``,
+laid out in PARAM_KEYS order; the attention and classifier parameters are
+reshaped views of it. Gradients and the momentum velocity share that
+layout, so an SGD step is one vector update and a checkpoint payload is
+the vector's bytes.
+
 Everything is bit-deterministic given (dataset, config, seed): batches,
 dropout masks, and initialization all come from PCG64 generators seeded
 from a fixed SeedSequence tree, and gradient accumulation order is fixed.
@@ -22,8 +32,9 @@ from a fixed SeedSequence tree, and gradient accumulation order is fixed.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -47,6 +58,8 @@ CSV_HEADER = "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
 
 _STREAM_CODE = {Stream.RGB: 0, Stream.FLOW: 1}
 _ROLE_CODE = {"source": 0, "target": 1}
+_HEADER_TYPES = {"role": str, "stream": str, "iteration": int, "attention_enabled": bool,
+                 "attention_mode": str, "params": list, "config": dict}
 _LABEL_SUBSET_CODE = 7
 
 
@@ -112,48 +125,53 @@ def config_from_dict(doc: dict) -> TrainConfig:
 
 @dataclass
 class Model:
-    """One stream's trainable state plus the pooling mode it was built with."""
+    """One stream's trainable state plus the pooling mode it was built with.
 
-    attention: AttentionParams
-    classifier: ClassifierParams
+    ``flat`` holds every parameter, in PARAM_KEYS order with the per-key
+    ``shapes``; ``attention``, ``classifier`` and the name-keyed ``params``
+    are views of it, so updating ``flat`` in place updates them all.
+    """
+
+    flat: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
     stream: Stream
     role: str
     attention_enabled: bool = True
     attention_mode: str = "softmax"
+    attention: AttentionParams = field(init=False, repr=False)
+    classifier: ClassifierParams = field(init=False, repr=False)
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
 
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            "att_w1": self.attention.w1,
-            "att_w2": self.attention.w2,
-            "fc1_w": self.classifier.fc1_w,
-            "fc1_b": self.classifier.fc1_b,
-            "fc2_w": self.classifier.fc2_w,
-            "fc2_b": self.classifier.fc2_b,
-        }
+    def __post_init__(self):
+        views = self.views(self.flat)
+        self.attention = AttentionParams(*views[:2])
+        self.classifier = ClassifierParams(*views[2:])
+        self.params = dict(zip(PARAM_KEYS, views))
 
-    def set_param(self, key: str, value: np.ndarray) -> None:
-        target = {"att_w1": (self.attention, "w1"), "att_w2": (self.attention, "w2"),
-                  "fc1_w": (self.classifier, "fc1_w"), "fc1_b": (self.classifier, "fc1_b"),
-                  "fc2_w": (self.classifier, "fc2_w"), "fc2_b": (self.classifier, "fc2_b")}[key]
-        setattr(target[0], target[1], np.asarray(value, dtype=np.float64))
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a vector laid out like ``flat``."""
+        out, offset = [], 0
+        for shape in self.shapes:
+            size = math.prod(shape)
+            out.append(vec[offset:offset + size].reshape(shape))
+            offset += size
+        return out
 
 
 def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConfig,
                rng: np.random.Generator) -> Model:
     b, r, h = cfg.attention_hidden, cfg.heads, cfg.classifier_hidden
     s = cfg.init_scale
-    att = AttentionParams(
-        w1=rng.normal(0.0, s / np.sqrt(d), (b, d)),
-        w2=rng.normal(0.0, s / np.sqrt(b), (r, b)),
-    )
-    cls = ClassifierParams(
-        fc1_w=rng.normal(0.0, s * np.sqrt(2.0 / (r * d)), (h, r * d)),
-        fc1_b=np.zeros(h),
-        fc2_w=rng.normal(0.0, s / np.sqrt(h), (n_classes, h)),
-        fc2_b=np.zeros(n_classes),
-    )
-    return Model(attention=att, classifier=cls, stream=stream, role=role,
+    arrays = [
+        rng.normal(0.0, s / np.sqrt(d), (b, d)),
+        rng.normal(0.0, s / np.sqrt(b), (r, b)),
+        rng.normal(0.0, s * np.sqrt(2.0 / (r * d)), (h, r * d)),
+        np.zeros(h),
+        rng.normal(0.0, s / np.sqrt(h), (n_classes, h)),
+        np.zeros(n_classes),
+    ]
+    return Model(flat=np.concatenate([a.ravel() for a in arrays]),
+                 shapes=tuple(a.shape for a in arrays), stream=stream, role=role,
                  attention_enabled=cfg.attention_enabled,
                  attention_mode=cfg.attention_mode)
 
@@ -183,26 +201,30 @@ class LossTerms:
         return f"{iteration}," + ",".join(repr(v) for v in vals)
 
 
-def zero_grads(model: Model) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in model.params.items()}
+def loss_weights(cfg: TrainConfig) -> dict[str, float]:
+    """The target objective: class + alpha R_smooth + beta R_sparsity + L_FC1 + L_FC2."""
+    return {"class": 1.0, "smooth": cfg.alpha, "sparsity": cfg.beta,
+            "fc1": 1.0, "fc2": 1.0 if cfg.transfer.fc2_enabled else 0.0}
 
 
 def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
                cfg: TrainConfig,
                masks: Sequence[np.ndarray | None] | None = None,
                source_acts: tuple[np.ndarray, np.ndarray] | None = None,
-               terms: Sequence[str] = LOSS_TERMS
-               ) -> tuple[float, LossTerms, dict[str, np.ndarray]]:
-    """Loss over one batch plus analytic gradients for every parameter.
+               weights: dict[str, float] | None = None
+               ) -> tuple[float, LossTerms, np.ndarray]:
+    """Weighted loss over one batch and its analytic gradient w.r.t. ``model.flat``.
 
-    ``terms`` selects which loss terms contribute (used by the gradient
-    certifier to isolate single terms); the full set is the default.
-    ``source_acts`` is the frozen source model's (pooled, hidden) batch;
-    the transfer terms are dropped when it is absent or disabled.
+    ``weights`` maps LOSS_TERMS names to weights (absent names weigh 0) and
+    defaults to ``loss_weights(cfg)``; the returned LossTerms keep each
+    term's unweighted value. ``source_acts`` is the frozen source model's
+    (pooled, hidden) batch; the transfer terms are dropped when it is
+    absent or disabled.
     """
     if not batch:
         raise InputError("empty batch")
-    unknown = set(terms) - set(LOSS_TERMS)
+    w = loss_weights(cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
+    unknown = set(w) - set(LOSS_TERMS)
     if unknown:
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
     if masks is None:
@@ -221,65 +243,53 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     sparsity_term = sum(sparsity_reg(att.scores[k]) for att, _ in fwd
                         for k in range(r)) / (n_batch * r)
 
-    use_transfer = (source_acts is not None and cfg.transfer.enabled
-                    and ("fc1" in terms or "fc2" in terms))
-    if use_transfer:
+    fc1_term = fc2_term = 0.0
+    g_kt_m = g_kt_hidden = None
+    if source_acts is not None and cfg.transfer.enabled and (w["fc1"] or w["fc2"]):
         source_m, source_hidden = source_acts
+        fc2_on = w["fc2"] != 0.0
         kt = transfer_loss(source_m, source_hidden, target_m, target_hidden,
-                           cfg.kernel, cfg.transfer.fc2_enabled and "fc2" in terms)
-        g_kt_m, g_kt_hidden = transfer_grads(
-            source_m, source_hidden, target_m, target_hidden, kt,
-            cfg.transfer.fc2_enabled and "fc2" in terms)
-        fc1_term = kt.fc1 if "fc1" in terms else 0.0
-        fc2_term = kt.fc2
-        if "fc1" not in terms:
-            g_kt_m = np.zeros_like(g_kt_m)
-    else:
-        fc1_term = fc2_term = 0.0
-        g_kt_m = np.zeros_like(target_m)
-        g_kt_hidden = np.zeros_like(target_hidden)
+                           cfg.kernel, fc2_on)
+        g_m, g_hidden = transfer_grads(source_m, source_hidden, target_m,
+                                       target_hidden, kt, fc2_on)
+        fc1_term, fc2_term = kt.fc1, kt.fc2
+        if w["fc1"]:
+            g_kt_m = w["fc1"] * g_m
+        if fc2_on:
+            g_kt_hidden = w["fc2"] * g_hidden
 
-    total = ((class_term if "class" in terms else 0.0)
-             + (cfg.alpha * smooth_term if "smooth" in terms else 0.0)
-             + (cfg.beta * sparsity_term if "sparsity" in terms else 0.0)
-             + fc1_term + fc2_term)
+    values = (class_term, smooth_term, sparsity_term, fc1_term, fc2_term)
+    total = sum((w[k] * v for k, v in zip(LOSS_TERMS, values) if w[k]), 0.0)
 
-    grads = zero_grads(model)
+    grad = np.zeros_like(model.flat)
+    grad_views = model.views(grad)
     for v, ((x, y), (att, cls), mask) in enumerate(zip(batch, fwd, masks)):
-        if "class" in terms:
-            g_logits = class_loss_grad_logits(cls.probs, y) / n_batch
-        else:
-            g_logits = np.zeros_like(cls.logits)
+        g_logits = w["class"] * (class_loss_grad_logits(cls.probs, y) / n_batch)
         cg = classifier_grads(att.m, model.classifier, cls, g_logits, mask,
-                              g_hidden_clean=g_kt_hidden[v])
-        grads["fc1_w"] += cg.fc1_w
-        grads["fc1_b"] += cg.fc1_b
-        grads["fc2_w"] += cg.fc2_w
-        grads["fc2_b"] += cg.fc2_b
-
-        g_m = cg.m + g_kt_m[v]
+                              g_hidden_clean=None if g_kt_hidden is None else g_kt_hidden[v])
+        g_m = cg.m if g_kt_m is None else cg.m + g_kt_m[v]
         g_a = np.zeros_like(att.a)
         g_scores = None
-        if "smooth" in terms and cfg.alpha != 0.0:
+        if w["smooth"]:
             for k in range(r):
-                g_a[k] += cfg.alpha / (n_batch * r) * smooth_reg_grad(att.a[k])
-        if "sparsity" in terms and cfg.beta != 0.0:
+                g_a[k] += w["smooth"] / (n_batch * r) * smooth_reg_grad(att.a[k])
+        if w["sparsity"]:
             if model.attention_mode == "sigmoid" and model.attention_enabled:
                 g_scores = np.vstack([
-                    cfg.beta / (n_batch * r) * sparsity_reg_grad(att.scores[k])
+                    w["sparsity"] / (n_batch * r) * sparsity_reg_grad(att.scores[k])
                     for k in range(r)])
             else:
                 for k in range(r):
-                    g_a[k] += cfg.beta / (n_batch * r) * sparsity_reg_grad(att.a[k])
+                    g_a[k] += w["sparsity"] / (n_batch * r) * sparsity_reg_grad(att.a[k])
         g_w1, g_w2 = attention_grads(x, model.attention, att, g_m=g_m,
                                      g_a=g_a, g_scores=g_scores)
-        grads["att_w1"] += g_w1
-        grads["att_w2"] += g_w2
+        for acc, g in zip(grad_views, (g_w1, g_w2, cg.fc1_w, cg.fc1_b, cg.fc2_w, cg.fc2_b)):
+            acc += g
 
     loss_terms = LossTerms(total=total, class_term=class_term,
                            smooth=smooth_term, sparsity=sparsity_term,
                            fc1=fc1_term, fc2=fc2_term)
-    return total, loss_terms, grads
+    return total, loss_terms, grad
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +297,16 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SgdState:
-    velocity: dict[str, np.ndarray]
-
-    @classmethod
-    def for_model(cls, model: Model) -> "SgdState":
-        return cls(velocity={k: np.zeros_like(v) for k, v in model.params.items()})
-
-
 def learning_rate(lr0: float, iteration: int, cfg: TrainConfig) -> float:
     return lr0 * cfg.decay_factor ** (-(iteration // cfg.decay_every))
 
 
-def sgd_step(model: Model, grads: dict[str, np.ndarray], state: SgdState,
+def sgd_step(model: Model, grad: np.ndarray, velocity: np.ndarray,
              iteration: int, lr0: float, cfg: TrainConfig) -> None:
-    lr = learning_rate(lr0, iteration, cfg)
-    for key, param in model.params.items():
-        v = state.velocity[key]
-        v *= cfg.momentum
-        v -= lr * grads[key]
-        param += v
+    """v <- mu v - lr g; p <- p + v, on the flat parameter and velocity vectors."""
+    velocity *= cfg.momentum
+    velocity -= learning_rate(lr0, iteration, cfg) * grad
+    model.flat += velocity
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +344,10 @@ def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
     for rec, _ in records:
         if not rec.trimmed:
             raise InputError(f"{rec.video_id}: source training needs trimmed videos")
-    src_cfg = replace(cfg, alpha=0.0, beta=0.0,
-                      transfer=TransferConfig(enabled=False))
     init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, "source")
     model = init_model(dataset.feature_dim(stream), dataset.n_classes,
                        stream, "source", cfg, init_rng)
-    state = SgdState.for_model(model)
+    velocity = np.zeros_like(model.flat)
     ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
     rows = [CSV_HEADER]
     for it in range(cfg.iterations):
@@ -358,8 +355,8 @@ def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
         batch = [(records[i][1], ys[i]) for i in idx]
         masks = [_draw_mask(mask_rng, cfg.classifier_hidden, cfg.dropout)
                  for _ in idx]
-        _, terms, grads = total_loss(batch, model, src_cfg, masks)
-        sgd_step(model, grads, state, it, cfg.lr_for(stream), cfg)
+        _, terms, grad = total_loss(batch, model, cfg, masks, weights={"class": 1.0})
+        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
         rows.append(terms.csv_row(it))
     return model, rows
 
@@ -385,16 +382,14 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
     model = init_model(dataset.feature_dim(stream), dataset.n_classes,
                        stream, "target", cfg, init_rng)
     if transfer_on:
-        for key in PARAM_KEYS:
-            if source_model.params[key].shape != model.params[key].shape:
-                raise ConfigError(
-                    f"source/target shape mismatch at {key}: "
-                    f"{source_model.params[key].shape} vs {model.params[key].shape}")
+        if source_model.shapes != model.shapes:
+            raise ConfigError(f"source/target shape mismatch: "
+                              f"{source_model.shapes} vs {model.shapes}")
         source_records = list(dataset.iter_split("source", stream))
         if not source_records:
             raise InputError("knowledge transfer needs a source split")
 
-    state = SgdState.for_model(model)
+    velocity = np.zeros_like(model.flat)
     ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
     rows = [CSV_HEADER]
     for it in range(cfg.iterations):
@@ -409,8 +404,8 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
                        for i in sidx]
             source_acts = (np.vstack([att.m for att, _ in src_fwd]),
                            np.vstack([cls.hidden_clean for _, cls in src_fwd]))
-        _, terms, grads = total_loss(batch, model, cfg, masks, source_acts)
-        sgd_step(model, grads, state, it, cfg.lr_for(stream), cfg)
+        _, terms, grad = total_loss(batch, model, cfg, masks, source_acts)
+        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
         rows.append(terms.csv_row(it))
     return model, rows
 
@@ -424,28 +419,51 @@ def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
                     path: Path | str) -> None:
     """Write magic + u32 version + u32 header length + JSON header + payload.
 
-    The header is canonical JSON (sorted keys, no whitespace) and parameter
-    payloads are raw little-endian float64 in header order, so the file is
-    byte-reproducible from the same model state.
+    The header is canonical JSON (sorted keys, no whitespace) and the
+    payload is ``model.flat`` as raw little-endian float64, which is every
+    parameter in header order, so the file is byte-reproducible from the
+    same model state.
     """
-    params = model.params
     header = {
         "role": model.role,
         "stream": model.stream.value,
         "iteration": iteration,
         "attention_enabled": model.attention_enabled,
         "attention_mode": model.attention_mode,
-        "params": [{"name": k, "shape": list(params[k].shape)} for k in PARAM_KEYS],
+        "params": [{"name": k, "shape": list(shape)}
+                   for k, shape in zip(PARAM_KEYS, model.shapes)],
         "config": config_to_dict(cfg),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = bytearray()
-    out += CKPT_MAGIC
-    out += struct.pack("<II", CKPT_VERSION, len(blob))
-    out += blob
-    for key in PARAM_KEYS:
-        out += np.ascontiguousarray(params[key], dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    Path(path).write_bytes(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(blob)) + blob
+                           + np.ascontiguousarray(model.flat, dtype="<f8").tobytes())
+
+
+def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
+    """Check the header's schema; returns the parameter shapes it declares."""
+    if not isinstance(header, dict):
+        raise DataFormatError("checkpoint header is not a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise DataFormatError(f"checkpoint header lacks {key!r}")
+        if not isinstance(header[key], kind) or (kind is int and isinstance(header[key], bool)):
+            raise DataFormatError(f"checkpoint header {key!r} must be of type {kind.__name__}")
+    if header["role"] not in _ROLE_CODE:
+        raise DataFormatError(f"unknown checkpoint role {header['role']!r}")
+    if header["stream"] not in {s.value for s in Stream}:
+        raise DataFormatError(f"unknown checkpoint stream {header['stream']!r}")
+    if header["attention_mode"] not in MODES:
+        raise DataFormatError(f"unknown attention mode {header['attention_mode']!r}")
+    specs = header["params"]
+    names = [spec.get("name") if isinstance(spec, dict) else None for spec in specs]
+    if names != list(PARAM_KEYS):
+        raise DataFormatError(f"checkpoint parameters are {names}, expected {list(PARAM_KEYS)}")
+    shapes = tuple(spec.get("shape") for spec in specs)
+    for name, shape in zip(names, shapes):
+        if not (isinstance(shape, list) and all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+            raise DataFormatError(f"checkpoint parameter {name} has bad shape {shape!r}")
+    return tuple(tuple(shape) for shape in shapes)
 
 
 def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
@@ -459,50 +477,30 @@ def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
         header = json.loads(data[12:12 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"corrupt checkpoint header: {exc}") from exc
+    shapes = _header_shapes(header)
+    try:
+        cfg = config_from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad checkpoint config: {exc!r}") from exc
     offset = 12 + hlen
-    arrays = {}
-    for spec in header["params"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(data):
-            raise DataFormatError("checkpoint payload truncated")
-        arrays[spec["name"]] = np.frombuffer(
-            data[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(data):
+    count = sum(math.prod(shape) for shape in shapes)
+    if offset + 8 * count > len(data):
+        raise DataFormatError("checkpoint payload truncated")
+    if offset + 8 * count != len(data):
         raise DataFormatError("checkpoint has trailing bytes")
-    missing = set(PARAM_KEYS) - set(arrays)
-    if missing:
-        raise DataFormatError(f"checkpoint lacks parameters {sorted(missing)}")
-    model = Model(
-        attention=AttentionParams(w1=arrays["att_w1"], w2=arrays["att_w2"]),
-        classifier=ClassifierParams(fc1_w=arrays["fc1_w"], fc1_b=arrays["fc1_b"],
-                                    fc2_w=arrays["fc2_w"], fc2_b=arrays["fc2_b"]),
-        stream=Stream(header["stream"]),
-        role=header["role"],
-        attention_enabled=bool(header["attention_enabled"]),
-        attention_mode=header["attention_mode"],
-    )
-    return model, config_from_dict(header["config"]), int(header["iteration"])
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
+    try:
+        model = Model(flat=flat, shapes=shapes, stream=Stream(header["stream"]),
+                      role=header["role"], attention_enabled=header["attention_enabled"],
+                      attention_mode=header["attention_mode"])
+    except ValueError as exc:
+        raise DataFormatError(f"inconsistent checkpoint parameter shapes: {exc}") from exc
+    return model, cfg, header["iteration"]
 
 
 # ---------------------------------------------------------------------------
 # gradient certification
 # ---------------------------------------------------------------------------
-
-
-def _flatten(params: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in PARAM_KEYS])
-
-
-def _assign_flat(model: Model, vec: np.ndarray) -> None:
-    offset = 0
-    for key in PARAM_KEYS:
-        shape = model.params[key].shape
-        count = int(np.prod(shape)) if shape else 1
-        model.set_param(key, vec[offset:offset + count].reshape(shape))
-        offset += count
 
 
 def certify_gradients(seed: int = 0, trials: int = 3) -> dict[str, float]:
@@ -537,22 +535,17 @@ def certify_gradients(seed: int = 0, trials: int = 3) -> dict[str, float]:
         source_acts = (rng.uniform(-1.0, 1.0, (3, r * d)),
                        rng.uniform(-1.0, 1.0, (3, h)))
 
-        cases = [("class",), ("smooth",), ("sparsity",), ("fc1",), ("fc2",),
-                 LOSS_TERMS]
-        for terms in cases:
-            name = "total" if terms is LOSS_TERMS else terms[0]
-            _, _, grads = total_loss(batch, model, cfg, masks, source_acts, terms)
-            analytic = _flatten(grads)
-            x0 = _flatten(model.params).copy()
+        # one term at a time (the others weighted 0), then the full objective
+        full = loss_weights(cfg)
+        cases = [(name, {name: full[name]}) for name in LOSS_TERMS] + [("total", full)]
+        for name, weights in cases:
+            _, _, analytic = total_loss(batch, model, cfg, masks, source_acts, weights)
 
-            def f(vec: np.ndarray) -> float:
-                _assign_flat(model, vec)
-                loss, _, _ = total_loss(batch, model, cfg, masks, source_acts,
-                                        terms)
-                return loss
+            def f(_: np.ndarray) -> float:
+                # finite_diff_grad perturbs model.flat in place; the views follow
+                return total_loss(batch, model, cfg, masks, source_acts, weights)[0]
 
-            numeric = finite_diff_grad(f, x0.copy())
-            _assign_flat(model, x0)
+            numeric = finite_diff_grad(f, model.flat)
             err = grad_rel_error(analytic, numeric)
             worst[name] = max(worst.get(name, 0.0), err)
     return worst

@@ -40,18 +40,6 @@ class TransferConfig:
     fc2_enabled: bool = True
 
 
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """exp(-||x - y||^2 / (2 sigma^2)); 1 at x = y, in (0, 1]."""
-    if sigma <= 0:
-        raise ConfigError(f"kernel sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeError(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-(diff @ diff) / (2.0 * sigma * sigma)))
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # direct (x-y).(x-y) per pair; exact zeros on identical rows
     diff = a[:, None, :] - b[None, :, :]

@@ -43,6 +43,26 @@ def classifier_by_hand(m, fc1_w, fc1_b, fc2_w, fc2_b):
     return hidden, logits, probs
 
 
+def fuse_streams(logits_rgb, logits_flow):
+    """Late fusion: softmax of the per-class mean of the two streams' logits."""
+    return softmax_exact([(a + b) / 2.0 for a, b in zip(logits_rgb, logits_flow)])
+
+
+def frame_logits(x_i, p, heads=1):
+    """Class logits of the classifier on one frame feature, copied once per
+    head to fill the pooled width; ``p`` carries fc1_w, fc1_b, fc2_w, fc2_b."""
+    m = [float(v) for v in x_i] * heads
+    return classifier_by_hand(m, p.fc1_w, p.fc1_b, p.fc2_w, p.fc2_b)[1]
+
+
+def frame_class_score(x_i, a_i, p, c, heads=1):
+    """w_i^c = a_i * sigmoid(class-c frame logit)."""
+    z = frame_logits(x_i, p, heads)[c]
+    if z >= 0:
+        return a_i / (1.0 + math.exp(-z))
+    return a_i * math.exp(z) / (1.0 + math.exp(z))
+
+
 def kernel_by_hand(x, y, sigma):
     sq = sum((float(a) - float(b)) ** 2 for a, b in zip(x, y))
     return math.exp(-sq / (2.0 * sigma * sigma))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from wtal import cli
 from wtal.dataset import Stream, load_dataset
 from wtal.errors import ConfigError
-from wtal.training import CSV_HEADER, load_checkpoint
+from wtal.training import (CSV_HEADER, TrainConfig, init_model, load_checkpoint,
+                           save_checkpoint)
 
 SYNTH_FLAGS = [
     "--synth.n_classes", "2", "--synth.d", "4",
@@ -266,6 +268,49 @@ class TestCommandFailures:
         assert err["error"] == "ConfigError"
         assert not (tmp_path / "d.json").exists()
 
+    def test_class_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):
+        cfg = TrainConfig(attention_hidden=4, classifier_hidden=6)
+        flow = init_model(4, 3, Stream.FLOW, "target", cfg, np.random.default_rng(0))
+        save_checkpoint(flow, cfg, 0, tmp_path / "flow3.ckpt")
+        rc = cli.main(["detect", "--data", str(pipeline["data"]),
+                       "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
+                       "--ckpt-flow", str(tmp_path / "flow3.ckpt"),
+                       "--out", str(tmp_path / "d.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "has 2 classes" in err["message"] and "has 3" in err["message"]
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.update(stream="depth"),
+        lambda h: h.pop("config"),
+        lambda h: h.pop("params"),
+        lambda h: h["config"].update(bogus=1),
+        lambda h: h.pop("role"),
+        lambda h: h.pop("iteration"),
+        lambda h: h["params"][0].update(name="att_w0"),
+        lambda h: h["params"].reverse(),
+    ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
+            "no_role", "no_iteration", "renamed_param", "reordered_params"])
+    def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
+                                                   mutate):
+        blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
+        hlen, = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        mutate(header)
+        text = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        rc = cli.main(["detect", "--data", str(pipeline["data"]),
+                       "--ckpt-rgb", str(bad),
+                       "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
+                       "--out", str(tmp_path / "d.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataFormatError"
+        assert not (tmp_path / "d.json").exists()
+
     def test_target_transfer_needs_source_checkpoints(self, pipeline, tmp_path, capsys):
         rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
                        "--out", str(tmp_path / "m")] + TRAIN_FLAGS)
@@ -294,6 +339,19 @@ class TestCommandFailures:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 0
+
+
+class TestOutputs:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def fill(tmp):
+            tmp.write_text("partial")
+            raise OSError("disk full")
+
+        outputs = cli._Outputs()
+        with pytest.raises(OSError):
+            outputs.write(tmp_path / "out" / "a.json", fill)
+        assert list((tmp_path / "out").iterdir()) == []
+        assert outputs.created == []
 
 
 class TestGradcheckCommand:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wtal.classifier import ClassifierParams, frame_class_score
+from wtal.classifier import ClassifierParams
 from wtal.dataset import FeatureMatrix, Stream, SyntheticSpec, generate_synthetic, load_dataset
 from wtal.detection import (
     DetectConfig,
@@ -20,6 +20,8 @@ from wtal.detection import (
 )
 from wtal.errors import ConfigError, ShapeError
 from wtal.training import Model, TrainConfig, forward_video, init_model, train_source
+
+import oracles
 
 
 def _model(rng, d=4, n_classes=3, heads=1, mode="softmax"):
@@ -138,8 +140,8 @@ class TestFrameScores:
             att, _ = forward_video(model, x)
             for c in range(3):
                 for i in range(7):
-                    ref = frame_class_score(x.frame(i), float(att.frame_weights[i]),
-                                            model.classifier, c, heads)
+                    ref = oracles.frame_class_score(x.frame(i), float(att.frame_weights[i]),
+                                                    model.classifier, c, heads)
                     np.testing.assert_allclose(scores[c, i], ref, rtol=0, atol=1e-12)
 
     def test_scores_bounded(self):
@@ -151,14 +153,13 @@ class TestFrameScores:
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
     def test_logit_matrix_matches_tiled_classify(self):
-        from wtal.classifier import frame_logits
         rng = np.random.default_rng(4)
         p = ClassifierParams(rng.normal(size=(5, 8)), rng.normal(size=5),
                              rng.normal(size=(3, 5)), rng.normal(size=3))
         x = FeatureMatrix(rng.normal(size=(4, 6)))
         mat = frame_logit_matrix(x, p, heads=2)
         for i in range(6):
-            np.testing.assert_allclose(mat[:, i], frame_logits(x.frame(i), p, 2),
+            np.testing.assert_allclose(mat[:, i], oracles.frame_logits(x.frame(i), p, 2),
                                        rtol=0, atol=1e-12)
 
     def test_logit_matrix_rejects_width_mismatch(self):
@@ -265,4 +266,6 @@ class TestSplitOutputs:
                 m_rgb, data.features(pred["video_id"], Stream.RGB),
                 m_flow, data.features(pred["video_id"], Stream.FLOW))[2]
             np.testing.assert_allclose(fused, rec_fused, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(fused, oracles.fuse_streams(z_rgb, z_flow),
+                                       rtol=0, atol=1e-12)
             assert z_rgb.shape == z_flow.shape == (data.n_classes,)

@@ -17,9 +17,8 @@ from wtal.dataset import (
 from wtal.errors import ConfigError, DataFormatError, InputError
 from wtal.training import (
     CSV_HEADER,
+    LOSS_TERMS,
     PARAM_KEYS,
-    Model,
-    SgdState,
     TrainConfig,
     certify_gradients,
     config_from_dict,
@@ -29,6 +28,7 @@ from wtal.training import (
     labeled_subset,
     learning_rate,
     load_checkpoint,
+    loss_weights,
     save_checkpoint,
     sgd_step,
     total_loss,
@@ -60,8 +60,8 @@ def _tiny_model(rng=None, d=3, n_classes=2):
     return init_model(d, n_classes, Stream.RGB, "target", cfg, rng)
 
 
-def _ones_grads(model):
-    return {k: np.ones_like(v) for k, v in model.params.items()}
+def _ones_grad(model):
+    return np.ones_like(model.flat)
 
 
 class TestConfig:
@@ -95,26 +95,57 @@ class TestConfig:
         assert cfg.lr_for(Stream.FLOW) == 5e-4
 
 
+class TestParameterLayout:
+    def _check_views(self, model):
+        assert model.flat.dtype == np.float64 and model.flat.ndim == 1
+        assert model.flat.flags.c_contiguous and model.flat.flags.writeable
+        assert list(model.params) == list(PARAM_KEYS)
+        for v in model.params.values():
+            assert np.shares_memory(v, model.flat)
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in model.params.values()]), model.flat)
+        assert model.attention.w1 is model.params["att_w1"]
+        assert model.classifier.fc2_b is model.params["fc2_b"]
+
+    def test_init_model_views_share_the_flat_vector(self):
+        self._check_views(_tiny_model())
+
+    def test_loaded_views_share_the_flat_vector(self, tmp_path):
+        model = _tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, TrainConfig(), 0, path)
+        loaded, _, _ = load_checkpoint(path)
+        self._check_views(loaded)
+        np.testing.assert_array_equal(loaded.flat, model.flat)
+
+
 class TestOptimizer:
     def test_single_step_without_momentum(self):
         model = _tiny_model()
         for v in model.params.values():
             v[:] = 0.0
         cfg = TrainConfig(momentum=0.0)
-        sgd_step(model, _ones_grads(model), SgdState.for_model(model), 0, 0.1, cfg)
+        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0, 0.1, cfg)
         for v in model.params.values():
             np.testing.assert_allclose(v, -0.1, rtol=0, atol=1e-15)
+
+    def test_step_moves_the_named_views(self):
+        model = _tiny_model()
+        before = model.attention.w1.copy()
+        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0, 0.1,
+                 TrainConfig(momentum=0.0))
+        np.testing.assert_allclose(model.attention.w1, before - 0.1, rtol=0, atol=1e-15)
 
     def test_momentum_accumulates(self):
         model = _tiny_model()
         for v in model.params.values():
             v[:] = 0.0
         cfg = TrainConfig(momentum=0.9)
-        state = SgdState.for_model(model)
-        sgd_step(model, _ones_grads(model), state, 0, 0.1, cfg)
+        velocity = np.zeros_like(model.flat)
+        sgd_step(model, _ones_grad(model), velocity, 0, 0.1, cfg)
         for v in model.params.values():
             np.testing.assert_allclose(v, -0.1, rtol=0, atol=1e-15)
-        sgd_step(model, _ones_grads(model), state, 1, 0.1, cfg)
+        sgd_step(model, _ones_grad(model), velocity, 1, 0.1, cfg)
         # v = 0.9 * (-0.1) - 0.1 = -0.19; p = -0.1 - 0.19 = -0.29
         for v in model.params.values():
             np.testing.assert_allclose(v, -0.29, rtol=0, atol=1e-15)
@@ -122,9 +153,9 @@ class TestOptimizer:
     def test_zero_learning_rate_freezes_parameters(self):
         model = _tiny_model()
         before = {k: v.copy() for k, v in model.params.items()}
-        state = SgdState.for_model(model)
+        velocity = np.zeros_like(model.flat)
         for it in range(5):
-            sgd_step(model, _ones_grads(model), state, it, 0.0, TrainConfig())
+            sgd_step(model, _ones_grad(model), velocity, it, 0.0, TrainConfig())
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -185,14 +216,34 @@ class TestTotalLoss:
             t2 - t1, 2.0 * terms2.smooth + 0.5 * terms2.sparsity,
             rtol=0, atol=1e-15)
 
+    def test_zero_weight_drops_the_term_from_loss_and_gradient(self):
+        rng = np.random.default_rng(5)
+        cfg = TrainConfig(attention_hidden=2, classifier_hidden=3, alpha=0.3, beta=0.2,
+                          attention_mode="sigmoid", kernel=KernelConfig(sigma=1.0))
+        model = init_model(3, 2, Stream.RGB, "target", cfg, rng)
+        batch = self._batch(rng, model)
+        acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        full = loss_weights(cfg)
+        t_full, _, g_full = total_loss(batch, model, cfg, source_acts=acts)
+        for name in LOSS_TERMS:
+            t_without, _, g_without = total_loss(batch, model, cfg, source_acts=acts,
+                                                 weights=full | {name: 0.0})
+            t_alone, _, g_alone = total_loss(batch, model, cfg, source_acts=acts,
+                                             weights={name: full[name]})
+            assert t_alone > 0.0 and np.any(g_alone != 0.0), name
+            np.testing.assert_allclose(t_full - t_without, t_alone, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_full - g_without, g_alone, rtol=0, atol=1e-12)
+        t_none, _, g_none = total_loss(batch, model, cfg, source_acts=acts, weights={})
+        assert t_none == 0.0 and not np.any(g_none)
+
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):
             total_loss([], model, TrainConfig())
         rng = np.random.default_rng(3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="entropy"):
             total_loss(self._batch(rng, model), model, TrainConfig(),
-                       terms=("class", "entropy"))
+                       weights={"class": 1.0, "entropy": 1.0})
 
     def test_csv_row_layout(self):
         assert CSV_HEADER == "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
