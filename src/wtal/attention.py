@@ -5,11 +5,7 @@ head. In ``softmax`` mode each head's weights are a simplex vector and the
 L1 sparsity penalty is provably constant (weights sum to 1). The ``sigmoid``
 mode scores frames independently, normalizes by the score sum for pooling,
 and applies the L1 penalty to the raw scores, where it actually bites.
-
-The smoothness penalty sum((a_i - a_{i+1})^2) is offered in two forms: the
-direct summation and an algebraically equal quadratic form
-2 a.a - a_1^2 - a_n^2 - 2 sum a_i a_{i+1}, realized with index arithmetic
-(no n x n matrices are built).
+The smoothness penalty is the direct summation sum((a_i - a_{i+1})^2).
 """
 
 from __future__ import annotations
@@ -163,18 +159,6 @@ def smooth_reg_direct(a: np.ndarray) -> float:
         raise ShapeError("smoothness penalty needs a nonempty vector")
     diffs = a[:-1] - a[1:]
     return float(np.sum(diffs * diffs))
-
-
-def smooth_reg_quadratic(a: np.ndarray) -> float:
-    """Same penalty via 2 a.a - a_1^2 - a_n^2 - 2 sum a_i a_{i+1}.
-
-    The shift/selector matrices of the quadratic form reduce to index
-    arithmetic; nothing n x n is ever materialized.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size < 2:
-        raise ShapeError("quadratic smoothness form needs n >= 2")
-    return float(2.0 * (a @ a) - a[0] ** 2 - a[-1] ** 2 - 2.0 * (a[:-1] @ a[1:]))
 
 
 def smooth_reg_grad(a: np.ndarray) -> np.ndarray:

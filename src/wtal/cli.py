@@ -243,6 +243,8 @@ def _cmd_detect(args) -> int:
     if n_rgb != n_flow:
         raise ConfigError(f"RGB checkpoint has {n_rgb} classes, flow checkpoint has {n_flow}")
     data = load_dataset(args.data)
+    if n_rgb != data.n_classes:
+        raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has {data.n_classes}")
     detections = detect_split(data, args.split, model_rgb, model_flow,
                               run_cfg.detect)
     predictions = predict_split(data, args.split, model_rgb, model_flow)
@@ -304,8 +306,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     outputs = _Outputs()
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        outputs.created.extend(emit_report(report, data.class_names, out))
+        emit_report(report, data.class_names, out, outputs.write)
     except BaseException:
         outputs.discard_all()
         raise
@@ -449,11 +450,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WtalError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except (OSError, np.linalg.LinAlgError) as exc:
+    except (WtalError, OSError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

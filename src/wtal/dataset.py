@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -62,9 +62,6 @@ class FeatureMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def frame(self, i: int) -> np.ndarray:
-        return self.values[:, i]
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,6 @@ class VideoRecord:
         if self.segments is not None:
             for seg in self.segments:
                 seg.validate(self.n, self.fps, n_classes)
-
-    @property
-    def duration(self) -> float:
-        return self.n / self.fps
 
 
 @dataclass(frozen=True)
@@ -342,18 +335,6 @@ def load_dataset(root: Path | str) -> Dataset:
                 )
             features[(rec.video_id, stream)] = mat
     return Dataset(root, manifest, features)
-
-
-def frame_labels(rec: VideoRecord) -> np.ndarray:
-    """Per-frame class indices from the record's segments; -1 = background."""
-    if rec.segments is None:
-        raise InputError(f"{rec.video_id} carries no segments")
-    out = np.full(rec.n, -1, dtype=np.int64)
-    for seg in rec.segments:
-        lo = int(round(seg.t_start * rec.fps))
-        hi = int(round(seg.t_end * rec.fps))
-        out[lo:hi] = seg.label
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,12 +86,6 @@ class EvalReport:
     def average_map(self) -> float:
         """Plain mean of mAP over the configured threshold grid."""
         return float(np.mean(self.map_per_threshold))
-
-    def map_at(self, thr: float) -> float:
-        for t, v in zip(self.thresholds, self.map_per_threshold):
-            if abs(t - thr) < 1e-9:
-                return v
-        raise InputError(f"threshold {thr} not in the configured grid")
 
 
 def map_at_iou(detections: Sequence[Instance], ground_truth: Sequence[Instance],
@@ -221,13 +215,13 @@ def report_to_svg(report: EvalReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report: EvalReport, class_names: Sequence[str],
-                json_path: Path) -> list[Path]:
-    """Write report.json plus sibling .csv and .svg files."""
+def emit_report(report: EvalReport, class_names: Sequence[str], json_path: Path,
+                write: Callable[[Path, Callable[[Path], object]], None]) -> None:
+    """Write report.json plus sibling .csv and .svg files, each through
+    ``write(path, fill)``, which has ``fill`` write the file it is handed."""
     json_path = Path(json_path)
-    csv_path = json_path.with_suffix(".csv")
-    svg_path = json_path.with_suffix(".svg")
-    json_path.write_text(report_to_json(report, class_names))
-    csv_path.write_text(report_to_csv(report, class_names))
-    svg_path.write_text(report_to_svg(report))
-    return [json_path, csv_path, svg_path]
+    texts = {json_path: report_to_json(report, class_names),
+             json_path.with_suffix(".csv"): report_to_csv(report, class_names),
+             json_path.with_suffix(".svg"): report_to_svg(report)}
+    for path, text in texts.items():
+        write(path, lambda tmp, text=text: tmp.write_text(text))

@@ -7,9 +7,9 @@ The overall target loss per step is
         + L_FC1 + L_FC2
 
 with the regularizers averaged over attention heads, and the transfer terms
-computed between this step's target activation batch and a freshly sampled
-batch pushed through the frozen source model. Source training minimizes the
-class loss alone.
+computed between this step's target activation batch and a sampled batch of
+the frozen source model's activations, which are computed once per source
+clip before the first step. Source training minimizes the class loss alone.
 
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
@@ -334,6 +334,50 @@ def labeled_subset(n_videos: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.permutation(n_videos)[:count])
 
 
+def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
+         records: list, weights: dict[str, float] | None = None,
+         source_model: Model | None = None) -> tuple[Model, list[str]]:
+    """The SGD loop of both roles over ``records``, logging one CSV row per step.
+
+    With a ``source_model``, each step adds the transfer terms against the
+    frozen model's activations on a sampled batch of source clips. Those
+    activations are fixed, so they are computed once per clip up front.
+    """
+    init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, role)
+    model = init_model(dataset.feature_dim(stream), dataset.n_classes,
+                       stream, role, cfg, init_rng)
+    if source_model is not None:
+        if source_model.shapes != model.shapes:
+            raise ConfigError(f"source/target shape mismatch: "
+                              f"{source_model.shapes} vs {model.shapes}")
+        source_records = list(dataset.iter_split("source", stream))
+        if not source_records:
+            raise InputError("knowledge transfer needs a source split")
+        h, width = model.classifier.fc1_w.shape
+        src_m = np.empty((len(source_records), width))
+        src_hidden = np.empty((len(source_records), h))
+        for i, (_, x) in enumerate(source_records):
+            att, cls = forward_video(source_model, x)
+            src_m[i], src_hidden[i] = att.m, cls.hidden_clean
+
+    velocity = np.zeros_like(model.flat)
+    ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
+    rows = [CSV_HEADER]
+    for it in range(cfg.iterations):
+        idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
+        batch = [(records[i][1], ys[i]) for i in idx]
+        masks = [_draw_mask(mask_rng, cfg.classifier_hidden, cfg.dropout)
+                 for _ in idx]
+        source_acts = None
+        if source_model is not None:
+            sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
+            source_acts = (src_m[sidx], src_hidden[sidx])
+        _, terms, grad = total_loss(batch, model, cfg, masks, source_acts, weights)
+        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+        rows.append(terms.csv_row(it))
+    return model, rows
+
+
 def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
                  ) -> tuple[Model, list[str]]:
     """Train one stream's source model on the trimmed split, class loss only."""
@@ -344,21 +388,7 @@ def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
     for rec, _ in records:
         if not rec.trimmed:
             raise InputError(f"{rec.video_id}: source training needs trimmed videos")
-    init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, "source")
-    model = init_model(dataset.feature_dim(stream), dataset.n_classes,
-                       stream, "source", cfg, init_rng)
-    velocity = np.zeros_like(model.flat)
-    ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
-    rows = [CSV_HEADER]
-    for it in range(cfg.iterations):
-        idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
-        batch = [(records[i][1], ys[i]) for i in idx]
-        masks = [_draw_mask(mask_rng, cfg.classifier_hidden, cfg.dropout)
-                 for _ in idx]
-        _, terms, grad = total_loss(batch, model, cfg, masks, weights={"class": 1.0})
-        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
-        rows.append(terms.csv_row(it))
-    return model, rows
+    return _fit(dataset, stream, "source", cfg, records, weights={"class": 1.0})
 
 
 def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
@@ -371,43 +401,13 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
     if cfg.label_fraction < 1.0:
         keep = labeled_subset(len(records), cfg.label_fraction, cfg.seed)
         records = [records[i] for i in keep]
-
-    transfer_on = cfg.transfer.enabled
-    if transfer_on and source_model is None:
+    if not cfg.transfer.enabled:
+        source_model = None
+    elif source_model is None:
         raise ConfigError("knowledge transfer needs a source model")
-    if transfer_on and source_model.stream != stream:
+    elif source_model.stream != stream:
         raise ConfigError("source model belongs to the other stream")
-
-    init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, "target")
-    model = init_model(dataset.feature_dim(stream), dataset.n_classes,
-                       stream, "target", cfg, init_rng)
-    if transfer_on:
-        if source_model.shapes != model.shapes:
-            raise ConfigError(f"source/target shape mismatch: "
-                              f"{source_model.shapes} vs {model.shapes}")
-        source_records = list(dataset.iter_split("source", stream))
-        if not source_records:
-            raise InputError("knowledge transfer needs a source split")
-
-    velocity = np.zeros_like(model.flat)
-    ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
-    rows = [CSV_HEADER]
-    for it in range(cfg.iterations):
-        idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
-        batch = [(records[i][1], ys[i]) for i in idx]
-        masks = [_draw_mask(mask_rng, cfg.classifier_hidden, cfg.dropout)
-                 for _ in idx]
-        source_acts = None
-        if transfer_on:
-            sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
-            src_fwd = [forward_video(source_model, source_records[i][1])
-                       for i in sidx]
-            source_acts = (np.vstack([att.m for att, _ in src_fwd]),
-                           np.vstack([cls.hidden_clean for _, cls in src_fwd]))
-        _, terms, grad = total_loss(batch, model, cfg, masks, source_acts)
-        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
-        rows.append(terms.csv_row(it))
-    return model, rows
+    return _fit(dataset, stream, "target", cfg, records, source_model=source_model)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written in the most literal way possible
 (explicit Python loops, no shared code with src/) so that agreement with
-the library is meaningful evidence, not a tautology.
+the library is meaningful evidence, not a tautology. The one exception is
+``transfer_fit_per_step``, which reuses the library's loss and optimizer so
+that it differs from ``train_target`` only in when the source model runs.
 """
 
 import math
@@ -29,6 +31,24 @@ def pool_by_summation(x, a):
 
 def smooth_by_summation(a):
     return sum((a[i] - a[i + 1]) ** 2 for i in range(len(a) - 1))
+
+
+def smooth_reg_quadratic(a):
+    """The smoothness penalty as 2 a.a - a_1^2 - a_n^2 - 2 sum a_i a_{i+1}."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1 or a.size < 2:
+        raise ValueError("quadratic smoothness form needs n >= 2")
+    return float(2.0 * (a @ a) - a[0] ** 2 - a[-1] ** 2 - 2.0 * (a[:-1] @ a[1:]))
+
+
+def frame_labels(rec):
+    """Per-frame class indices from a record's segments; -1 = background."""
+    if rec.segments is None:
+        raise ValueError(f"{rec.video_id} carries no segments")
+    out = np.full(rec.n, -1, dtype=np.int64)
+    for seg in rec.segments:
+        out[int(round(seg.t_start * rec.fps)):int(round(seg.t_end * rec.fps))] = seg.label
+    return out
 
 
 def classifier_by_hand(m, fc1_w, fc1_b, fc2_w, fc2_b):
@@ -138,3 +158,39 @@ def ap_by_hand(detections, ground_truth, iou_thr):
             tp += 1
             ap += tp / (rank + 1)
     return ap / n_gt
+
+
+def transfer_fit_per_step(data, stream, cfg, source_model):
+    """Target training with transfer, running the frozen source model on the
+    sampled source clips at every step instead of once per clip.
+
+    Same RNG tree (seeded by (seed, role code 1, stream code)) and the same
+    draw order as the library: batch indices, dropout masks, source indices.
+    Full label fraction only.
+    """
+    from wtal.classifier import label_vector
+    from wtal.training import forward_video, init_model, sgd_step, total_loss
+
+    code = {"rgb": 0, "flow": 1}[stream.value]
+    init_rng, batch_rng, mask_rng = (
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence((cfg.seed, 1, code)).spawn(3))
+    model = init_model(data.feature_dim(stream), data.n_classes, stream, "target",
+                       cfg, init_rng)
+    records = list(data.iter_split("train", stream))
+    source_records = list(data.iter_split("source", stream))
+    velocity = np.zeros_like(model.flat)
+    keep = 1.0 - cfg.dropout
+    for it in range(cfg.iterations):
+        idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
+        batch = [(records[i][1], label_vector(records[i][0].labels, data.n_classes))
+                 for i in idx]
+        masks = [(mask_rng.random(cfg.classifier_hidden) < keep) / keep
+                 if cfg.dropout else None for _ in idx]
+        sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
+        fwd = [forward_video(source_model, source_records[i][1]) for i in sidx]
+        source_acts = (np.vstack([att.m for att, _ in fwd]),
+                       np.vstack([cls.hidden_clean for _, cls in fwd]))
+        _, _, grad = total_loss(batch, model, cfg, masks, source_acts)
+        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+    return model

