@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import STREAMS, Stream, SyntheticSpec, generate_synthetic, load_dataset
+from .dataset import (STREAMS, Stream, SyntheticSpec, generate_synthetic, load_dataset,
+                      load_manifest)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
@@ -143,10 +144,18 @@ def _log_resolved(command: str, doc: dict) -> None:
 
 
 class _Outputs:
-    """Tracks files created by one command so failures can remove them."""
+    """Tracks files created by one command so failures can remove them;
+    as a context manager, it removes them when the block raises."""
 
     def __init__(self):
         self.created: list[Path] = []
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is not None:
+            self.discard_all()
 
     def write(self, path: Path, fill: Callable[[Path], object]) -> None:
         """``fill(tmp)`` writes a sibling temp file, which then replaces ``path``."""
@@ -169,14 +178,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each is handler(args, run_cfg, outputs), with the resolved
+# config (None for gradcheck) and the command's _Outputs
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    run_cfg, doc = resolve_config(args.config, _overrides(args))
-    _log_resolved("synth", doc)
+def _cmd_synth(args, run_cfg: RunConfig, _outputs: _Outputs) -> int:
     out = Path(args.out)
     partial = out.parent / (out.name + ".partial")
     if partial.exists():
@@ -192,37 +207,30 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    run_cfg, doc = resolve_config(args.config, _overrides(args))
-    _log_resolved("train", doc)
+def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     cfg = run_cfg.train
     data = load_dataset(args.data)
     outdir = Path(args.out)
-    outputs = _Outputs()
-    try:
-        for stream in STREAMS:
-            if args.role == "source":
-                model, rows = train_source(data, stream, cfg)
-            else:
-                source_model = None
-                if cfg.transfer.enabled:
-                    src_path = args.source_rgb if stream == Stream.RGB else args.source_flow
-                    if src_path is None:
-                        raise ConfigError(
-                            "transfer is enabled: pass --source-rgb and --source-flow")
-                    source_model, _, _ = load_checkpoint(src_path)
-                model, rows = train_target(data, stream, cfg, source_model)
-            outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
-                          lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
-            outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
-                          lambda tmp: tmp.write_text("\n".join(rows) + "\n"))
-    except BaseException:
-        outputs.discard_all()
-        raise
+    for stream in STREAMS:
+        if args.role == "source":
+            model, rows = train_source(data, stream, cfg)
+        else:
+            source_model = None
+            if cfg.transfer.enabled:
+                src_path = args.source_rgb if stream == Stream.RGB else args.source_flow
+                if src_path is None:
+                    raise ConfigError(
+                        "transfer is enabled: pass --source-rgb and --source-flow")
+                source_model, _, _ = load_checkpoint(src_path)
+            model, rows = train_target(data, stream, cfg, source_model)
+        outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
+                      lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
+        outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
+                      lambda tmp: tmp.write_text("\n".join(rows) + "\n"))
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args, *_) -> int:
     errors = certify_gradients(seed=args.seed)
     worst = max(errors.values())
     for name in sorted(errors):
@@ -232,9 +240,7 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_detect(args) -> int:
-    run_cfg, doc = resolve_config(args.config, _overrides(args))
-    _log_resolved("detect", doc)
+def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     model_rgb, _, _ = load_checkpoint(args.ckpt_rgb)
     model_flow, _, _ = load_checkpoint(args.ckpt_flow)
     if model_rgb.stream != Stream.RGB or model_flow.stream != Stream.FLOW:
@@ -249,14 +255,9 @@ def _cmd_detect(args) -> int:
                               run_cfg.detect)
     predictions = predict_split(data, args.split, model_rgb, model_flow)
     out = Path(args.out)
-    outputs = _Outputs()
-    try:
-        outputs.write(out, lambda tmp: tmp.write_text(_json_text(detections)))
-        outputs.write(_predictions_path(out),
-                      lambda tmp: tmp.write_text(_json_text(predictions)))
-    except BaseException:
-        outputs.discard_all()
-        raise
+    outputs.write(out, lambda tmp: tmp.write_text(_json_text(detections)))
+    outputs.write(_predictions_path(out),
+                  lambda tmp: tmp.write_text(_json_text(predictions)))
     return 0
 
 
@@ -282,34 +283,21 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
     return vals
 
 
-def _cmd_eval(args) -> int:
-    _, doc = resolve_config(args.config, _overrides(args))
-    _log_resolved("eval", doc)
-    data = load_dataset(args.data)
-    try:
-        detections = json.loads(Path(args.detections).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"detections file is not valid JSON: {exc}") from exc
+def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
+    # scoring needs the annotations only, not the feature files
+    manifest = load_manifest(Path(args.data) / "manifest.json")
+    detections = _read_json(args.detections, "detections")
     if not isinstance(detections, list):
         raise InputError("detections file must be a JSON array")
     instances = instances_from_detections(detections)
-    gt = ground_truth_instances(data.manifest, args.split)
+    gt = ground_truth_instances(manifest, args.split)
     thresholds = parse_thresholds(args.thresholds)
     acc = None
     if args.predictions is not None:
-        try:
-            predictions = json.loads(Path(args.predictions).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"predictions file is not valid JSON: {exc}") from exc
-        acc = accuracy_from_predictions(predictions, data.manifest, args.split)
+        predictions = _read_json(args.predictions, "predictions")
+        acc = accuracy_from_predictions(predictions, manifest, args.split)
     report = map_at_iou(instances, gt, thresholds, acc)
-    out = Path(args.out)
-    outputs = _Outputs()
-    try:
-        emit_report(report, data.class_names, out, outputs.write)
-    except BaseException:
-        outputs.discard_all()
-        raise
+    emit_report(report, manifest.class_names, Path(args.out), outputs.write)
     return 0
 
 
@@ -349,19 +337,12 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
     return rows
 
 
-def _cmd_ablate(args) -> int:
-    run_cfg, doc = resolve_config(args.config, _overrides(args))
-    _log_resolved("ablate", doc)
+def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     data = load_dataset(args.data)
     rows = run_ablation(data, run_cfg.train, run_cfg.detect, args.iou, args.split)
     lines = ["arm,accuracy,mAP@" + repr(args.iou)]
     lines += [f"{r['arm']},{r['accuracy']!r},{r['map']!r}" for r in rows]
-    outputs = _Outputs()
-    try:
-        outputs.write(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
-    except BaseException:
-        outputs.discard_all()
-        raise
+    outputs.write(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))
     return 0
 
 
@@ -449,7 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run_cfg = None
+        if hasattr(args, "config"):     # every command but gradcheck
+            run_cfg, doc = resolve_config(args.config, _overrides(args))
+            _log_resolved(args.command, doc)
+        with _Outputs() as outputs:
+            return args.func(args, run_cfg, outputs)
     except (WtalError, OSError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

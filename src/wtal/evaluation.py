@@ -55,15 +55,19 @@ def average_precision(detections: Sequence[Instance],
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].confidence,
                                   detections[i].t_start))
+    gt_by_video: dict[str, list[int]] = {}    # indices in ground-truth order
+    for j, gt in enumerate(ground_truth):
+        gt_by_video.setdefault(gt.video_id, []).append(j)
     matched = [False] * n_gt
     ap = 0.0
     n_tp = 0
     for rank, i in enumerate(order):
         det = detections[i]
         best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(ground_truth):
-            if matched[j] or gt.video_id != det.video_id:
+        for j in gt_by_video.get(det.video_id, ()):
+            if matched[j]:
                 continue
+            gt = ground_truth[j]
             ov = tiou((det.t_start, det.t_end), (gt.t_start, gt.t_end))
             if ov > best_iou:
                 best_j, best_iou = j, ov

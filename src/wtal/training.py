@@ -14,9 +14,13 @@ clip before the first step. Source training minimizes the class loss alone.
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
 
-Each term carries a weight (``loss_weights``); a zero weight drops the term
-from both the loss and the gradient, which is how source training keeps the
-class loss alone and how the gradient certifier isolates single terms.
+Each term carries a weight, and the weights are the only switches: a zero
+weight drops the term from both the loss and the gradient. ``loss_weights``
+is the one place that turns the transfer settings into weights (FC1 and
+FC2 weigh 0 when transfer is off, FC2 also when ``fc2_enabled`` is off);
+source training passes the class loss alone, and the gradient certifier
+isolates single terms. Each transfer tap with a nonzero weight is one
+``transfer_loss`` call and one ``transfer_grads`` call.
 
 A model's parameters live in one contiguous float64 vector, ``Model.flat``,
 laid out in PARAM_KEYS order; the attention and classifier parameters are
@@ -128,8 +132,8 @@ class Model:
     """One stream's trainable state plus the pooling mode it was built with.
 
     ``flat`` holds every parameter, in PARAM_KEYS order with the per-key
-    ``shapes``; ``attention``, ``classifier`` and the name-keyed ``params``
-    are views of it, so updating ``flat`` in place updates them all.
+    ``shapes``; ``attention`` and ``classifier`` are views of it, so
+    updating ``flat`` in place updates them both.
     """
 
     flat: np.ndarray
@@ -140,13 +144,11 @@ class Model:
     attention_mode: str = "softmax"
     attention: AttentionParams = field(init=False, repr=False)
     classifier: ClassifierParams = field(init=False, repr=False)
-    params: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         views = self.views(self.flat)
         self.attention = AttentionParams(*views[:2])
         self.classifier = ClassifierParams(*views[2:])
-        self.params = dict(zip(PARAM_KEYS, views))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a vector laid out like ``flat``."""
@@ -202,9 +204,12 @@ class LossTerms:
 
 
 def loss_weights(cfg: TrainConfig) -> dict[str, float]:
-    """The target objective: class + alpha R_smooth + beta R_sparsity + L_FC1 + L_FC2."""
+    """The target objective: class + alpha R_smooth + beta R_sparsity + L_FC1 + L_FC2,
+    with each transfer term weighted 0 when its tap is switched off."""
+    kt = cfg.transfer
     return {"class": 1.0, "smooth": cfg.alpha, "sparsity": cfg.beta,
-            "fc1": 1.0, "fc2": 1.0 if cfg.transfer.fc2_enabled else 0.0}
+            "fc1": 1.0 if kt.enabled else 0.0,
+            "fc2": 1.0 if kt.enabled and kt.fc2_enabled else 0.0}
 
 
 def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
@@ -218,8 +223,7 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     ``weights`` maps LOSS_TERMS names to weights (absent names weigh 0) and
     defaults to ``loss_weights(cfg)``; the returned LossTerms keep each
     term's unweighted value. ``source_acts`` is the frozen source model's
-    (pooled, hidden) batch; the transfer terms are dropped when it is
-    absent or disabled.
+    (pooled, hidden) batch; without it the transfer terms are dropped.
     """
     if not batch:
         raise InputError("empty batch")
@@ -243,22 +247,16 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     sparsity_term = sum(sparsity_reg(att.scores[k]) for att, _ in fwd
                         for k in range(r)) / (n_batch * r)
 
-    fc1_term = fc2_term = 0.0
-    g_kt_m = g_kt_hidden = None
-    if source_acts is not None and cfg.transfer.enabled and (w["fc1"] or w["fc2"]):
-        source_m, source_hidden = source_acts
-        fc2_on = w["fc2"] != 0.0
-        kt = transfer_loss(source_m, source_hidden, target_m, target_hidden,
-                           cfg.kernel, fc2_on)
-        g_m, g_hidden = transfer_grads(source_m, source_hidden, target_m,
-                                       target_hidden, kt, fc2_on)
-        fc1_term, fc2_term = kt.fc1, kt.fc2
-        if w["fc1"]:
-            g_kt_m = w["fc1"] * g_m
-        if fc2_on:
-            g_kt_hidden = w["fc2"] * g_hidden
+    kt_terms = {"fc1": 0.0, "fc2": 0.0}
+    kt_grads = {}   # tap -> weighted gradient rows, one per video
+    if source_acts is not None:
+        for tap, source, target in (("fc1", source_acts[0], target_m),
+                                    ("fc2", source_acts[1], target_hidden)):
+            if w[tap]:
+                kt_terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
+                kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
 
-    values = (class_term, smooth_term, sparsity_term, fc1_term, fc2_term)
+    values = (class_term, smooth_term, sparsity_term, kt_terms["fc1"], kt_terms["fc2"])
     total = sum((w[k] * v for k, v in zip(LOSS_TERMS, values) if w[k]), 0.0)
 
     grad = np.zeros_like(model.flat)
@@ -266,8 +264,8 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     for v, ((x, y), (att, cls), mask) in enumerate(zip(batch, fwd, masks)):
         g_logits = w["class"] * (class_loss_grad_logits(cls.probs, y) / n_batch)
         cg = classifier_grads(att.m, model.classifier, cls, g_logits, mask,
-                              g_hidden_clean=None if g_kt_hidden is None else g_kt_hidden[v])
-        g_m = cg.m if g_kt_m is None else cg.m + g_kt_m[v]
+                              g_hidden_clean=kt_grads["fc2"][v] if "fc2" in kt_grads else None)
+        g_m = cg.m + kt_grads["fc1"][v] if "fc1" in kt_grads else cg.m
         g_a = np.zeros_like(att.a)
         g_scores = None
         if w["smooth"]:
@@ -288,7 +286,7 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
 
     loss_terms = LossTerms(total=total, class_term=class_term,
                            smooth=smooth_term, sparsity=sparsity_term,
-                           fc1=fc1_term, fc2=fc2_term)
+                           fc1=kt_terms["fc1"], fc2=kt_terms["fc2"])
     return total, loss_terms, grad
 
 

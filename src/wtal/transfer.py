@@ -8,7 +8,9 @@ a constant in the backward pass: gradients never flow through sigma, and
 gradient certification runs with a fixed bandwidth.
 
 The loss taps two points per stream: the pooled representation entering
-FC1, and the post-relu hidden activations after FC1 (pre-dropout).
+FC1, and the post-relu hidden activations after FC1 (pre-dropout). Each
+tap is one ``transfer_loss`` / ``transfer_grads`` pair with its own
+bandwidth; which taps run is decided by the training loss weights alone.
 """
 
 from __future__ import annotations
@@ -103,46 +105,17 @@ def mmd2_grad_u(t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class TransferTerms:
-    """L_KT = fc1 + fc2 (fc2 is 0 when disabled)."""
-
-    fc1: float
-    fc2: float
-    sigma_fc1: float
-    sigma_fc2: float
-
-    @property
-    def total(self) -> float:
-        return self.fc1 + self.fc2
+def transfer_loss(source: np.ndarray, target: np.ndarray,
+                  kcfg: KernelConfig) -> tuple[float, float]:
+    """Squared MMD at one classifier tap, and the bandwidth it used."""
+    if source.shape[1] != target.shape[1]:
+        raise ConfigError(f"source and target widths differ: "
+                          f"{source.shape[1]} vs {target.shape[1]}")
+    sigma = resolve_sigma(source, target, kcfg)
+    return mmd2(source, target, sigma), sigma
 
 
-def transfer_loss(source_m: np.ndarray, source_hidden: np.ndarray,
-                  target_m: np.ndarray, target_hidden: np.ndarray,
-                  kcfg: KernelConfig, fc2_enabled: bool = True) -> TransferTerms:
-    """Squared MMD at both classifier taps for one stream's batches."""
-    if source_m.shape[1] != target_m.shape[1]:
-        raise ConfigError("source and target pooled widths differ")
-    sigma_fc1 = resolve_sigma(source_m, target_m, kcfg)
-    fc1 = mmd2(source_m, target_m, sigma_fc1)
-    if fc2_enabled:
-        if source_hidden.shape[1] != target_hidden.shape[1]:
-            raise ConfigError("source and target hidden widths differ")
-        sigma_fc2 = resolve_sigma(source_hidden, target_hidden, kcfg)
-        fc2 = mmd2(source_hidden, target_hidden, sigma_fc2)
-    else:
-        fc2, sigma_fc2 = 0.0, 1.0
-    return TransferTerms(fc1=fc1, fc2=fc2, sigma_fc1=sigma_fc1, sigma_fc2=sigma_fc2)
-
-
-def transfer_grads(source_m: np.ndarray, source_hidden: np.ndarray,
-                   target_m: np.ndarray, target_hidden: np.ndarray,
-                   terms: TransferTerms, fc2_enabled: bool = True
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of L_KT w.r.t. the target batches (rows align with videos)."""
-    g_m = mmd2_grad_u(source_m, target_m, terms.sigma_fc1)
-    if fc2_enabled:
-        g_hidden = mmd2_grad_u(source_hidden, target_hidden, terms.sigma_fc2)
-    else:
-        g_hidden = np.zeros_like(target_hidden)
-    return g_m, g_hidden
+def transfer_grads(source: np.ndarray, target: np.ndarray, sigma: float) -> np.ndarray:
+    """Gradient of one tap's squared MMD w.r.t. the target batch (rows align
+    with videos), at the bandwidth ``transfer_loss`` returned."""
+    return mmd2_grad_u(source, target, sigma)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -220,6 +221,20 @@ class TestPipeline:
                          "--out", str(det2)]) == 0
         assert det2.read_bytes() == pipeline["det"].read_bytes()
 
+    def test_eval_reads_only_the_manifest(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        shutil.rmtree(data / "features")
+        out = tmp_path / "report.json"
+        assert cli.main(["eval", "--data", str(data),
+                         "--detections", str(pipeline["det"]),
+                         "--predictions",
+                         str(pipeline["det"].parent / "detections.predictions.json"),
+                         "--out", str(out)]) == 0
+        for suffix in (".json", ".csv", ".svg"):
+            assert out.with_suffix(suffix).read_bytes() == \
+                pipeline["report"].with_suffix(suffix).read_bytes()
+
     def test_resolved_config_is_logged(self, pipeline, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "d"),
                          "--synth.seed", "5"] + SYNTH_FLAGS) == 0
@@ -346,6 +361,21 @@ class TestCommandFailures:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "source-rgb" in err["message"]
+
+    def test_wrong_stream_source_discards_earlier_outputs(self, pipeline, tmp_path,
+                                                          capsys):
+        # the RGB stream trains and writes first; the flow stream then fails
+        rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "m"),
+                       "--source-rgb", str(pipeline["src"] / "source_rgb.ckpt"),
+                       "--source-flow", str(pipeline["src"] / "source_rgb.ckpt")]
+                      + TRAIN_FLAGS)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "other stream" in err["message"]
+        assert not (tmp_path / "m" / "target_rgb.ckpt").exists()
+        assert not (tmp_path / "m" / "target_rgb_loss.csv").exists()
 
     def test_target_without_transfer_needs_no_sources(self, pipeline, tmp_path):
         rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),

@@ -67,6 +67,11 @@ def _ones_grad(model):
     return np.ones_like(model.flat)
 
 
+def _named(model):
+    """Each parameter's view of ``model.flat``, keyed by name."""
+    return dict(zip(PARAM_KEYS, model.views(model.flat)))
+
+
 class TestConfig:
     def test_defaults_valid(self):
         TrainConfig().validate()
@@ -102,13 +107,15 @@ class TestParameterLayout:
     def _check_views(self, model):
         assert model.flat.dtype == np.float64 and model.flat.ndim == 1
         assert model.flat.flags.c_contiguous and model.flat.flags.writeable
-        assert list(model.params) == list(PARAM_KEYS)
-        for v in model.params.values():
+        named = _named(model)
+        assert [v.shape for v in named.values()] == list(model.shapes)
+        for v in named.values():
             assert np.shares_memory(v, model.flat)
         np.testing.assert_array_equal(
-            np.concatenate([v.ravel() for v in model.params.values()]), model.flat)
-        assert model.attention.w1 is model.params["att_w1"]
-        assert model.classifier.fc2_b is model.params["fc2_b"]
+            np.concatenate([v.ravel() for v in named.values()]), model.flat)
+        # same address, shape and strides: the named views are those slices
+        assert model.attention.w1.__array_interface__ == named["att_w1"].__array_interface__
+        assert model.classifier.fc2_b.__array_interface__ == named["fc2_b"].__array_interface__
 
     def test_init_model_views_share_the_flat_vector(self):
         self._check_views(_tiny_model())
@@ -125,12 +132,10 @@ class TestParameterLayout:
 class TestOptimizer:
     def test_single_step_without_momentum(self):
         model = _tiny_model()
-        for v in model.params.values():
-            v[:] = 0.0
+        model.flat[:] = 0.0
         cfg = TrainConfig(momentum=0.0)
         sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0, 0.1, cfg)
-        for v in model.params.values():
-            np.testing.assert_allclose(v, -0.1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.flat, -0.1, rtol=0, atol=1e-15)
 
     def test_step_moves_the_named_views(self):
         model = _tiny_model()
@@ -141,26 +146,22 @@ class TestOptimizer:
 
     def test_momentum_accumulates(self):
         model = _tiny_model()
-        for v in model.params.values():
-            v[:] = 0.0
+        model.flat[:] = 0.0
         cfg = TrainConfig(momentum=0.9)
         velocity = np.zeros_like(model.flat)
         sgd_step(model, _ones_grad(model), velocity, 0, 0.1, cfg)
-        for v in model.params.values():
-            np.testing.assert_allclose(v, -0.1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.flat, -0.1, rtol=0, atol=1e-15)
         sgd_step(model, _ones_grad(model), velocity, 1, 0.1, cfg)
         # v = 0.9 * (-0.1) - 0.1 = -0.19; p = -0.1 - 0.19 = -0.29
-        for v in model.params.values():
-            np.testing.assert_allclose(v, -0.29, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(model.flat, -0.29, rtol=0, atol=1e-15)
 
     def test_zero_learning_rate_freezes_parameters(self):
         model = _tiny_model()
-        before = {k: v.copy() for k, v in model.params.items()}
+        before = model.flat.copy()
         velocity = np.zeros_like(model.flat)
         for it in range(5):
             sgd_step(model, _ones_grad(model), velocity, it, 0.0, TrainConfig())
-        for k, v in model.params.items():
-            np.testing.assert_array_equal(v, before[k])
+        np.testing.assert_array_equal(model.flat, before)
 
     def test_schedule_steps_down(self):
         cfg = TrainConfig(decay_every=5000, decay_factor=10.0)
@@ -239,6 +240,31 @@ class TestTotalLoss:
         t_none, _, g_none = total_loss(batch, model, cfg, source_acts=acts, weights={})
         assert t_none == 0.0 and not np.any(g_none)
 
+    def test_transfer_switches_are_loss_weights(self):
+        rng = np.random.default_rng(6)
+        model = _tiny_model(rng)
+        batch = self._batch(rng, model)
+        acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        base = TrainConfig(kernel=KernelConfig(sigma=1.0))
+        off = dataclasses.replace(base, transfer=TransferConfig(enabled=False))
+        fc1_only = dataclasses.replace(base, transfer=TransferConfig(fc2_enabled=False))
+        assert loss_weights(off)["fc1"] == loss_weights(off)["fc2"] == 0.0
+        assert loss_weights(fc1_only)["fc1"] == 1.0
+        assert loss_weights(fc1_only)["fc2"] == 0.0
+
+        t_with, terms_with, g_with = total_loss(batch, model, off, source_acts=acts)
+        t_without, terms_without, g_without = total_loss(batch, model, off)
+        assert t_with == t_without and terms_with == terms_without
+        assert np.array_equal(g_with, g_without)
+
+        # with FC2 off its tap is never computed: any hidden batch gives the same bits
+        nan_hidden = (acts[0], np.full_like(acts[1], np.nan))
+        t_fc1, terms_fc1, g_fc1 = total_loss(batch, model, fc1_only, source_acts=acts)
+        t_nan, terms_nan, g_nan = total_loss(batch, model, fc1_only, source_acts=nan_hidden)
+        assert terms_fc1.fc1 > 0.0 and terms_fc1.fc2 == 0.0
+        assert t_fc1 == t_nan and terms_fc1 == terms_nan
+        assert np.array_equal(g_fc1, g_nan)
+
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):
@@ -305,10 +331,9 @@ class TestTrainingLoops:
 
     def test_source_stays_frozen_during_transfer(self, tiny_data):
         src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
-        before = {k: v.copy() for k, v in src.params.items()}
+        before = src.flat.copy()
         train_target(tiny_data, Stream.RGB, TINY_CFG, source_model=src)
-        for k, v in src.params.items():
-            np.testing.assert_array_equal(v, before[k])
+        np.testing.assert_array_equal(src.flat, before)
 
     def test_transfer_terms_appear_in_log(self, tiny_data):
         src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
@@ -382,8 +407,8 @@ class TestCheckpoints:
         assert cfg == TINY_CFG
         assert loaded.stream == Stream.FLOW
         assert loaded.role == "source"
-        for k in PARAM_KEYS:
-            np.testing.assert_array_equal(loaded.params[k], model.params[k])
+        for k, v in _named(model).items():
+            np.testing.assert_array_equal(_named(loaded)[k], v)
 
     def test_save_load_save_is_byte_identical(self, tiny_data, tmp_path):
         model, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)

@@ -171,61 +171,36 @@ class TestMmd2Grad:
 
 
 class TestTransferLoss:
-    def test_sum_of_two_independent_terms(self):
-        rng = np.random.default_rng(10)
-        sm, tm = rng.normal(size=(2, 5, 4))
-        sh, th = rng.normal(size=(2, 5, 3))
-        terms = transfer_loss(sm, sh, tm, th, KernelConfig())
-        sigma1 = oracles.median_pairwise_distance(np.vstack([sm, tm]))
-        sigma2 = oracles.median_pairwise_distance(np.vstack([sh, th]))
-        np.testing.assert_allclose(terms.fc1,
-                                   oracles.mmd2_triple_loop(sm, tm, sigma1),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(terms.fc2,
-                                   oracles.mmd2_triple_loop(sh, th, sigma2),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(terms.total, terms.fc1 + terms.fc2,
-                                   rtol=0, atol=0)
+    """One call per tap: the pooled (FC1) and hidden (FC2) batches alike."""
 
-    def test_fc2_can_be_disabled(self):
-        rng = np.random.default_rng(11)
-        sm, tm = rng.normal(size=(2, 4, 3))
-        sh, th = rng.normal(size=(2, 4, 2))
-        terms = transfer_loss(sm, sh, tm, th, KernelConfig(), fc2_enabled=False)
-        assert terms.fc2 == 0.0
-        assert terms.total == terms.fc1
+    def test_each_tap_matches_oracle(self):
+        rng = np.random.default_rng(10)
+        for width in (4, 3):
+            source, target = rng.normal(size=(2, 5, width))
+            value, sigma = transfer_loss(source, target, KernelConfig())
+            expected_sigma = oracles.median_pairwise_distance(np.vstack([source, target]))
+            np.testing.assert_allclose(sigma, expected_sigma, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                value, oracles.mmd2_triple_loop(source, target, expected_sigma),
+                rtol=0, atol=1e-12)
 
     def test_identical_batches_cost_nothing(self):
         rng = np.random.default_rng(12)
-        m = rng.normal(size=(4, 3))
-        h = rng.normal(size=(4, 2))
-        terms = transfer_loss(m, h, m.copy(), h.copy(), KernelConfig(sigma=1.0))
-        assert terms.total == 0.0
+        for width in (3, 2):
+            batch = rng.normal(size=(4, width))
+            assert transfer_loss(batch, batch.copy(), KernelConfig(sigma=1.0)) == (0.0, 1.0)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            transfer_loss(np.zeros((2, 3)), np.zeros((2, 2)),
-                          np.zeros((2, 4)), np.zeros((2, 2)), KernelConfig(sigma=1.0))
+        with pytest.raises(ConfigError, match="3 vs 4"):
+            transfer_loss(np.zeros((2, 3)), np.zeros((2, 4)), KernelConfig(sigma=1.0))
 
     def test_grads_match_finite_differences_at_fixed_sigma(self):
         rng = np.random.default_rng(13)
-        sm, tm = rng.normal(size=(2, 4, 3))
-        sh, th = rng.normal(size=(2, 4, 2))
         kcfg = KernelConfig(sigma=1.3)
-        terms = transfer_loss(sm, sh, tm, th, kcfg)
-        g_m, g_h = transfer_grads(sm, sh, tm, th, terms)
-        num_m = finite_diff_grad(
-            lambda v: transfer_loss(sm, sh, v, th, kcfg).total, tm)
-        num_h = finite_diff_grad(
-            lambda v: transfer_loss(sm, sh, tm, v, kcfg).total, th)
-        assert grad_rel_error(g_m, num_m) < 1e-6
-        assert grad_rel_error(g_h, num_h) < 1e-6
-
-    def test_disabled_fc2_grad_is_zero(self):
-        rng = np.random.default_rng(14)
-        sm, tm = rng.normal(size=(2, 4, 3))
-        sh, th = rng.normal(size=(2, 4, 2))
-        kcfg = KernelConfig(sigma=1.0)
-        terms = transfer_loss(sm, sh, tm, th, kcfg, fc2_enabled=False)
-        _, g_h = transfer_grads(sm, sh, tm, th, terms, fc2_enabled=False)
-        np.testing.assert_array_equal(g_h, np.zeros_like(th))
+        for width in (3, 2):
+            source, target = rng.normal(size=(2, 4, width))
+            _, sigma = transfer_loss(source, target, kcfg)
+            analytic = transfer_grads(source, target, sigma)
+            numeric = finite_diff_grad(
+                lambda v: transfer_loss(source, v, kcfg)[0], target)
+            assert grad_rel_error(analytic, numeric) < 1e-6
