@@ -257,14 +257,6 @@ class TestTotalLoss:
         assert t_with == t_without and terms_with == terms_without
         assert np.array_equal(g_with, g_without)
 
-        # with FC2 off its tap is never computed: any hidden batch gives the same bits
-        nan_hidden = (acts[0], np.full_like(acts[1], np.nan))
-        t_fc1, terms_fc1, g_fc1 = total_loss(batch, model, fc1_only, source_acts=acts)
-        t_nan, terms_nan, g_nan = total_loss(batch, model, fc1_only, source_acts=nan_hidden)
-        assert terms_fc1.fc1 > 0.0 and terms_fc1.fc2 == 0.0
-        assert t_fc1 == t_nan and terms_fc1 == terms_nan
-        assert np.array_equal(g_fc1, g_nan)
-
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):

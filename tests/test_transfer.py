@@ -1,14 +1,18 @@
 """Tests for the Gaussian-kernel discrepancy loss and its gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from wtal.dataset import FeatureMatrix, Stream
 from wtal.errors import ConfigError, SampleError, ShapeError
 from wtal.numerics import finite_diff_grad, grad_rel_error
+from wtal.training import TrainConfig, init_model, loss_weights, total_loss
 from wtal.transfer import (
     KernelConfig,
+    TransferConfig,
     median_bandwidth,
     mmd2,
     mmd2_grad_u,
@@ -170,6 +174,20 @@ class TestMmd2Grad:
         np.testing.assert_allclose(g, np.zeros_like(t), rtol=0, atol=1e-12)
 
 
+def fc2_switch_case(seed):
+    """A tiny target model, a batch of three videos, random source (pooled,
+    hidden) activations, and the FC1-only config that switches FC2 off."""
+    rng = np.random.default_rng(seed)
+    model = init_model(3, 2, Stream.RGB, "target",
+                       TrainConfig(attention_hidden=2, classifier_hidden=3), rng)
+    batch = [(FeatureMatrix(rng.normal(size=(3, int(rng.integers(3, 8))))),
+              np.eye(2)[int(rng.integers(2))]) for _ in range(3)]
+    acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+    cfg = TrainConfig(kernel=KernelConfig(sigma=1.0),
+                      transfer=TransferConfig(fc2_enabled=False))
+    return model, batch, acts, cfg
+
+
 class TestTransferLoss:
     """One call per tap: the pooled (FC1) and hidden (FC2) batches alike."""
 
@@ -204,3 +222,24 @@ class TestTransferLoss:
             numeric = finite_diff_grad(
                 lambda v: transfer_loss(source, v, kcfg)[0], target)
             assert grad_rel_error(analytic, numeric) < 1e-6
+
+    def test_fc2_can_be_disabled(self):
+        model, batch, acts, cfg = fc2_switch_case(11)
+        assert loss_weights(cfg)["fc1"] == 1.0 and loss_weights(cfg)["fc2"] == 0.0
+        total, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
+        off = dataclasses.replace(cfg, transfer=TransferConfig(enabled=False))
+        total_off, _, _ = total_loss(batch, model, off, source_acts=acts)
+        assert terms.fc2 == 0.0 and terms.fc1 > 0.0
+        assert total == total_off + terms.fc1
+
+    def test_disabled_fc2_grad_is_zero(self):
+        model, batch, acts, cfg = fc2_switch_case(14)
+        # with FC2 off its tap is never computed: any hidden batch gives the same bits
+        nan_hidden = (acts[0], np.full_like(acts[1], np.nan))
+        _, terms, grad = total_loss(batch, model, cfg, source_acts=acts)
+        _, terms_nan, grad_nan = total_loss(batch, model, cfg, source_acts=nan_hidden)
+        assert terms == terms_nan
+        np.testing.assert_array_equal(grad, grad_nan)
+        on = dataclasses.replace(cfg, transfer=TransferConfig())
+        _, _, grad_on = total_loss(batch, model, on, source_acts=acts)
+        assert not np.array_equal(grad, grad_on)
