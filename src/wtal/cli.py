@@ -209,20 +209,24 @@ def _cmd_synth(args, run_cfg: RunConfig, _outputs: _Outputs) -> int:
 
 def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     cfg = run_cfg.train
+    # a target run loads and checks both source models before any stream trains
+    sources = dict.fromkeys(STREAMS)
+    if args.role == "target" and cfg.transfer.enabled:
+        paths = {Stream.RGB: args.source_rgb, Stream.FLOW: args.source_flow}
+        if None in paths.values():
+            raise ConfigError("transfer is enabled: pass --source-rgb and --source-flow")
+        for stream, path in paths.items():
+            sources[stream], _, _ = load_checkpoint(path)
+            if sources[stream].stream != stream:
+                raise ConfigError(f"--source-{stream.value} holds a source model "
+                                  f"of the other stream ({sources[stream].stream.value})")
     data = load_dataset(args.data)
     outdir = Path(args.out)
     for stream in STREAMS:
         if args.role == "source":
             model, rows = train_source(data, stream, cfg)
         else:
-            source_model = None
-            if cfg.transfer.enabled:
-                src_path = args.source_rgb if stream == Stream.RGB else args.source_flow
-                if src_path is None:
-                    raise ConfigError(
-                        "transfer is enabled: pass --source-rgb and --source-flow")
-                source_model, _, _ = load_checkpoint(src_path)
-            model, rows = train_target(data, stream, cfg, source_model)
+            model, rows = train_target(data, stream, cfg, sources[stream])
         outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
                       lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
         outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
@@ -251,9 +255,8 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     data = load_dataset(args.data)
     if n_rgb != data.n_classes:
         raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has {data.n_classes}")
-    detections = detect_split(data, args.split, model_rgb, model_flow,
-                              run_cfg.detect)
-    predictions = predict_split(data, args.split, model_rgb, model_flow)
+    predictions, scores = predict_split(data, args.split, model_rgb, model_flow)
+    detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
     outputs.write(out, lambda tmp: tmp.write_text(_json_text(detections)))
     outputs.write(_predictions_path(out),
@@ -295,6 +298,8 @@ def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
     acc = None
     if args.predictions is not None:
         predictions = _read_json(args.predictions, "predictions")
+        if not isinstance(predictions, list):
+            raise InputError("predictions file must be a JSON array")
         acc = accuracy_from_predictions(predictions, manifest, args.split)
     report = map_at_iou(instances, gt, thresholds, acc)
     emit_report(report, manifest.class_names, Path(args.out), outputs.write)
@@ -324,10 +329,9 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
             if kt_on:
                 source_model, _ = train_source(data, stream, arm_cfg)
             models[stream], _ = train_target(data, stream, arm_cfg, source_model)
-        detections = detect_split(data, split, models[Stream.RGB],
-                                  models[Stream.FLOW], dcfg)
-        predictions = predict_split(data, split, models[Stream.RGB],
-                                    models[Stream.FLOW])
+        predictions, scores = predict_split(data, split, models[Stream.RGB],
+                                            models[Stream.FLOW])
+        detections = detect_split(data, split, scores, dcfg)
         acc = accuracy_from_predictions(predictions, data.manifest, split)
         report = map_at_iou(instances_from_detections(detections),
                             ground_truth_instances(data.manifest, split),

@@ -240,6 +240,10 @@ def _record_from_json(obj: dict) -> VideoRecord:
         segments = None
         if "segments" in obj:
             segments = tuple(Segment(int(c), float(a), float(b)) for c, a, b in obj["segments"])
+        feature_paths = {Stream(k): v for k, v in obj["features"].items()}
+        if set(feature_paths) != set(STREAMS):
+            raise ValueError(f"features name {sorted(s.value for s in feature_paths)}, "
+                             f"expected {[s.value for s in STREAMS]}")
         return VideoRecord(
             video_id=obj["id"],
             split=obj["split"],
@@ -247,10 +251,10 @@ def _record_from_json(obj: dict) -> VideoRecord:
             fps=float(obj["fps"]),
             labels=tuple(int(c) for c in obj["labels"]),
             trimmed=bool(obj["trimmed"]),
-            feature_paths={Stream(k): v for k, v in obj["features"].items()},
+            feature_paths=feature_paths,
             segments=segments,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed manifest record: {exc}") from exc
 
 
@@ -268,8 +272,13 @@ def load_manifest(path: Path) -> Manifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError("manifest is not a JSON object")
     if doc.get("version") != 1:
         raise DataFormatError(f"unsupported manifest version {doc.get('version')!r}")
+    for key in ("classes", "videos"):
+        if not isinstance(doc.get(key), list):
+            raise DataFormatError(f"manifest {key!r} must be a JSON array")
     manifest = Manifest(
         version=1,
         class_names=tuple(doc["classes"]),

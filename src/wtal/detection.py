@@ -7,11 +7,16 @@ maximal consecutive runs of frames at or above the threshold become
 proposals with half-open frame intervals [ind_start, ind_end), converted
 to seconds by t = ind / fps, scored by the mean in-run fused score.
 No suppression is needed: maximal runs are disjoint by construction.
+
+Each video and stream runs forward once: predict_split reads both the
+video logits and the frame score map off that pass, and detect_split
+only fuses and thresholds the maps it returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -57,22 +62,19 @@ def frame_logit_matrix(x: FeatureMatrix, p: ClassifierParams, heads: int = 1) ->
     return p.fc2_w @ hidden + p.fc2_b[:, None]
 
 
-def stream_frame_scores(model: Model, x: FeatureMatrix) -> np.ndarray:
-    """w_i^c = a_i * sigmoid(frame logit), (C, n), entries in [0, 1]."""
-    att, _ = forward_video(model, x)
-    weights = att.frame_weights
+def video_scores(model: Model, x: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass: the video logits and the (C, n) frame score map
+    w_i^c = a_i * sigmoid(frame logit), entries in [0, 1]."""
+    att, cls = forward_video(model, x)
     logits = frame_logit_matrix(x, model.classifier, model.attention.r)
-    return weights[None, :] * sigmoid(logits)
+    return cls.logits, att.frame_weights[None, :] * sigmoid(logits)
 
 
-def fused_frame_scores(model_rgb: Model, x_rgb: FeatureMatrix,
-                       model_flow: Model, x_flow: FeatureMatrix,
+def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,
                        cfg: DetectConfig) -> np.ndarray:
     """theta-weighted fusion of the two streams' frame score maps."""
-    if x_rgb.n != x_flow.n:
-        raise ShapeError(f"streams disagree on frame count: {x_rgb.n} vs {x_flow.n}")
-    w_rgb = stream_frame_scores(model_rgb, x_rgb)
-    w_flow = stream_frame_scores(model_flow, x_flow)
+    if w_rgb.shape != w_flow.shape:
+        raise ShapeError(f"stream score maps disagree in shape: {w_rgb.shape} vs {w_flow.shape}")
     return cfg.theta * w_rgb + (1.0 - cfg.theta) * w_flow
 
 
@@ -100,25 +102,33 @@ def extract_proposals(scores: np.ndarray, fps: float, cfg: DetectConfig) -> list
     return proposals
 
 
-def predict_video(model_rgb: Model, x_rgb: FeatureMatrix,
-                  model_flow: Model, x_flow: FeatureMatrix
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Video-level logits per stream and the fused class distribution."""
-    _, cls_rgb = forward_video(model_rgb, x_rgb)
-    _, cls_flow = forward_video(model_flow, x_flow)
-    fused = stable_softmax((cls_rgb.logits + cls_flow.logits) / 2.0)
-    return cls_rgb.logits, cls_flow.logits, fused
+def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
+                  ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Classification records for accuracy scoring, and each video's (RGB,
+    flow) frame score maps by id, from one forward pass per video and stream."""
+    records, scores = [], {}
+    for rec in data.split(split):
+        z_rgb, w_rgb = video_scores(model_rgb, data.features(rec.video_id, Stream.RGB))
+        z_flow, w_flow = video_scores(model_flow, data.features(rec.video_id, Stream.FLOW))
+        records.append({
+            "video_id": rec.video_id,
+            "logits_rgb": z_rgb.tolist(),
+            "logits_flow": z_flow.tolist(),
+            "probs_fused": stable_softmax((z_rgb + z_flow) / 2.0).tolist(),
+        })
+        scores[rec.video_id] = (w_rgb, w_flow)
+    return records, scores
 
 
-def detect_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model,
+def detect_split(data: Dataset, split: str,
+                 scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
                  cfg: DetectConfig) -> list[dict]:
-    """Proposals for every video in a split, as output-schema dicts."""
+    """Proposals for every video in a split, as output-schema dicts, from
+    the score maps that predict_split returned."""
     out = []
     for rec in data.split(split):
-        scores = fused_frame_scores(model_rgb, data.features(rec.video_id, Stream.RGB),
-                                    model_flow, data.features(rec.video_id, Stream.FLOW),
-                                    cfg)
-        for prop in extract_proposals(scores, rec.fps, cfg):
+        fused = fused_frame_scores(*scores[rec.video_id], cfg)
+        for prop in extract_proposals(fused, rec.fps, cfg):
             out.append({
                 "video_id": rec.video_id,
                 "class": prop.label,
@@ -126,21 +136,4 @@ def detect_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model,
                 "t_end": prop.t_end,
                 "confidence": prop.confidence,
             })
-    return out
-
-
-def predict_split(data: Dataset, split: str, model_rgb: Model,
-                  model_flow: Model) -> list[dict]:
-    """Video-level classification records for accuracy scoring."""
-    out = []
-    for rec in data.split(split):
-        z_rgb, z_flow, fused = predict_video(
-            model_rgb, data.features(rec.video_id, Stream.RGB),
-            model_flow, data.features(rec.video_id, Stream.FLOW))
-        out.append({
-            "video_id": rec.video_id,
-            "logits_rgb": z_rgb.tolist(),
-            "logits_flow": z_flow.tolist(),
-            "probs_fused": fused.tolist(),
-        })
     return out

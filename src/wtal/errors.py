@@ -27,3 +27,7 @@ class SampleError(WtalError):
 
 class InputError(WtalError):
     """Semantically invalid input (degenerate segment, missing prediction, ...)."""
+
+
+class DivergenceError(WtalError):
+    """Training produced a non-finite loss term or parameter."""

@@ -12,6 +12,7 @@ ground truth are excluded from the mAP mean.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -143,12 +144,15 @@ def instances_from_detections(detections: Sequence[Mapping]) -> list[Instance]:
     out = []
     for i, det in enumerate(detections):
         try:
-            out.append(Instance(video_id=det["video_id"], label=int(det["class"]),
-                                t_start=float(det["t_start"]),
-                                t_end=float(det["t_end"]),
-                                confidence=float(det["confidence"])))
+            inst = Instance(video_id=det["video_id"], label=int(det["class"]),
+                            t_start=float(det["t_start"]),
+                            t_end=float(det["t_end"]),
+                            confidence=float(det["confidence"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed detection entry {i}: {exc}") from exc
+        if not math.isfinite(inst.confidence):
+            raise InputError(f"detection entry {i} has confidence {inst.confidence}")
+        out.append(inst)
     return out
 
 
@@ -156,13 +160,15 @@ def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest
                               split: str) -> dict[str, float]:
     """Per-stream and fused accuracy from the detect command's predictions."""
     label_sets = {rec.video_id: set(rec.labels) for rec in manifest.split(split)}
-    out = {}
-    for key, field_name in (("rgb", "logits_rgb"), ("flow", "logits_flow"),
-                            ("fused", "probs_fused")):
-        predicted = {p["video_id"]: int(np.argmax(p[field_name]))
-                     for p in predictions}
-        out[key] = accuracy(predicted, label_sets)
-    return out
+    fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
+    predicted: dict[str, dict[str, int]] = {key: {} for key in fields}
+    for i, p in enumerate(predictions):
+        try:
+            for key, field_name in fields.items():
+                predicted[key][p["video_id"]] = int(np.argmax(p[field_name]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed prediction record {i}: {exc!r}") from exc
+    return {key: accuracy(predicted[key], label_sets) for key in fields}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ clip before the first step. Source training minimizes the class loss alone.
 
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
+Training stops with DivergenceError at the first step whose loss terms
+or updated parameters are not all finite.
 
 Each term carries a weight, and the weights are the only switches: a zero
 weight drops the term from both the loss and the gradient. ``loss_weights``
@@ -51,7 +53,7 @@ from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          class_loss_grad_logits, classifier_grads, classify,
                          label_vector)
 from .dataset import Dataset, FeatureMatrix, Stream
-from .errors import ConfigError, DataFormatError, InputError
+from .errors import ConfigError, DataFormatError, DivergenceError, InputError
 from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
 
 CKPT_MAGIC = b"TSRC"
@@ -59,6 +61,7 @@ CKPT_VERSION = 1
 PARAM_KEYS = ("att_w1", "att_w2", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 LOSS_TERMS = ("class", "smooth", "sparsity", "fc1", "fc2")
 CSV_HEADER = "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
+_LOSS_COLUMNS = CSV_HEADER.split(",")[1:]     # the names of LossTerms.values()
 
 _STREAM_CODE = {Stream.RGB: 0, Stream.FLOW: 1}
 _ROLE_CODE = {"source": 0, "target": 1}
@@ -197,10 +200,13 @@ class LossTerms:
     fc1: float
     fc2: float
 
-    def csv_row(self, iteration: int) -> str:
-        vals = (self.total, self.class_term, self.smooth, self.sparsity,
+    def values(self) -> tuple[float, ...]:
+        """The terms in CSV column order."""
+        return (self.total, self.class_term, self.smooth, self.sparsity,
                 self.fc1, self.fc2)
-        return f"{iteration}," + ",".join(repr(v) for v in vals)
+
+    def csv_row(self, iteration: int) -> str:
+        return f"{iteration}," + ",".join(repr(v) for v in self.values())
 
 
 def loss_weights(cfg: TrainConfig) -> dict[str, float]:
@@ -372,6 +378,11 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
             source_acts = (src_m[sidx], src_hidden[sidx])
         _, terms, grad = total_loss(batch, model, cfg, masks, source_acts, weights)
         sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+        bad = [f"{name}={v!r}" for name, v in zip(_LOSS_COLUMNS, terms.values())
+               if not math.isfinite(v)]
+        if bad or not np.isfinite(model.flat).all():
+            raise DivergenceError(f"{role} {stream.value} training diverged at iteration {it}: "
+                                  f"non-finite {', '.join(bad) or 'parameters after the update'}")
         rows.append(terms.csv_row(it))
     return model, rows
 

@@ -54,9 +54,8 @@ def _verdict(num, name, ok, detail=""):
 
 def _score_models(data, models, iou_thr=0.5):
     """Fused test accuracy and mAP at one IoU threshold."""
-    dets = detect_split(data, "test", models[Stream.RGB], models[Stream.FLOW],
-                        DetectConfig())
-    preds = predict_split(data, "test", models[Stream.RGB], models[Stream.FLOW])
+    preds, scores = predict_split(data, "test", models[Stream.RGB], models[Stream.FLOW])
+    dets = detect_split(data, "test", scores, DetectConfig())
     acc = accuracy_from_predictions(preds, data.manifest, "test")
     report = map_at_iou(instances_from_detections(dets),
                         ground_truth_instances(data.manifest, "test"),

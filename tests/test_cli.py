@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
+import re
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
+import wtal.detection
 from wtal import cli
 from wtal.dataset import Stream, load_dataset
 from wtal.errors import ConfigError
@@ -140,6 +143,16 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """The stream of each model that ``wtal.detection`` runs forward, in call order."""
+    calls = []
+    forward = wtal.detection.forward_video
+    monkeypatch.setattr(wtal.detection, "forward_video",
+                        lambda model, x: calls.append(model.stream) or forward(model, x))
+    return calls
+
+
 class TestPipeline:
     def test_synth_output_loads(self, pipeline):
         data = load_dataset(pipeline["data"])
@@ -235,6 +248,19 @@ class TestPipeline:
             assert out.with_suffix(suffix).read_bytes() == \
                 pipeline["report"].with_suffix(suffix).read_bytes()
 
+    def test_detect_runs_one_forward_per_video_and_stream(self, pipeline, tmp_path,
+                                                          forward_calls):
+        det = tmp_path / "detections.json"
+        assert cli.main(["detect", "--data", str(pipeline["data"]),
+                         "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
+                         "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
+                         "--out", str(det)]) == 0
+        n_test = len(load_dataset(pipeline["data"]).split("test"))
+        assert sorted(forward_calls) == sorted([Stream.RGB, Stream.FLOW] * n_test)
+        assert det.read_bytes() == pipeline["det"].read_bytes()
+        assert (tmp_path / "detections.predictions.json").read_bytes() == \
+            (pipeline["det"].parent / "detections.predictions.json").read_bytes()
+
     def test_resolved_config_is_logged(self, pipeline, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "d"),
                          "--synth.seed", "5"] + SYNTH_FLAGS) == 0
@@ -243,6 +269,11 @@ class TestPipeline:
         assert doc["command"] == "synth"
         assert doc["config"]["synth"]["seed"] == 5
         assert doc["config"]["synth"]["n_classes"] == 2
+
+
+def _in_place(change):
+    """An edit that changes a JSON document in place, then returns it."""
+    return lambda doc: (change(doc), doc)[1]
 
 
 class TestCommandFailures:
@@ -377,6 +408,43 @@ class TestCommandFailures:
         assert not (tmp_path / "m" / "target_rgb.ckpt").exists()
         assert not (tmp_path / "m" / "target_rgb_loss.csv").exists()
 
+    def test_wrong_stream_source_fails_before_training(self, pipeline, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        train_target = cli.train_target
+        monkeypatch.setattr(cli, "train_target",
+                            lambda *a, **k: calls.append(a) or train_target(*a, **k))
+        rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "m"),
+                       "--source-rgb", str(pipeline["src"] / "source_rgb.ckpt"),
+                       "--source-flow", str(pipeline["src"] / "source_rgb.ckpt")]
+                      + TRAIN_FLAGS)
+        assert rc == 1
+        assert calls == []
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "--source-flow" in err["message"]
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("flags, names", [
+        (["--train.lr_rgb", "1e300"], "L_class=nan"),
+        # the flow stream diverges after the RGB outputs were written
+        (["--train.lr_flow", "1e300"], "L_class=nan"),
+        # the only update overflows the parameters while the loss was finite
+        (["--train.lr_rgb", "1e308", "--train.init_scale", "10", "--train.iterations", "1"],
+         "parameters after the update"),
+    ], ids=["rgb_loss", "flow_loss", "parameters"])
+    def test_divergence_stops_training(self, pipeline, tmp_path, capsys, flags, names):
+        rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "m"), "--transfer.enabled", "false"]
+                      + TRAIN_FLAGS + flags)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DivergenceError"
+        assert re.search(r"iteration \d+: non-finite", err["message"])
+        assert names in err["message"]
+        assert list((tmp_path / "m").glob("*")) == []
+
     def test_target_without_transfer_needs_no_sources(self, pipeline, tmp_path):
         rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
                        "--out", str(tmp_path / "m"),
@@ -392,6 +460,46 @@ class TestCommandFailures:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InputError"
+
+    @pytest.mark.parametrize("what, edit, error", [
+        ("manifest", lambda doc: [doc], "DataFormatError"),
+        ("manifest", _in_place(lambda doc: doc.pop("classes")), "DataFormatError"),
+        ("manifest", _in_place(lambda doc: doc["videos"][0]["features"].update(xyz="x")),
+         "DataFormatError"),
+        ("manifest", _in_place(lambda doc: doc["videos"][0]["features"].pop("flow")),
+         "DataFormatError"),
+        ("predictions", _in_place(lambda doc: doc[0].pop("video_id")), "InputError"),
+        ("predictions", _in_place(lambda doc: doc[0].pop("logits_rgb")), "InputError"),
+        ("predictions", _in_place(lambda doc: doc[0].pop("logits_flow")), "InputError"),
+        ("predictions", _in_place(lambda doc: doc[0].pop("probs_fused")), "InputError"),
+        ("predictions", lambda doc: {"predictions": doc}, "InputError"),
+        ("detections", _in_place(lambda doc: doc.append(
+            {"video_id": "test_00000", "class": 0, "t_start": 0.0, "t_end": 0.2,
+             "confidence": math.nan})), "InputError"),
+    ], ids=["manifest_is_list", "manifest_without_classes", "unknown_feature_stream",
+            "missing_feature_stream", "prediction_without_video_id",
+            "prediction_without_logits_rgb", "prediction_without_logits_flow",
+            "prediction_without_probs_fused", "predictions_not_array", "nan_confidence"])
+    def test_malformed_eval_input_exits_one(self, pipeline, tmp_path, capsys,
+                                            what, edit, error):
+        sources = {"manifest": pipeline["data"] / "manifest.json",
+                   "predictions": pipeline["det"].parent / "detections.predictions.json",
+                   "detections": pipeline["det"]}
+        copies = {"manifest": tmp_path / "data" / "manifest.json",
+                  "predictions": tmp_path / "predictions.json",
+                  "detections": tmp_path / "detections.json"}
+        copies["manifest"].parent.mkdir()
+        for name, source in sources.items():
+            doc = json.loads(source.read_text())
+            copies[name].write_text(json.dumps(edit(doc) if name == what else doc))
+        out = tmp_path / "report.json"
+        rc = cli.main(["eval", "--data", str(tmp_path / "data"),
+                       "--detections", str(copies["detections"]),
+                       "--predictions", str(copies["predictions"]), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == error
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         for argv in (["--help"], ["train", "--help"]):
@@ -440,3 +548,15 @@ class TestAblateCommand:
             _, acc, m = ln.split(",")
             assert 0.0 <= float(acc) <= 1.0
             assert 0.0 <= float(m) <= 1.0
+
+    def test_one_forward_per_test_video_and_stream_per_arm(self, pipeline, tmp_path,
+                                                            forward_calls):
+        rc = cli.main(["ablate", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "ablation.csv"),
+                       "--train.iterations", "10", "--train.batch_size", "4",
+                       "--train.attention_hidden", "4",
+                       "--train.classifier_hidden", "6"])
+        assert rc == 0
+        n_test = len(load_dataset(pipeline["data"]).split("test"))
+        assert sorted(forward_calls) == \
+            sorted([Stream.RGB, Stream.FLOW] * n_test * len(cli.ABLATION_ARMS))

@@ -15,8 +15,7 @@ from wtal.detection import (
     frame_logit_matrix,
     fused_frame_scores,
     predict_split,
-    predict_video,
-    stream_frame_scores,
+    video_scores,
 )
 from wtal.errors import ConfigError, ShapeError
 from wtal.training import Model, TrainConfig, forward_video, init_model, train_source
@@ -136,8 +135,9 @@ class TestFrameScores:
         for heads in (1, 2):
             model = _model(rng, heads=heads)
             x = FeatureMatrix(rng.normal(size=(4, 7)))
-            scores = stream_frame_scores(model, x)
-            att, _ = forward_video(model, x)
+            logits, scores = video_scores(model, x)
+            att, cls = forward_video(model, x)
+            np.testing.assert_array_equal(logits, cls.logits)
             for c in range(3):
                 for i in range(7):
                     ref = oracles.frame_class_score(x.values[:, i],
@@ -149,7 +149,7 @@ class TestFrameScores:
         rng = np.random.default_rng(3)
         model = _model(rng)
         x = FeatureMatrix(rng.normal(size=(4, 20)) * 3.0)
-        scores = stream_frame_scores(model, x)
+        _, scores = video_scores(model, x)
         assert scores.shape == (3, 20)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
@@ -178,10 +178,9 @@ class TestFusion:
         m_flow = _model(rng)
         x_rgb = FeatureMatrix(rng.normal(size=(4, 9)))
         x_flow = FeatureMatrix(rng.normal(size=(4, 9)))
-        w_rgb = stream_frame_scores(m_rgb, x_rgb)
-        w_flow = stream_frame_scores(m_flow, x_flow)
-        fused = fused_frame_scores(m_rgb, x_rgb, m_flow, x_flow,
-                                   DetectConfig(theta=0.3))
+        _, w_rgb = video_scores(m_rgb, x_rgb)
+        _, w_flow = video_scores(m_flow, x_flow)
+        fused = fused_frame_scores(w_rgb, w_flow, DetectConfig(theta=0.3))
         np.testing.assert_allclose(fused, 0.3 * w_rgb + 0.7 * w_flow,
                                    rtol=0, atol=1e-15)
 
@@ -190,9 +189,10 @@ class TestFusion:
         m_rgb, m_flow = _model(rng), _model(rng)
         x_rgb = FeatureMatrix(rng.normal(size=(4, 5)))
         x_flow = FeatureMatrix(rng.normal(size=(4, 5)))
-        fused = fused_frame_scores(m_rgb, x_rgb, m_flow, x_flow,
-                                   DetectConfig(theta=1.0))
-        np.testing.assert_array_equal(fused, stream_frame_scores(m_rgb, x_rgb))
+        _, w_rgb = video_scores(m_rgb, x_rgb)
+        _, w_flow = video_scores(m_flow, x_flow)
+        fused = fused_frame_scores(w_rgb, w_flow, DetectConfig(theta=1.0))
+        np.testing.assert_array_equal(fused, w_rgb)
 
     def test_hand_arithmetic(self):
         # 0.5 * 0.4 + 0.5 * 0.2 = 0.3, checked through the full stack by
@@ -200,17 +200,17 @@ class TestFusion:
         rng = np.random.default_rng(8)
         m = _model(rng)
         x = FeatureMatrix(rng.normal(size=(4, 5)))
-        w = stream_frame_scores(m, x)
-        fused = fused_frame_scores(m, x, m, x, DetectConfig(theta=0.5))
+        _, w = video_scores(m, x)
+        fused = fused_frame_scores(w, w, DetectConfig(theta=0.5))
         np.testing.assert_allclose(fused, w, rtol=0, atol=1e-15)
 
     def test_rejects_frame_count_mismatch(self):
         rng = np.random.default_rng(9)
         m_rgb, m_flow = _model(rng), _model(rng)
+        _, w_rgb = video_scores(m_rgb, FeatureMatrix(np.zeros((4, 5))))
+        _, w_flow = video_scores(m_flow, FeatureMatrix(np.zeros((4, 6))))
         with pytest.raises(ShapeError):
-            fused_frame_scores(m_rgb, FeatureMatrix(np.zeros((4, 5))),
-                               m_flow, FeatureMatrix(np.zeros((4, 6))),
-                               DetectConfig())
+            fused_frame_scores(w_rgb, w_flow, DetectConfig())
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +231,8 @@ def trained(tmp_path_factory):
 class TestSplitOutputs:
     def test_detection_schema(self, trained):
         data, m_rgb, m_flow = trained
-        dets = detect_split(data, "test", m_rgb, m_flow, DetectConfig())
+        _, scores = predict_split(data, "test", m_rgb, m_flow)
+        dets = detect_split(data, "test", scores, DetectConfig())
         test_ids = {rec.video_id for rec in data.split("test")}
         for det in dets:
             assert set(det) == {"video_id", "class", "t_start", "t_end", "confidence"}
@@ -243,30 +244,36 @@ class TestSplitOutputs:
     def test_detection_matches_manual_extraction(self, trained):
         data, m_rgb, m_flow = trained
         cfg = DetectConfig()
-        dets = detect_split(data, "test", m_rgb, m_flow, cfg)
+        _, scores = predict_split(data, "test", m_rgb, m_flow)
+        dets = detect_split(data, "test", scores, cfg)
         rec = data.split("test")[0]
-        scores = fused_frame_scores(m_rgb, data.features(rec.video_id, Stream.RGB),
-                                    m_flow, data.features(rec.video_id, Stream.FLOW),
-                                    cfg)
+        _, w_rgb = video_scores(m_rgb, data.features(rec.video_id, Stream.RGB))
+        _, w_flow = video_scores(m_flow, data.features(rec.video_id, Stream.FLOW))
+        np.testing.assert_array_equal(scores[rec.video_id][0], w_rgb)
+        np.testing.assert_array_equal(scores[rec.video_id][1], w_flow)
+        fused = fused_frame_scores(w_rgb, w_flow, cfg)
         manual = [{"video_id": rec.video_id, "class": p.label,
                    "t_start": p.t_start, "t_end": p.t_end,
                    "confidence": p.confidence}
-                  for p in extract_proposals(scores, rec.fps, cfg)]
+                  for p in extract_proposals(fused, rec.fps, cfg)]
         assert [d for d in dets if d["video_id"] == rec.video_id] == manual
 
     def test_prediction_schema_and_fusion(self, trained):
         data, m_rgb, m_flow = trained
-        preds = predict_split(data, "test", m_rgb, m_flow)
+        preds, scores = predict_split(data, "test", m_rgb, m_flow)
         assert len(preds) == len(data.split("test"))
+        assert set(scores) == {pred["video_id"] for pred in preds}
         for pred in preds:
             z_rgb = np.array(pred["logits_rgb"])
             z_flow = np.array(pred["logits_flow"])
             fused = np.array(pred["probs_fused"])
             np.testing.assert_allclose(fused.sum(), 1.0, rtol=0, atol=1e-9)
-            rec_fused = predict_video(
-                m_rgb, data.features(pred["video_id"], Stream.RGB),
-                m_flow, data.features(pred["video_id"], Stream.FLOW))[2]
-            np.testing.assert_allclose(fused, rec_fused, rtol=0, atol=1e-15)
+            # the logits are read off the same forward pass as the score maps
+            for model, stream, z, w in zip((m_rgb, m_flow), (Stream.RGB, Stream.FLOW),
+                                           (z_rgb, z_flow), scores[pred["video_id"]]):
+                x = data.features(pred["video_id"], stream)
+                np.testing.assert_array_equal(z, forward_video(model, x)[1].logits)
+                assert w.shape == (data.n_classes, x.n)
             np.testing.assert_allclose(fused, oracles.fuse_streams(z_rgb, z_flow),
                                        rtol=0, atol=1e-12)
             assert z_rgb.shape == z_flow.shape == (data.n_classes,)
