@@ -43,10 +43,6 @@ class AttentionParams:
         return self.w1.shape[1]
 
     @property
-    def b(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def r(self) -> int:
         return self.w2.shape[0]
 
@@ -83,7 +79,7 @@ def attend(x: FeatureMatrix, p: AttentionParams, mode: str = "softmax") -> Atten
     hidden = np.tanh(p.w1 @ x.values)          # (b, n)
     logits = p.w2 @ hidden                     # (r, n)
     if mode == "softmax":
-        a = np.vstack([stable_softmax(row) for row in logits])
+        a = stable_softmax(logits)
         scores = a
     else:
         scores = sigmoid(logits)
@@ -112,10 +108,8 @@ def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
     touches the raw scores directly.
     """
     d, n, r = p.d, x.n, p.r
-    g_w1 = np.zeros_like(p.w1)
-    g_w2 = np.zeros_like(p.w2)
     if out.mode == "uniform":
-        return g_w1, g_w2
+        return np.zeros_like(p.w1), np.zeros_like(p.w2)
     if g_scores is not None and out.mode != "sigmoid":
         raise ShapeError("score gradients only exist in sigmoid mode")
     if g_m is not None and g_m.shape != (r * d,):
@@ -123,41 +117,34 @@ def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
     if g_a is not None and g_a.shape != (r, n):
         raise ShapeError(f"g_a must have shape ({r}, {n}), got {g_a.shape}")
 
-    g_hidden = np.zeros_like(out.hidden)       # (b, n)
-    for k in range(r):
-        u = np.zeros(n)
-        if g_a is not None:
-            u = u + g_a[k]
-        if g_m is not None:
-            u = u + x.values.T @ g_m[k * d:(k + 1) * d]
-        a_k = out.a[k]
-        if out.mode == "softmax":
-            g_logits = a_k * (u - float(u @ a_k))
-        else:
-            s_k = out.scores[k]
-            g_s = (u - float(u @ a_k)) / float(s_k.sum())
-            if g_scores is not None:
-                g_s = g_s + g_scores[k]
-            g_logits = g_s * s_k * (1.0 - s_k)
-        g_w2[k] = out.hidden @ g_logits
-        g_hidden += np.outer(p.w2[k], g_logits)
-
-    g_pre = g_hidden * (1.0 - out.hidden ** 2)
+    u = np.zeros((r, n)) if g_a is None else g_a      # upstream gradient on a
+    if g_m is not None:
+        u = u + g_m.reshape(r, d) @ x.values
+    u = u - np.sum(u * out.a, axis=1, keepdims=True)  # through the normalization
+    if out.mode == "softmax":
+        g_logits = out.a * u
+    else:
+        g_s = u / out.scores.sum(axis=1, keepdims=True)
+        if g_scores is not None:
+            g_s = g_s + g_scores
+        g_logits = g_s * out.scores * (1.0 - out.scores)
+    g_w2 = g_logits @ out.hidden.T
+    g_pre = (p.w2.T @ g_logits) * (1.0 - out.hidden ** 2)
     g_w1 = g_pre @ x.values.T
     return g_w1, g_w2
 
 
 # ---------------------------------------------------------------------------
-# regularizers on one head's weight vector
+# regularizers on the (r, n) weights, summed over heads
 # ---------------------------------------------------------------------------
 
 
 def smooth_reg_direct(a: np.ndarray) -> float:
-    """sum_{i<n} (a_i - a_{i+1})^2; 0 for a single frame (empty sum)."""
+    """sum over heads and i<n of (a_i - a_{i+1})^2; 0 for a single frame."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1:
-        raise ShapeError("smoothness penalty needs a nonempty vector")
-    diffs = a[:-1] - a[1:]
+    if a.ndim not in (1, 2) or a.shape[-1] < 1:
+        raise ShapeError("smoothness penalty needs non-empty weight rows")
+    diffs = a[..., :-1] - a[..., 1:]
     return float(np.sum(diffs * diffs))
 
 
@@ -165,9 +152,9 @@ def smooth_reg_grad(a: np.ndarray) -> np.ndarray:
     """Gradient of smooth_reg_direct: 2(a_i - a_{i-1}) + 2(a_i - a_{i+1})."""
     a = np.asarray(a, dtype=np.float64)
     g = np.zeros_like(a)
-    diffs = a[:-1] - a[1:]
-    g[:-1] += 2.0 * diffs
-    g[1:] -= 2.0 * diffs
+    diffs = a[..., :-1] - a[..., 1:]
+    g[..., :-1] += 2.0 * diffs
+    g[..., 1:] -= 2.0 * diffs
     return g
 
 

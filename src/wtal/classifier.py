@@ -1,6 +1,8 @@
 """Two-FC classification head and video loss.
 
 The head is logits = FC2 @ relu(FC1 @ m + b1) + b2 with a softmax on top.
+It reads one pooled vector or a batch of them as the rows of a matrix:
+the videos of a training step, or the frames of one video at detection.
 Dropout (when given) multiplies the hidden layer by a pre-scaled 0-or-1/keep
 mask, so inference needs no rescaling; the unmasked hidden activations are
 returned too because the knowledge-transfer loss taps them.
@@ -44,10 +46,6 @@ class ClassifierParams:
         return self.fc1_w.shape[1]
 
     @property
-    def h(self) -> int:
-        return self.fc1_w.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.fc2_w.shape[0]
 
@@ -60,16 +58,23 @@ class ClassifierOutput:
     hidden_clean: np.ndarray
     hidden: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Softmax of the logits, row by row; frame scoring never reads it."""
+        return stable_softmax(self.logits)
 
 
 def classify(m: np.ndarray, p: ClassifierParams,
              dropout_mask: np.ndarray | None = None) -> ClassifierOutput:
-    """Forward pass; dropout_mask entries must be 0 or 1/keep_rate."""
+    """Forward pass on one pooled vector (in_dim,) or a row batch (B, in_dim);
+    every output has one row per input row. dropout_mask has the hidden
+    layer's shape and entries 0 or 1/keep_rate."""
     m = np.asarray(m, dtype=np.float64)
-    if m.shape != (p.in_dim,):
-        raise ShapeError(f"pooled vector has shape {m.shape}, classifier expects ({p.in_dim},)")
-    pre1 = p.fc1_w @ m + p.fc1_b
+    if m.ndim not in (1, 2) or m.shape[-1] != p.in_dim:
+        raise ShapeError(f"pooled input has shape {m.shape}, classifier expects "
+                         f"({p.in_dim},) or (B, {p.in_dim})")
+    pre1 = m @ p.fc1_w.T + p.fc1_b
     hidden_clean = np.maximum(pre1, 0.0)
     if dropout_mask is not None:
         if dropout_mask.shape != hidden_clean.shape:
@@ -77,9 +82,9 @@ def classify(m: np.ndarray, p: ClassifierParams,
         hidden = hidden_clean * dropout_mask
     else:
         hidden = hidden_clean
-    logits = p.fc2_w @ hidden + p.fc2_b
+    logits = hidden @ p.fc2_w.T + p.fc2_b
     return ClassifierOutput(pre1=pre1, hidden_clean=hidden_clean, hidden=hidden,
-                            logits=logits, probs=stable_softmax(logits))
+                            logits=logits)
 
 
 def label_vector(labels, n_classes: int) -> np.ndarray:
@@ -95,24 +100,27 @@ def label_vector(labels, n_classes: int) -> np.ndarray:
     return y
 
 
-def class_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    """Cross-entropy -sum_c y_c log(p_c + eps)."""
+def class_loss(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy -sum_c y_c log(p_c + eps), one value per row."""
     if probs.shape != y.shape:
-        raise ShapeError("probs and labels must have equal length")
-    return float(-np.sum(y * np.log(probs + LOG_EPS)))
+        raise ShapeError("probs and labels must have equal shapes")
+    return -np.sum(y * np.log(probs + LOG_EPS), axis=-1)
 
 
 def class_loss_grad_logits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact gradient of class_loss w.r.t. the logits, through the epsilon.
+    """Exact gradient of class_loss w.r.t. the logits, through the epsilon,
+    row by row.
 
     dL/dp_c = -y_c/(p_c + eps), pushed through the softmax Jacobian.
     """
     g_p = -y / (probs + LOG_EPS)
-    return probs * (g_p - float(g_p @ probs))
+    return probs * (g_p - np.sum(g_p * probs, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
 class ClassifierGrads:
+    """Parameter gradients summed over the rows; ``m`` keeps one row per row."""
+
     fc1_w: np.ndarray
     fc1_b: np.ndarray
     fc2_w: np.ndarray
@@ -124,18 +132,16 @@ def classifier_grads(m: np.ndarray, p: ClassifierParams, out: ClassifierOutput,
                      g_logits: np.ndarray,
                      dropout_mask: np.ndarray | None = None,
                      g_hidden_clean: np.ndarray | None = None) -> ClassifierGrads:
-    """Backward pass. g_hidden_clean injects the transfer tap's gradient."""
+    """Backward pass of ``classify``, for one row or a row batch shaped as in
+    the forward. g_hidden_clean injects the transfer tap's gradient."""
     m = np.asarray(m, dtype=np.float64)
-    g_fc2_w = np.outer(g_logits, out.hidden)
-    g_fc2_b = g_logits.copy()
-    g_hidden = p.fc2_w.T @ g_logits
+    x, hidden, pre1, g_logits = (np.atleast_2d(a) for a in (m, out.hidden, out.pre1, g_logits))
+    g_hidden = g_logits @ p.fc2_w
     if dropout_mask is not None:
         g_hidden = g_hidden * dropout_mask
     if g_hidden_clean is not None:
         g_hidden = g_hidden + g_hidden_clean
-    g_pre1 = g_hidden * (out.pre1 > 0.0)
-    g_fc1_w = np.outer(g_pre1, m)
-    g_fc1_b = g_pre1
-    g_m = p.fc1_w.T @ g_pre1
-    return ClassifierGrads(fc1_w=g_fc1_w, fc1_b=g_fc1_b,
-                           fc2_w=g_fc2_w, fc2_b=g_fc2_b, m=g_m)
+    g_pre1 = g_hidden * (pre1 > 0.0)
+    return ClassifierGrads(fc1_w=g_pre1.T @ x, fc1_b=g_pre1.sum(axis=0),
+                           fc2_w=g_logits.T @ hidden, fc2_b=g_logits.sum(axis=0),
+                           m=(g_pre1 @ p.fc1_w).reshape(m.shape))

@@ -108,7 +108,7 @@ def resolve_config(config_path: str | None,
     if config_path is not None:
         try:
             loaded = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a JSON object of sections")
@@ -181,7 +181,7 @@ def _json_text(obj) -> str:
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{what} file is not valid JSON: {exc}") from exc
 
 

@@ -179,15 +179,17 @@ class SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(vals: np.ndarray) -> None:
+    """Reject the first non-finite entry of a (d, n) matrix by frame and column."""
+    if not np.isfinite(vals).all():
+        dim, frame = (int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+        raise DataFormatError(f"non-finite feature value at frame {frame}, column {dim}")
+
+
 def encode_features(m: FeatureMatrix) -> bytes:
     """Serialize a feature matrix to the TSRF byte layout."""
     vals = m.values
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        dim, frame = int(bad[0][0]), int(bad[0][1])
-        raise DataFormatError(
-            f"non-finite feature value at frame {frame}, column {dim}"
-        )
+    _check_finite(vals)
     header = MAGIC + struct.pack("<III", FORMAT_VERSION, m.d, m.n)
     # frame-major on disk: frame i's d values are contiguous
     payload = np.ascontiguousarray(vals.T, dtype="<f4").tobytes()
@@ -212,6 +214,7 @@ def decode_features(data: bytes) -> FeatureMatrix:
         raise DataFormatError(f"header claims degenerate shape d={d}, n={n}")
     flat = np.frombuffer(data, dtype="<f4", offset=HEADER_BYTES)
     values = flat.reshape(n, d).T.astype(np.float64)
+    _check_finite(values)
     return FeatureMatrix(values)
 
 
@@ -270,7 +273,7 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
 def load_manifest(path: Path) -> Manifest:
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError("manifest is not a JSON object")

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .classifier import ClassifierParams
+from .classifier import classify
 from .dataset import Dataset, FeatureMatrix, Stream
 from .errors import ConfigError, ShapeError
 from .numerics import sigmoid, stable_softmax
@@ -49,25 +49,14 @@ class Proposal:
     ind_end: int
 
 
-def frame_logit_matrix(x: FeatureMatrix, p: ClassifierParams, heads: int = 1) -> np.ndarray:
-    """Class logits of the full classifier on every frame at once, (C, n).
-
-    Frames are tiled across heads to match the pooled input width;
-    dropout is off (inference path).
-    """
-    tiled = np.tile(x.values, (heads, 1))
-    if tiled.shape[0] != p.in_dim:
-        raise ShapeError(f"frames widen to {tiled.shape[0]}, classifier expects {p.in_dim}")
-    hidden = np.maximum(p.fc1_w @ tiled + p.fc1_b[:, None], 0.0)
-    return p.fc2_w @ hidden + p.fc2_b[:, None]
-
-
 def video_scores(model: Model, x: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass: the video logits and the (C, n) frame score map
-    w_i^c = a_i * sigmoid(frame logit), entries in [0, 1]."""
+    w_i^c = a_i * sigmoid(frame logit), entries in [0, 1]. The frame logits
+    come from the video classifier applied to every frame as one row batch,
+    each frame tiled across heads to the pooled width; dropout is off."""
     att, cls = forward_video(model, x)
-    logits = frame_logit_matrix(x, model.classifier, model.attention.r)
-    return cls.logits, att.frame_weights[None, :] * sigmoid(logits)
+    frames = classify(np.tile(x.values, (model.attention.r, 1)).T, model.classifier)
+    return cls.logits, att.frame_weights[None, :] * sigmoid(frames.logits.T)
 
 
 def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,

@@ -20,19 +20,20 @@ FD_STEP = 1e-5
 
 
 def stable_softmax(v: np.ndarray) -> np.ndarray:
-    """Softmax with max subtraction so large logits cannot overflow.
+    """Softmax along the last axis, one row at a time, with max subtraction
+    so large logits cannot overflow.
 
     Args:
-        v: 1-D array of finite logits.
+        v: Array of finite logits whose rows (last axis) are non-empty.
 
     Returns:
-        Probability vector: entries > 0, summing to 1 within 1e-12.
+        Array of v's shape: each row has entries > 0 summing to 1 within 1e-12.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax expects a non-empty 1-D vector, got shape {v.shape}")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ShapeError(f"softmax expects non-empty rows, got shape {v.shape}")
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:

@@ -14,7 +14,8 @@ clip before the first step. Source training minimizes the class loss alone.
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
 Training stops with DivergenceError at the first step whose loss terms
-or updated parameters are not all finite.
+or updated parameters are not all finite; numpy's floating-point warnings
+stay off stderr during the step, so that error is all a diverging run prints.
 
 Each term carries a weight, and the weights are the only switches: a zero
 weight drops the term from both the loss and the gradient. ``loss_weights``
@@ -23,6 +24,11 @@ FC2 weigh 0 when transfer is off, FC2 also when ``fc2_enabled`` is off);
 source training passes the class loss alone, and the gradient certifier
 isolates single terms. Each transfer tap with a nonzero weight is one
 ``transfer_loss`` call and one ``transfer_grads`` call.
+
+A step pools each video on its own (lengths differ), then runs the
+classifier forward and backward once on the stacked (B, r*d) pooled matrix
+M under one (B, h) dropout mask; the transfer taps read M and its hidden
+layer. Only the attention backward runs per video, for all heads at once.
 
 A model's parameters live in one contiguous float64 vector, ``Model.flat``,
 laid out in PARAM_KEYS order; the attention and classifier parameters are
@@ -181,13 +187,16 @@ def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConf
                  attention_mode=cfg.attention_mode)
 
 
+def _pool(model: Model, x: FeatureMatrix) -> AttentionOutput:
+    if model.attention_enabled:
+        return attend(x, model.attention, model.attention_mode)
+    return uniform_attention(x, model.attention.r)
+
+
 def forward_video(model: Model, x: FeatureMatrix,
                   dropout_mask: np.ndarray | None = None
                   ) -> tuple[AttentionOutput, ClassifierOutput]:
-    if model.attention_enabled:
-        att = attend(x, model.attention, model.attention_mode)
-    else:
-        att = uniform_attention(x, model.attention.r)
+    att = _pool(model, x)
     return att, classify(att.m, model.classifier, dropout_mask)
 
 
@@ -220,16 +229,17 @@ def loss_weights(cfg: TrainConfig) -> dict[str, float]:
 
 def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
                cfg: TrainConfig,
-               masks: Sequence[np.ndarray | None] | None = None,
+               dropout_mask: np.ndarray | None = None,
                source_acts: tuple[np.ndarray, np.ndarray] | None = None,
                weights: dict[str, float] | None = None
                ) -> tuple[float, LossTerms, np.ndarray]:
     """Weighted loss over one batch and its analytic gradient w.r.t. ``model.flat``.
 
-    ``weights`` maps LOSS_TERMS names to weights (absent names weigh 0) and
-    defaults to ``loss_weights(cfg)``; the returned LossTerms keep each
-    term's unweighted value. ``source_acts`` is the frozen source model's
-    (pooled, hidden) batch; without it the transfer terms are dropped.
+    ``dropout_mask`` is the batch's (B, h) mask matrix, or None for no
+    dropout. ``weights`` maps LOSS_TERMS names to weights (absent names
+    weigh 0) and defaults to ``loss_weights(cfg)``; the returned LossTerms
+    keep each term's unweighted value. ``source_acts`` is the frozen source
+    model's (pooled, hidden) batch; without it the transfer terms are dropped.
     """
     if not batch:
         raise InputError("empty batch")
@@ -237,27 +247,23 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     unknown = set(w) - set(LOSS_TERMS)
     if unknown:
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
-    if masks is None:
-        masks = [None] * len(batch)
-    n_batch = len(batch)
-    r = model.attention.r
+    n_reg = len(batch) * model.attention.r    # the regularizers average over heads too
 
-    fwd = [forward_video(model, x, mask) for (x, _), mask in zip(batch, masks)]
-    target_m = np.vstack([att.m for att, _ in fwd])
-    target_hidden = np.vstack([cls.hidden_clean for _, cls in fwd])
+    pooled = [_pool(model, x) for x, _ in batch]
+    pooled_m = np.vstack([att.m for att in pooled])
+    labels = np.vstack([y for _, y in batch])
+    cls = classify(pooled_m, model.classifier, dropout_mask)
+    probs = cls.probs
 
-    class_term = sum(class_loss(cls.probs, y) for (_, y), (_, cls)
-                     in zip(batch, fwd)) / n_batch
-    smooth_term = sum(smooth_reg_direct(att.a[k]) for att, _ in fwd
-                      for k in range(r)) / (n_batch * r)
-    sparsity_term = sum(sparsity_reg(att.scores[k]) for att, _ in fwd
-                        for k in range(r)) / (n_batch * r)
+    class_term = float(np.mean(class_loss(probs, labels)))
+    smooth_term = sum(smooth_reg_direct(att.a) for att in pooled) / n_reg
+    sparsity_term = sum(sparsity_reg(att.scores) for att in pooled) / n_reg
 
     kt_terms = {"fc1": 0.0, "fc2": 0.0}
     kt_grads = {}   # tap -> weighted gradient rows, one per video
     if source_acts is not None:
-        for tap, source, target in (("fc1", source_acts[0], target_m),
-                                    ("fc2", source_acts[1], target_hidden)):
+        for tap, source, target in (("fc1", source_acts[0], pooled_m),
+                                    ("fc2", source_acts[1], cls.hidden_clean)):
             if w[tap]:
                 kt_terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
                 kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
@@ -265,29 +271,27 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     values = (class_term, smooth_term, sparsity_term, kt_terms["fc1"], kt_terms["fc2"])
     total = sum((w[k] * v for k, v in zip(LOSS_TERMS, values) if w[k]), 0.0)
 
+    g_logits = w["class"] * (class_loss_grad_logits(probs, labels) / len(batch))
+    cg = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
+                          g_hidden_clean=kt_grads.get("fc2"))
+    g_m = cg.m + kt_grads["fc1"] if "fc1" in kt_grads else cg.m
     grad = np.zeros_like(model.flat)
-    grad_views = model.views(grad)
-    for v, ((x, y), (att, cls), mask) in enumerate(zip(batch, fwd, masks)):
-        g_logits = w["class"] * (class_loss_grad_logits(cls.probs, y) / n_batch)
-        cg = classifier_grads(att.m, model.classifier, cls, g_logits, mask,
-                              g_hidden_clean=kt_grads["fc2"][v] if "fc2" in kt_grads else None)
-        g_m = cg.m + kt_grads["fc1"][v] if "fc1" in kt_grads else cg.m
+    views = model.views(grad)
+    for acc, g in zip(views[2:], (cg.fc1_w, cg.fc1_b, cg.fc2_w, cg.fc2_b)):
+        acc += g
+    for (x, _), att, g_m_v in zip(batch, pooled, g_m):
         g_a = np.zeros_like(att.a)
         g_scores = None
         if w["smooth"]:
-            for k in range(r):
-                g_a[k] += w["smooth"] / (n_batch * r) * smooth_reg_grad(att.a[k])
+            g_a += w["smooth"] / n_reg * smooth_reg_grad(att.a)
         if w["sparsity"]:
-            if model.attention_mode == "sigmoid" and model.attention_enabled:
-                g_scores = np.vstack([
-                    w["sparsity"] / (n_batch * r) * sparsity_reg_grad(att.scores[k])
-                    for k in range(r)])
+            g_sparse = w["sparsity"] / n_reg * sparsity_reg_grad(att.scores)
+            if att.mode == "sigmoid":
+                g_scores = g_sparse
             else:
-                for k in range(r):
-                    g_a[k] += w["sparsity"] / (n_batch * r) * sparsity_reg_grad(att.a[k])
-        g_w1, g_w2 = attention_grads(x, model.attention, att, g_m=g_m,
-                                     g_a=g_a, g_scores=g_scores)
-        for acc, g in zip(grad_views, (g_w1, g_w2, cg.fc1_w, cg.fc1_b, cg.fc2_w, cg.fc2_b)):
+                g_a += g_sparse
+        for acc, g in zip(views, attention_grads(x, model.attention, att, g_m=g_m_v,
+                                                 g_a=g_a, g_scores=g_scores)):
             acc += g
 
     loss_terms = LossTerms(total=total, class_term=class_term,
@@ -323,11 +327,13 @@ def _rng_tree(cfg: TrainConfig, stream: Stream, role: str) -> list[np.random.Gen
     return [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(3)]
 
 
-def _draw_mask(rng: np.random.Generator, h: int, rate: float) -> np.ndarray | None:
+def _draw_mask(rng: np.random.Generator, shape: tuple[int, ...],
+               rate: float) -> np.ndarray | None:
+    """0-or-1/keep entries; a (B, h) mask equals B successive (h,) draws."""
     if rate == 0.0:
         return None
     keep = 1.0 - rate
-    return (rng.random(h) < keep).astype(np.float64) / keep
+    return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
 def labeled_subset(n_videos: int, fraction: float, seed: int) -> np.ndarray:
@@ -370,14 +376,14 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
     for it in range(cfg.iterations):
         idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
         batch = [(records[i][1], ys[i]) for i in idx]
-        masks = [_draw_mask(mask_rng, cfg.classifier_hidden, cfg.dropout)
-                 for _ in idx]
+        mask = _draw_mask(mask_rng, (cfg.batch_size, cfg.classifier_hidden), cfg.dropout)
         source_acts = None
         if source_model is not None:
             sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
             source_acts = (src_m[sidx], src_hidden[sidx])
-        _, terms, grad = total_loss(batch, model, cfg, masks, source_acts, weights)
-        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
+            _, terms, grad = total_loss(batch, model, cfg, mask, source_acts, weights)
+            sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
         bad = [f"{name}={v!r}" for name, v in zip(_LOSS_COLUMNS, terms.values())
                if not math.isfinite(v)]
         if bad or not np.isfinite(model.flat).all():
@@ -540,7 +546,7 @@ def certify_gradients(seed: int = 0, trials: int = 3) -> dict[str, float]:
             x = FeatureMatrix(rng.uniform(-1.0, 1.0, (d, n)))
             y = label_vector([int(rng.integers(n_classes))], n_classes)
             batch.append((x, y))
-        masks = [(rng.random(h) < 0.5).astype(np.float64) / 0.5 for _ in batch]
+        mask = (rng.random((len(batch), h)) < 0.5).astype(np.float64) / 0.5
         source_acts = (rng.uniform(-1.0, 1.0, (3, r * d)),
                        rng.uniform(-1.0, 1.0, (3, h)))
 
@@ -548,11 +554,11 @@ def certify_gradients(seed: int = 0, trials: int = 3) -> dict[str, float]:
         full = loss_weights(cfg)
         cases = [(name, {name: full[name]}) for name in LOSS_TERMS] + [("total", full)]
         for name, weights in cases:
-            _, _, analytic = total_loss(batch, model, cfg, masks, source_acts, weights)
+            _, _, analytic = total_loss(batch, model, cfg, mask, source_acts, weights)
 
             def f(_: np.ndarray) -> float:
                 # finite_diff_grad perturbs model.flat in place; the views follow
-                return total_loss(batch, model, cfg, masks, source_acts, weights)[0]
+                return total_loss(batch, model, cfg, mask, source_acts, weights)[0]
 
             numeric = finite_diff_grad(f, model.flat)
             err = grad_rel_error(analytic, numeric)

@@ -165,7 +165,8 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
     sampled source clips at every step instead of once per clip.
 
     Same RNG tree (seeded by (seed, role code 1, stream code)) and the same
-    draw order as the library: batch indices, dropout masks, source indices.
+    draw order as the library: batch indices, the (B, h) dropout mask,
+    source indices.
     Full label fraction only.
     """
     from wtal.classifier import label_vector
@@ -185,12 +186,12 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
         idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
         batch = [(records[i][1], label_vector(records[i][0].labels, data.n_classes))
                  for i in idx]
-        masks = [(mask_rng.random(cfg.classifier_hidden) < keep) / keep
-                 if cfg.dropout else None for _ in idx]
+        mask = ((mask_rng.random((cfg.batch_size, cfg.classifier_hidden)) < keep) / keep
+                if cfg.dropout else None)
         sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
         fwd = [forward_video(source_model, source_records[i][1]) for i in sidx]
         source_acts = (np.vstack([att.m for att, _ in fwd]),
                        np.vstack([cls.hidden_clean for _, cls in fwd]))
-        _, _, grad = total_loss(batch, model, cfg, masks, source_acts)
+        _, _, grad = total_loss(batch, model, cfg, mask, source_acts)
         sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
     return model

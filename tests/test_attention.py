@@ -172,6 +172,45 @@ class TestSmoothness:
         assert grad_rel_error(smooth_reg_grad(a), num) < 1e-6
 
 
+class TestHeadMatrices:
+    def test_regularizers_sum_the_head_rows(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(3, 8))
+        np.testing.assert_allclose(smooth_reg_direct(a),
+                                   sum(smooth_reg_direct(row) for row in a),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sparsity_reg(a), sum(sparsity_reg(row) for row in a),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(smooth_reg_grad(a),
+                                      np.vstack([smooth_reg_grad(row) for row in a]))
+        np.testing.assert_array_equal(sparsity_reg_grad(a),
+                                      np.vstack([sparsity_reg_grad(row) for row in a]))
+        assert smooth_reg_direct(np.ones((2, 1))) == 0.0
+        with pytest.raises(ShapeError):
+            smooth_reg_direct(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+    def test_all_heads_at_once_match_finite_differences(self, mode):
+        # every upstream gradient at once, over three heads
+        rng = np.random.default_rng(18)
+        x, p = _random_instance(rng, d=3, n=6, b=4, r=3)
+        g_m = rng.normal(size=9)
+
+        def loss(params):
+            out = attend(x, params, mode=mode)
+            value = float(out.m @ g_m) + smooth_reg_direct(out.a)
+            return value + (sparsity_reg(out.scores) if mode == "sigmoid" else 0.0)
+
+        out = attend(x, p, mode=mode)
+        g_scores = sparsity_reg_grad(out.scores) if mode == "sigmoid" else None
+        g_w1, g_w2 = attention_grads(x, p, out, g_m=g_m, g_a=smooth_reg_grad(out.a),
+                                     g_scores=g_scores)
+        num_w1 = finite_diff_grad(lambda v: loss(AttentionParams(v, p.w2)), p.w1)
+        num_w2 = finite_diff_grad(lambda v: loss(AttentionParams(p.w1, v)), p.w2)
+        assert grad_rel_error(g_w1, num_w1) < 1e-6
+        assert grad_rel_error(g_w2, num_w2) < 1e-6
+
+
 class TestSparsity:
     def test_simplex_weights_sum_to_one(self):
         rng = np.random.default_rng(9)

@@ -70,6 +70,26 @@ class TestClassify:
         plain = classify(m, p)
         np.testing.assert_array_equal(masked.hidden_clean, plain.hidden_clean)
 
+    def test_row_batch_matches_rows_and_oracle(self):
+        rng = np.random.default_rng(15)
+        p = _random_params(rng)
+        batch = rng.normal(size=(6, 4))
+        mask = (rng.random((6, 3)) < 0.5) / 0.5
+        for dropout in (None, mask):
+            out = classify(batch, p, dropout_mask=dropout)
+            assert out.logits.shape == out.probs.shape == (6, 2)
+            assert out.pre1.shape == out.hidden.shape == out.hidden_clean.shape == (6, 3)
+            for i, m in enumerate(batch):
+                row = classify(m, p, None if dropout is None else dropout[i])
+                for name in ("pre1", "hidden_clean", "hidden", "logits", "probs"):
+                    np.testing.assert_allclose(getattr(out, name)[i], getattr(row, name),
+                                               rtol=0, atol=1e-12)
+        out = classify(batch, p)
+        for m, hidden, logits, probs in zip(batch, out.hidden, out.logits, out.probs):
+            ref = oracles.classifier_by_hand(m, p.fc1_w, p.fc1_b, p.fc2_w, p.fc2_b)
+            for got, want in zip((hidden, logits, probs), ref):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(4)
         p = _random_params(rng)
@@ -77,6 +97,12 @@ class TestClassify:
             classify(np.zeros(5), p)
         with pytest.raises(ShapeError):
             classify(np.zeros(4), p, dropout_mask=np.zeros(2))
+        with pytest.raises(ShapeError):
+            classify(np.zeros((2, 5)), p)
+        with pytest.raises(ShapeError):
+            classify(np.zeros((2, 2, 4)), p)
+        with pytest.raises(ShapeError):
+            classify(np.zeros((2, 4)), p, dropout_mask=np.zeros(3))
 
     def test_rejects_single_class_head(self):
         with pytest.raises(ShapeError):
@@ -112,6 +138,18 @@ class TestLabelsAndLoss:
         probs = np.array([0.5, 0.5, 0.0])
         np.testing.assert_allclose(class_loss(probs, label_vector([0, 1], 3)),
                                    math.log(2.0), rtol=0, atol=1e-9)
+
+    def test_row_batch_gives_one_loss_and_gradient_row_per_video(self):
+        rng = np.random.default_rng(16)
+        probs = stable_softmax(rng.normal(size=(5, 4)))
+        y = np.vstack([label_vector([c], 4) for c in (0, 3, 1, 1, 2)])
+        losses = class_loss(probs, y)
+        grads = class_loss_grad_logits(probs, y)
+        assert losses.shape == (5,) and grads.shape == (5, 4)
+        for i in range(5):
+            np.testing.assert_allclose(losses[i], class_loss(probs[i], y[i]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grads[i], class_loss_grad_logits(probs[i], y[i]),
+                                       rtol=0, atol=1e-15)
 
     def test_loss_grad_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -176,6 +214,28 @@ class TestClassifierGrads:
         grads0 = classifier_grads(m, p, out, np.zeros(2),
                                   dropout_mask=np.zeros(3), g_hidden_clean=g_hc)
         np.testing.assert_array_equal(grads0.fc1_w, grads.fc1_w)
+
+
+    def test_row_batch_sums_parameter_grads(self):
+        rng = np.random.default_rng(17)
+        p = _random_params(rng)
+        batch = rng.normal(size=(5, 4))
+        mask = (rng.random((5, 3)) < 0.5) / 0.5
+        g_logits = rng.normal(size=(5, 2))
+        g_hc = rng.normal(size=(5, 3))
+        out = classify(batch, p, dropout_mask=mask)
+        grads = classifier_grads(batch, p, out, g_logits, dropout_mask=mask,
+                                 g_hidden_clean=g_hc)
+        rows = [classifier_grads(m, p, classify(m, p, dropout_mask=mask[i]), g_logits[i],
+                                 dropout_mask=mask[i], g_hidden_clean=g_hc[i])
+                for i, m in enumerate(batch)]
+        for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
+            np.testing.assert_allclose(getattr(grads, name),
+                                       sum(getattr(g, name) for g in rows),
+                                       rtol=0, atol=1e-12)
+        assert grads.m.shape == batch.shape
+        for got, row in zip(grads.m, rows):
+            np.testing.assert_allclose(got, row.m, rtol=0, atol=1e-12)
 
 
 class TestFusion:

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,12 +438,19 @@ class TestCommandFailures:
         (["--train.lr_rgb", "1e308", "--train.init_scale", "10", "--train.iterations", "1"],
          "parameters after the update"),
     ], ids=["rgb_loss", "flow_loss", "parameters"])
-    def test_divergence_stops_training(self, pipeline, tmp_path, capsys, flags, names):
-        rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
-                       "--out", str(tmp_path / "m"), "--transfer.enabled", "false"]
-                      + TRAIN_FLAGS + flags)
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
+    def test_divergence_stops_training(self, pipeline, tmp_path, flags, names):
+        # a child process, so that numpy's floating-point warnings would reach
+        # its stderr as they do on the command line
+        run = subprocess.run(
+            [sys.executable, "-m", "wtal.cli", "train", "--role", "target",
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "m"),
+             "--transfer.enabled", "false"] + TRAIN_FLAGS + flags,
+            capture_output=True, text=True, timeout=120,
+            env=os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        err = json.loads(lines[0])
         assert err["error"] == "DivergenceError"
         assert re.search(r"iteration \d+: non-finite", err["message"])
         assert names in err["message"]
@@ -500,6 +511,59 @@ class TestCommandFailures:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == error
         assert not out.exists()
+
+    @pytest.mark.parametrize("what, error", [
+        ("manifest", "DataFormatError"), ("predictions", "InputError"),
+        ("detections", "InputError"), ("config", "ConfigError"),
+    ])
+    def test_non_utf8_input_exits_one(self, pipeline, tmp_path, capsys, what, error):
+        data = tmp_path / "data"
+        data.mkdir()
+        paths = {"manifest": data / "manifest.json",
+                 "predictions": tmp_path / "predictions.json",
+                 "detections": tmp_path / "detections.json",
+                 "config": tmp_path / "config.json"}
+        shutil.copy(pipeline["data"] / "manifest.json", paths["manifest"])
+        shutil.copy(pipeline["det"].parent / "detections.predictions.json",
+                    paths["predictions"])
+        shutil.copy(pipeline["det"], paths["detections"])
+        paths["config"].write_text("{}")
+        blob = bytearray(paths[what].read_bytes())
+        blob[10 if what == "manifest" else 0] = 0xff
+        paths[what].write_bytes(bytes(blob))
+        out = tmp_path / "report.json"
+        rc = cli.main(["eval", "--data", str(data), "--detections", str(paths["detections"]),
+                       "--predictions", str(paths["predictions"]),
+                       "--config", str(paths["config"]), "--out", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert list(tmp_path.glob("report.*")) == []
+
+    def test_non_finite_feature_fails_detect(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        rec = load_dataset(pipeline["data"]).split("test")[0]
+        path = data / rec.feature_paths[Stream.RGB]
+        blob = bytearray(path.read_bytes())
+        d, = struct.unpack("<I", blob[8:12])
+        frame, column = 2, 1
+        offset = 16 + 4 * (frame * d + column)     # header, then frame-major float32
+        blob[offset:offset + 4] = struct.pack("<f", math.nan)
+        path.write_bytes(bytes(blob))
+        det = tmp_path / "detections.json"
+        rc = cli.main(["detect", "--data", str(data),
+                       "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
+                       "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
+                       "--out", str(det)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataFormatError"
+        assert f"frame {frame}, column {column}" in err["message"]
+        assert list(tmp_path.glob("detections*")) == []
 
     def test_help_exits_zero(self):
         for argv in (["--help"], ["train", "--help"]):

@@ -5,14 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wtal.classifier import ClassifierParams
 from wtal.dataset import FeatureMatrix, Stream, SyntheticSpec, generate_synthetic, load_dataset
 from wtal.detection import (
     DetectConfig,
     Proposal,
     detect_split,
     extract_proposals,
-    frame_logit_matrix,
     fused_frame_scores,
     predict_split,
     video_scores,
@@ -152,23 +150,6 @@ class TestFrameScores:
         _, scores = video_scores(model, x)
         assert scores.shape == (3, 20)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
-
-    def test_logit_matrix_matches_tiled_classify(self):
-        rng = np.random.default_rng(4)
-        p = ClassifierParams(rng.normal(size=(5, 8)), rng.normal(size=5),
-                             rng.normal(size=(3, 5)), rng.normal(size=3))
-        x = FeatureMatrix(rng.normal(size=(4, 6)))
-        mat = frame_logit_matrix(x, p, heads=2)
-        for i in range(6):
-            np.testing.assert_allclose(mat[:, i], oracles.frame_logits(x.values[:, i], p, 2),
-                                       rtol=0, atol=1e-12)
-
-    def test_logit_matrix_rejects_width_mismatch(self):
-        rng = np.random.default_rng(5)
-        p = ClassifierParams(rng.normal(size=(5, 8)), rng.normal(size=5),
-                             rng.normal(size=(3, 5)), rng.normal(size=3))
-        with pytest.raises(ShapeError):
-            frame_logit_matrix(FeatureMatrix(np.zeros((4, 6))), p, heads=1)
 
 
 class TestFusion:

@@ -49,11 +49,22 @@ class TestStableSoftmax:
                                        oracles.softmax_exact(list(z)),
                                        rtol=0, atol=1e-14)
 
+    def test_matrix_matches_scalar_oracle_row_by_row(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(7, 5)) * 10.0
+        out = stable_softmax(z)
+        assert out.shape == z.shape
+        for row, probs in zip(z, out):
+            np.testing.assert_allclose(probs, oracles.softmax_exact(list(row)),
+                                       rtol=0, atol=1e-14)
+
     def test_rejects_non_vector(self):
         with pytest.raises(ShapeError):
-            stable_softmax(np.zeros((2, 2)))
+            stable_softmax(np.float64(1.0))
         with pytest.raises(ShapeError):
             stable_softmax(np.zeros(0))
+        with pytest.raises(ShapeError):
+            stable_softmax(np.zeros((2, 0)))
 
 
 class TestSigmoid:

@@ -257,6 +257,31 @@ class TestTotalLoss:
         assert t_with == t_without and terms_with == terms_without
         assert np.array_equal(g_with, g_without)
 
+    def test_one_classifier_pass_per_batch(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        cfg = TrainConfig(attention_hidden=2, classifier_hidden=3, heads=2,
+                          kernel=KernelConfig(sigma=1.0))
+        model = init_model(3, 2, Stream.RGB, "target", cfg, rng)
+        batch = self._batch(rng, model, size=4)
+        mask = training._draw_mask(rng, (4, 3), 0.5)
+        acts = (rng.normal(size=(4, 6)), rng.normal(size=(4, 3)))
+        reference = total_loss(batch, model, cfg, mask, acts)
+        calls = []
+
+        def counted(name):
+            fn = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("classify", "classifier_grads"):
+            monkeypatch.setattr(training, name, counted(name))
+        total, _, grad = total_loss(batch, model, cfg, mask, acts)
+        assert calls == ["classify", "classifier_grads"]
+        assert total == reference[0] and np.array_equal(grad, reference[2])
+
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):
@@ -379,6 +404,18 @@ class TestTrainingLoops:
         rec = tiny_data.split("train")[0]
         att, _ = forward_video(model, tiny_data.features(rec.video_id, Stream.RGB))
         np.testing.assert_array_equal(att.a, np.full((1, rec.n), 1.0 / rec.n))
+
+    def test_mask_matrix_is_successive_row_draws(self):
+        for rate in (0.2, 0.5):
+            rng_matrix = np.random.Generator(np.random.PCG64(11))
+            rng_rows = np.random.Generator(np.random.PCG64(11))
+            mask = training._draw_mask(rng_matrix, (16, 9), rate)
+            rows = np.vstack([training._draw_mask(rng_rows, (9,), rate) for _ in range(16)])
+            assert mask.shape == (16, 9)
+            assert np.array_equal(mask, rows)
+            assert set(np.unique(mask)) <= {0.0, 1.0 / (1.0 - rate)}
+            assert rng_matrix.random() == rng_rows.random()
+        assert training._draw_mask(np.random.default_rng(0), (16, 9), 0.0) is None
 
     def test_label_fraction_subsets_train_split(self):
         idx = labeled_subset(20, 0.25, seed=0)
