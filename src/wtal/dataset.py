@@ -212,10 +212,9 @@ def decode_features(data: bytes) -> FeatureMatrix:
         )
     if d < 1 or n < 1:
         raise DataFormatError(f"header claims degenerate shape d={d}, n={n}")
-    flat = np.frombuffer(data, dtype="<f4", offset=HEADER_BYTES)
-    values = flat.reshape(n, d).T.astype(np.float64)
-    _check_finite(values)
-    return FeatureMatrix(values)
+    stored = np.frombuffer(data, dtype="<f4", offset=HEADER_BYTES).reshape(n, d).T
+    _check_finite(stored)   # before widening: casting a signalling NaN warns
+    return FeatureMatrix(stored.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +335,14 @@ def load_dataset(root: Path | str) -> Dataset:
             fpath = root / rec.feature_paths[stream]
             if not fpath.is_file():
                 raise DataFormatError(f"{rec.video_id}: missing feature file {fpath}")
-            mat = decode_features(fpath.read_bytes())
-            if mat.n != rec.n:
-                raise DataFormatError(
-                    f"{rec.video_id}/{stream.value}: file has n={mat.n}, manifest says {rec.n}"
-                )
-            if dims.setdefault(stream, mat.d) != mat.d:
-                raise DataFormatError(
-                    f"{rec.video_id}/{stream.value}: d={mat.d} differs from {dims[stream]}"
-                )
+            try:
+                mat = decode_features(fpath.read_bytes())
+                if mat.n != rec.n:
+                    raise DataFormatError(f"file has n={mat.n}, manifest says {rec.n}")
+                if dims.setdefault(stream, mat.d) != mat.d:
+                    raise DataFormatError(f"d={mat.d} differs from {dims[stream]}")
+            except DataFormatError as exc:
+                raise DataFormatError(f"{rec.video_id}/{stream.value} ({fpath}): {exc}") from exc
             features[(rec.video_id, stream)] = mat
     return Dataset(root, manifest, features)
 

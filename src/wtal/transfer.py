@@ -7,6 +7,32 @@ pooled sample (fallback 1 when the median is 0). The median is treated as
 a constant in the backward pass: gradients never flow through sigma, and
 gradient certification runs with a fixed bandwidth.
 
+Distances come in Gram form, ||x||^2 + ||y||^2 - 2 x.y clamped at 0, from
+three block products T T', U U' and T U' (Gretton et al., *A Kernel
+Two-Sample Test*, JMLR 2012: the statistic is three block sums of one
+kernel matrix). Three rules keep it exact where the broadcast difference
+was:
+
+- Both batches are first centred on their pooled mean. Distances do not
+  change under a shift, and without it a batch far from the origin with a
+  small spread loses its distances to cancellation.
+- The three products have equal shapes and contiguous right operands, so
+  equal batches give equal bits in all three blocks and
+  ``mmd2(t, t.copy())`` is exactly 0. One stacked product would not
+  guarantee that, nor would ``t @ t.T``, which numpy may send to a
+  different BLAS routine than ``t @ u.T``.
+- Squared norms are read off the diagonals of the self products, so each
+  point's distance to itself is an exact 0 with no special case. The
+  diagonals of K_tt and K_uu stay in the sums, as the V-statistic counts
+  i = j; zeroing them alone would also break the bit equality with K_tu
+  (whose diagonal is a cross term) that the exact zero relies on.
+
+``transfer_loss`` reads the bandwidth and the statistic off one set of
+blocks; ``median_bandwidth``, ``mmd2`` and ``mmd2_grad_u`` are the same
+reads for callers holding raw batches. The gradient is in matrix form:
+(2 / (n_u^2 s^2)) (K_uu U - rowsum(K_uu) U) - (2 / (n_t n_u s^2))
+(K_tu' T - colsum(K_tu) U), where the sums scale the rows of U.
+
 The loss taps two points per stream: the pooled representation entering
 FC1, and the post-relu hidden activations after FC1 (pre-dropout). Each
 tap is one ``transfer_loss`` / ``transfer_grads`` pair with its own
@@ -42,29 +68,6 @@ class TransferConfig:
     fc2_enabled: bool = True
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # direct (x-y).(x-y) per pair; exact zeros on identical rows
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
-
-
-def median_bandwidth(points: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over the pooled sample."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise SampleError("median bandwidth needs at least 2 vectors")
-    sq = _sq_dists(points, points)
-    iu = np.triu_indices(points.shape[0], k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
-    return med if med > 0 else 1.0
-
-
-def resolve_sigma(t: np.ndarray, u: np.ndarray, kcfg: KernelConfig) -> float:
-    if kcfg.sigma == "median":
-        return median_bandwidth(np.vstack([t, u]))
-    return float(kcfg.sigma)
-
-
 def _check_pair(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -77,14 +80,64 @@ def _check_pair(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ np.ascontiguousarray(b.T)
+
+
+def _clamped(g: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * g, 0.0)
+
+
+def _sq_blocks(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Centred batches and the squared distances T-T, U-U and T-U."""
+    centre = (t.sum(axis=0) + u.sum(axis=0)) / (t.shape[0] + u.shape[0])
+    t, u = t - centre, u - centre
+    g_tt, g_uu = _gram(t, t), _gram(u, u)
+    sq_t, sq_u = np.diagonal(g_tt), np.diagonal(g_uu)
+    return (t, u, _clamped(g_tt, sq_t, sq_t), _clamped(g_uu, sq_u, sq_u),
+            _clamped(_gram(t, u), sq_t, sq_u))
+
+
+def _median_distance(d_tt: np.ndarray, d_uu: np.ndarray, d_tu: np.ndarray) -> float:
+    """Median pairwise distance over the pooled points of three blocks.
+
+    T-T, U-U and T-U listed twice hold each ordered pair (i, j) of the
+    n = n_t + n_u points once, i = j included. The n diagonal entries are
+    exact zeros, so the smallest values, and each pair appears twice; the
+    pair median is the mean of the square roots at sorted positions
+    n(n+1)/2 - 1 and n(n+1)/2.
+    """
+    n = sum(d_tu.shape)
+    hi = n * (n + 1) // 2
+    sq = np.partition(np.concatenate([d_tt.ravel(), d_uu.ravel(), d_tu.ravel(), d_tu.ravel()]),
+                      (hi - 1, hi))
+    med = float((np.sqrt(sq[hi - 1]) + np.sqrt(sq[hi])) / 2.0)
+    return med if med > 0 else 1.0
+
+
+def _v_statistic(d_tt: np.ndarray, d_uu: np.ndarray, d_tu: np.ndarray,
+                 sigma: float) -> float:
+    s2 = 2.0 * sigma * sigma
+    n_t, n_u = d_tu.shape
+    k_tt = float(np.sum(np.exp(-d_tt / s2))) / (n_t * n_t)
+    k_uu = float(np.sum(np.exp(-d_uu / s2))) / (n_u * n_u)
+    k_tu = float(np.sum(np.exp(-d_tu / s2))) / (n_t * n_u)
+    return k_tt + k_uu - 2.0 * k_tu
+
+
+def median_bandwidth(points: np.ndarray) -> float:
+    """Median pairwise Euclidean distance over the pooled sample."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] < 2:
+        raise SampleError("median bandwidth needs at least 2 vectors")
+    # any split into two batches lists the same pairs
+    return _median_distance(*_sq_blocks(points[:1], points[1:])[2:])
+
+
 def mmd2(t: np.ndarray, u: np.ndarray, sigma: float) -> float:
     """Biased squared-MMD V-statistic between row batches T and U."""
     t, u = _check_pair(t, u)
-    s2 = 2.0 * sigma * sigma
-    k_tt = float(np.sum(np.exp(-_sq_dists(t, t) / s2))) / (t.shape[0] ** 2)
-    k_uu = float(np.sum(np.exp(-_sq_dists(u, u) / s2))) / (u.shape[0] ** 2)
-    k_tu = float(np.sum(np.exp(-_sq_dists(t, u) / s2))) / (t.shape[0] * u.shape[0])
-    return k_tt + k_uu - 2.0 * k_tu
+    return _v_statistic(*_sq_blocks(t, u)[2:], sigma)
 
 
 def mmd2_grad_u(t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
@@ -92,16 +145,13 @@ def mmd2_grad_u(t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
 
     For the Gaussian kernel, d k(x, y)/d x = k(x, y) (y - x) / sigma^2.
     """
-    t, u = _check_pair(t, u)
-    n_t, n_u = t.shape[0], u.shape[0]
+    t, u, _, d_uu, d_tu = _sq_blocks(*_check_pair(t, u))
+    n_t, n_u = d_tu.shape
     s2 = sigma * sigma
-    k_uu = np.exp(-_sq_dists(u, u) / (2.0 * s2))    # (n_u, n_u)
-    k_tu = np.exp(-_sq_dists(t, u) / (2.0 * s2))    # (n_t, n_u)
-    # UU term: entries (p,j) and (j,p) contribute equally; the p=j entry is 0
-    diff_uu = u[None, :, :] - u[:, None, :]          # [p, j] = u_j - u_p
-    g = (2.0 / (n_u * n_u)) * np.sum(k_uu[:, :, None] * diff_uu, axis=1) / s2
-    diff_tu = t[:, None, :] - u[None, :, :]          # [i, p] = t_i - u_p
-    g -= (2.0 / (n_t * n_u)) * np.sum(k_tu[:, :, None] * diff_tu, axis=0) / s2
+    k_uu = np.exp(-d_uu / (2.0 * s2))    # (n_u, n_u)
+    k_tu = np.exp(-d_tu / (2.0 * s2))    # (n_t, n_u)
+    g = (2.0 / (n_u * n_u * s2)) * (k_uu @ u - k_uu.sum(axis=1)[:, None] * u)
+    g -= (2.0 / (n_t * n_u * s2)) * (k_tu.T @ t - k_tu.sum(axis=0)[:, None] * u)
     return g
 
 
@@ -111,8 +161,13 @@ def transfer_loss(source: np.ndarray, target: np.ndarray,
     if source.shape[1] != target.shape[1]:
         raise ConfigError(f"source and target widths differ: "
                           f"{source.shape[1]} vs {target.shape[1]}")
-    sigma = resolve_sigma(source, target, kcfg)
-    return mmd2(source, target, sigma), sigma
+    t, u = _check_pair(source, target)
+    _, _, d_tt, d_uu, d_tu = _sq_blocks(t, u)
+    if kcfg.sigma == "median":
+        sigma = _median_distance(d_tt, d_uu, d_tu)
+    else:
+        sigma = float(kcfg.sigma)
+    return _v_statistic(d_tt, d_uu, d_tu, sigma), sigma
 
 
 def transfer_grads(source: np.ndarray, target: np.ndarray, sigma: float) -> np.ndarray:

@@ -195,3 +195,42 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
         _, _, grad = total_loss(batch, model, cfg, mask, source_acts)
         sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
     return model
+
+
+def broadcast_sq_dists(a, b):
+    """Direct (x - y).(x - y) per pair, from an (n_a, n_b, d) difference
+    tensor: exact zeros on identical rows and no cancellation at any offset."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def broadcast_transfer_loss(source, target, kcfg):
+    """One tap's (squared MMD, bandwidth) from broadcast distances."""
+    if kcfg.sigma == "median":
+        z = np.vstack([source, target])
+        iu = np.triu_indices(len(z), k=1)
+        med = float(np.median(np.sqrt(broadcast_sq_dists(z, z)[iu])))
+        sigma = med if med > 0 else 1.0
+    else:
+        sigma = float(kcfg.sigma)
+    s2 = 2.0 * sigma * sigma
+    n_t, n_u = len(source), len(target)
+    k_tt = float(np.sum(np.exp(-broadcast_sq_dists(source, source) / s2))) / (n_t * n_t)
+    k_uu = float(np.sum(np.exp(-broadcast_sq_dists(target, target) / s2))) / (n_u * n_u)
+    k_tu = float(np.sum(np.exp(-broadcast_sq_dists(source, target) / s2))) / (n_t * n_u)
+    return k_tt + k_uu - 2.0 * k_tu, sigma
+
+
+def broadcast_transfer_grads(source, target, sigma):
+    """d mmd2 / d target as sums over (n, n, d) difference tensors:
+    d k(x, y)/d x = k(x, y) (y - x) / sigma^2."""
+    t, u = source, target
+    n_t, n_u = len(t), len(u)
+    s2 = sigma * sigma
+    k_uu = np.exp(-broadcast_sq_dists(u, u) / (2.0 * s2))
+    k_tu = np.exp(-broadcast_sq_dists(t, u) / (2.0 * s2))
+    diff_uu = u[None, :, :] - u[:, None, :]          # [p, j] = u_j - u_p
+    g = (2.0 / (n_u * n_u)) * np.sum(k_uu[:, :, None] * diff_uu, axis=1) / s2
+    diff_tu = t[:, None, :] - u[None, :, :]          # [i, p] = t_i - u_p
+    g -= (2.0 / (n_t * n_u)) * np.sum(k_tu[:, :, None] * diff_tu, axis=0) / s2
+    return g

@@ -116,6 +116,49 @@ class TestResolveConfig:
             cli.resolve_config(str(path), {})
 
 
+def _truncate(blob, rng):
+    return blob[:int(rng.integers(0, len(blob)))]
+
+
+def _non_finite(blob, rng):
+    # set one float32's exponent bits: a flip that leaves the value finite
+    # is undetectable without a checksum, so every payload case makes NaN/inf
+    out = bytearray(blob)
+    at = 16 + 4 * int(rng.integers(0, (len(blob) - 16) // 4))
+    out[at + 2] |= 0x80
+    out[at + 3] |= 0x7F
+    return bytes(out)
+
+
+def _header(field, value):
+    """Overwrite one little-endian u32 header field (version, d or n)."""
+    offset = {"version": 4, "d": 8, "n": 12}[field]
+
+    def mutate(blob, rng):
+        old, = struct.unpack("<I", blob[offset:offset + 4])
+        return blob[:offset] + struct.pack("<I", value(old)) + blob[offset + 4:]
+    return mutate
+
+
+def _swap_shape(blob, rng):
+    # d and n exchanged: the payload length still matches the header
+    return blob[:8] + blob[12:16] + blob[8:12] + blob[16:]
+
+
+# seeded by case index; each must end in one DataFormatError JSON line
+TSRF_CORRUPTIONS = (
+    _truncate, _truncate, _truncate,
+    lambda blob, rng: blob[:16],
+    _non_finite, _non_finite,
+    lambda blob, rng: bytes(rng.integers(0, 256, 4, dtype=np.uint8)) + blob[4:],
+    _header("version", lambda v: v + 1),
+    _header("d", lambda d: d + 1),
+    _header("n", lambda n: n + 1),
+    lambda blob, rng: _header("n", lambda n: 0)(blob[:16], rng),   # degenerate shape
+    _swap_shape,
+)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the whole CLI pipeline once at toy scale."""
@@ -563,6 +606,28 @@ class TestCommandFailures:
         err = json.loads(lines[0])
         assert err["error"] == "DataFormatError"
         assert f"frame {frame}, column {column}" in err["message"]
+        assert f"{rec.video_id}/rgb" in err["message"]
+        assert list(tmp_path.glob("detections*")) == []
+
+    @pytest.mark.parametrize("case", range(len(TSRF_CORRUPTIONS)))
+    def test_corrupt_feature_file_fails_detect(self, pipeline, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        rec = load_dataset(pipeline["data"]).split("test")[-1]
+        rel = rec.feature_paths[Stream.FLOW]
+        blob = (data / rel).read_bytes()
+        (data / rel).write_bytes(TSRF_CORRUPTIONS[case](blob, np.random.default_rng(case)))
+        det = tmp_path / "detections.json"
+        rc = cli.main(["detect", "--data", str(data),
+                       "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
+                       "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
+                       "--out", str(det)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataFormatError"
+        assert f"{rec.video_id}/flow" in err["message"] and rel in err["message"]
         assert list(tmp_path.glob("detections*")) == []
 
     def test_help_exits_zero(self):

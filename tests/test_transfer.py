@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wtal import training
 from wtal.dataset import FeatureMatrix, Stream
 from wtal.errors import ConfigError, SampleError, ShapeError
 from wtal.numerics import finite_diff_grad, grad_rel_error
@@ -16,7 +17,6 @@ from wtal.transfer import (
     median_bandwidth,
     mmd2,
     mmd2_grad_u,
-    resolve_sigma,
     transfer_grads,
     transfer_loss,
 )
@@ -76,8 +76,8 @@ class TestMedianBandwidth:
     def test_resolve_sigma_fixed_or_median(self):
         t = np.zeros((2, 2))
         u = np.array([[3.0, 0.0], [0.0, 3.0]])
-        assert resolve_sigma(t, u, KernelConfig(sigma=1.3)) == 1.3
-        med = resolve_sigma(t, u, KernelConfig(sigma="median"))
+        assert transfer_loss(t, u, KernelConfig(sigma=1.3))[1] == 1.3
+        med = transfer_loss(t, u, KernelConfig(sigma="median"))[1]
         np.testing.assert_allclose(
             med, oracles.median_pairwise_distance(np.vstack([t, u])),
             rtol=0, atol=1e-12)
@@ -172,6 +172,57 @@ class TestMmd2Grad:
         t = rng.normal(size=(4, 2))
         g = mmd2_grad_u(t, t.copy(), sigma=1.0)
         np.testing.assert_allclose(g, np.zeros_like(t), rtol=0, atol=1e-12)
+
+
+class TestGramForm:
+    """The Gram-form kernel against its exact identities and against the
+    broadcast-difference oracle it replaced."""
+
+    def test_exact_identities_over_seeded_draws(self):
+        rng = np.random.default_rng(15)
+        failures, worst_swap = [], 0.0
+        for draw in range(1000):
+            scale = (0.1, 2.0, 10.0)[draw % 3]
+            dim = int(rng.integers(1, 129))
+            t = rng.normal(size=(int(rng.integers(1, 33)), dim)) * scale
+            u = rng.normal(size=(int(rng.integers(1, 33)), dim)) * scale
+            sigma = median_bandwidth(np.vstack([t, u]))
+            swap = abs(mmd2(t, u, sigma) - mmd2(u, t, sigma))
+            worst_swap = max(worst_swap, swap)
+            if (mmd2(t, t.copy(), sigma) != 0.0 or swap > 1e-14
+                    or transfer_loss(t, t.copy(), KernelConfig(sigma=1.0)) != (0.0, 1.0)):
+                failures.append(draw)
+        assert not failures, f"draws {failures[:10]} fail; worst swap {worst_swap:.2e}"
+
+    @pytest.mark.parametrize("width", [16, 128])
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (0.0, 10.0), (50.0, 0.01)])
+    def test_matches_broadcast_oracle_at_training_shapes(self, width, offset, spread):
+        # offset 50 with spread 0.01 loses ~1e-10 to cancellation uncentred
+        rng = np.random.default_rng(16)
+        source, target = offset + spread * rng.normal(size=(2, 16, width))
+        value, sigma = transfer_loss(source, target, KernelConfig())
+        want_value, want_sigma = oracles.broadcast_transfer_loss(source, target, KernelConfig())
+        np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(value, want_value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(transfer_grads(source, target, sigma),
+                                   oracles.broadcast_transfer_grads(source, target, sigma),
+                                   rtol=0, atol=1e-12)
+
+    def test_total_loss_matches_broadcast_oracle(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        cfg = TrainConfig()
+        model = init_model(16, 5, Stream.RGB, "target", cfg, rng)
+        batch = [(FeatureMatrix(rng.normal(size=(16, int(rng.integers(15, 26))))),
+                  np.eye(5)[int(rng.integers(5))]) for _ in range(cfg.batch_size)]
+        acts = (rng.normal(size=(16, 16)), np.maximum(rng.normal(size=(16, 128)), 0.0))
+        mask = (rng.random((cfg.batch_size, cfg.classifier_hidden)) < 0.2) / 0.2
+        _, terms, grad = total_loss(batch, model, cfg, mask, acts)
+        monkeypatch.setattr(training, "transfer_loss", oracles.broadcast_transfer_loss)
+        monkeypatch.setattr(training, "transfer_grads", oracles.broadcast_transfer_grads)
+        _, want_terms, want_grad = total_loss(batch, model, cfg, mask, acts)
+        assert terms.fc1 > 0.0 and terms.fc2 > 0.0
+        np.testing.assert_allclose(terms.values(), want_terms.values(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
 def fc2_switch_case(seed):
