@@ -6,17 +6,26 @@ L1 sparsity penalty is provably constant (weights sum to 1). The ``sigmoid``
 mode scores frames independently, normalizes by the score sum for pooling,
 and applies the L1 penalty to the raw scores, where it actually bites.
 The smoothness penalty is the direct summation sum((a_i - a_{i+1})^2).
+
+Every function here takes a chunk: the frames of B videos side by side in
+one (d, N) feature matrix, video b owning the next ``counts[b]`` columns; a
+single video is a chunk of one. Each head's softmax or score sum runs over
+each video's own columns, the pooled output has one row per video, and the
+smoothness penalty skips the adjacent pairs that straddle two videos, so a
+chunk computes what its videos would one at a time, up to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import FeatureMatrix
 from .errors import ConfigError, ShapeError
-from .numerics import sigmoid, stable_softmax
+from .numerics import sigmoid
 
 MODES = ("softmax", "sigmoid")
 
@@ -47,14 +56,35 @@ class AttentionParams:
         return self.w2.shape[0]
 
 
-@dataclass(frozen=True)
+def _membership(counts: Sequence[int], n: int) -> np.ndarray:
+    """The (B, N) 0/1 matrix whose row b marks the columns of video b."""
+    if min(counts, default=0) < 1 or sum(counts) != n:
+        raise ShapeError(f"frame counts {tuple(counts)} do not split {n} frames")
+    if len(counts) == 1:                # one video: skip the loop on this hot path
+        return np.ones((1, n))
+    member = np.zeros((len(counts), n))
+    for row, end, count in zip(member, accumulate(counts), counts):
+        row[end - count:end] = 1.0
+    return member
+
+
+def _video_sums(v: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Each row of the (r, N) ``v`` summed over each video's columns and
+    spread back over them."""
+    return (v @ member.T) @ member
+
+
+@dataclass
 class AttentionOutput:
     """Forward pass artifacts; hidden/logits are kept for the backward pass.
 
-    ``a`` is (r, n) with each row summing to 1. ``m`` is the length r*d
-    concatenation of per-head pooled vectors. ``scores`` holds the raw
-    per-frame scores the sparsity penalty applies to: in sigmoid mode the
-    unnormalized sigmoid outputs, in softmax mode the weights themselves.
+    ``a`` is (r, N), each head's weights summing to 1 over each video, and
+    ``m`` is (B, r*d), row b concatenating video b's per-head pooled vectors.
+    ``scores`` holds the raw per-frame scores the sparsity penalty applies
+    to: in sigmoid mode the unnormalized sigmoid outputs, in softmax mode
+    the weights themselves. ``member`` is the chunk's membership matrix and
+    ``pooling`` the (B, r, N) stack of ``a`` masked to each video, so that
+    m = pooling @ X^T.
     """
 
     a: np.ndarray
@@ -63,6 +93,9 @@ class AttentionOutput:
     hidden: np.ndarray
     logits: np.ndarray
     mode: str
+    counts: tuple[int, ...]
+    member: np.ndarray
+    pooling: np.ndarray
 
     @property
     def frame_weights(self) -> np.ndarray:
@@ -70,89 +103,123 @@ class AttentionOutput:
         return self.a.mean(axis=0)
 
 
-def attend(x: FeatureMatrix, p: AttentionParams, mode: str = "softmax") -> AttentionOutput:
-    """Pool frame features into m = concat_k(X @ a_k) with learned weights."""
+def _pooled(values: np.ndarray, a: np.ndarray, member: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The pooling stack, and m[b, k*d:(k+1)*d] = X @ (a_k on video b) for
+    every video and head at once."""
+    pooling = member[:, None, :] * a
+    return pooling, (pooling.reshape(-1, values.shape[1]) @ values.T).reshape(len(member), -1)
+
+
+def attend(x: FeatureMatrix, p: AttentionParams, mode: str = "softmax",
+           counts: Sequence[int] | None = None) -> AttentionOutput:
+    """Pool each video's frames into m_b = concat_k(X_b @ a_k) with learned
+    weights; ``counts`` splits the columns of ``x`` into videos (default:
+    one video)."""
+    # detection calls this once per video and stream: attribute lookups and
+    # keyword arguments are kept off this path
     if mode not in MODES:
         raise ConfigError(f"unknown attention mode {mode!r}")
-    if x.d != p.d:
-        raise ShapeError(f"features have d={x.d}, attention expects d={p.d}")
-    hidden = np.tanh(p.w1 @ x.values)          # (b, n)
-    logits = p.w2 @ hidden                     # (r, n)
+    values = x.values
+    d, n = values.shape
+    if d != p.w1.shape[1]:
+        raise ShapeError(f"features have d={d}, attention expects d={p.w1.shape[1]}")
+    counts = (n,) if counts is None else tuple(counts)
+    member = _membership(counts, n)
+    hidden = p.w1 @ values                     # (b, N)
+    np.tanh(hidden, out=hidden)
+    logits = p.w2 @ hidden                     # (r, N)
     if mode == "softmax":
-        a = stable_softmax(logits)
-        scores = a
+        top = np.maximum.reduceat(logits, [0, *accumulate(counts[:-1])], axis=1)
+        scores = np.exp(logits - top @ member)       # max-shifted per video and head
     else:
         scores = sigmoid(logits)
-        a = scores / scores.sum(axis=1, keepdims=True)
-    m = (x.values @ a.T).T.reshape(-1)         # head k occupies m[k*d:(k+1)*d]
-    return AttentionOutput(a=a, m=m, scores=scores, hidden=hidden,
-                           logits=logits, mode=mode)
+    a = scores / _video_sums(scores, member)
+    pooling, m = _pooled(values, a, member)
+    return AttentionOutput(a, m, a if mode == "softmax" else scores, hidden, logits, mode,
+                           counts, member, pooling)
 
 
-def uniform_attention(x: FeatureMatrix, r: int = 1) -> AttentionOutput:
-    """Attention-free pooling: fixed uniform weights, zero gradient path."""
-    n = x.n
-    a = np.full((r, n), 1.0 / n)
-    m = np.tile(x.values.mean(axis=1), r)
-    return AttentionOutput(a=a, m=m, scores=a, hidden=np.zeros((0, n)),
-                           logits=np.zeros((r, n)), mode="uniform")
+def uniform_attention(x: FeatureMatrix, r: int = 1,
+                      counts: Sequence[int] | None = None) -> AttentionOutput:
+    """Attention-free pooling: each frame weighs 1/n of its own video, and
+    the gradient path is zero."""
+    counts = (x.n,) if counts is None else tuple(counts)
+    member = _membership(counts, x.n)
+    a = np.tile((1.0 / np.array(counts, dtype=np.float64)) @ member, (r, 1))
+    pooling, m = _pooled(x.values, a, member)
+    return AttentionOutput(a, m, a, np.zeros((0, x.n)), np.zeros((r, x.n)), "uniform",
+                           counts, member, pooling)
 
 
 def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
                     g_m: np.ndarray | None = None,
                     g_a: np.ndarray | None = None,
                     g_scores: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate upstream gradients on (m, a, scores) to (W1, w2).
+    """Backpropagate upstream gradients on (m, a, scores) of one chunk to
+    (W1, w2), summed over its videos.
 
-    g_scores is only meaningful in sigmoid mode, where the sparsity penalty
-    touches the raw scores directly.
+    g_m is (B, r*d) like ``out.m``; g_a and g_scores are (r, N) like
+    ``out.a``. g_scores is only meaningful in sigmoid mode, where the
+    sparsity penalty touches the raw scores directly.
     """
-    d, n, r = p.d, x.n, p.r
+    d, n, r, b = p.d, x.n, p.r, len(out.counts)
     if out.mode == "uniform":
         return np.zeros_like(p.w1), np.zeros_like(p.w2)
     if g_scores is not None and out.mode != "sigmoid":
         raise ShapeError("score gradients only exist in sigmoid mode")
-    if g_m is not None and g_m.shape != (r * d,):
-        raise ShapeError(f"g_m must have shape ({r * d},), got {g_m.shape}")
+    if g_m is not None and g_m.shape != (b, r * d):
+        raise ShapeError(f"g_m must have shape ({b}, {r * d}), got {g_m.shape}")
     if g_a is not None and g_a.shape != (r, n):
         raise ShapeError(f"g_a must have shape ({r}, {n}), got {g_a.shape}")
 
-    u = np.zeros((r, n)) if g_a is None else g_a      # upstream gradient on a
+    # v = a * (upstream gradient on a); column i of video j reads head k's
+    # row j*r + k of G @ X, the row that the pooling stack's mask selects
+    v = np.zeros((r, n)) if g_a is None else out.a * g_a
     if g_m is not None:
-        u = u + g_m.reshape(r, d) @ x.values
-    u = u - np.sum(u * out.a, axis=1, keepdims=True)  # through the normalization
-    if out.mode == "softmax":
-        g_logits = out.a * u
-    else:
-        g_s = u / out.scores.sum(axis=1, keepdims=True)
+        gx = (g_m.reshape(b * r, d) @ x.values).reshape(b, r, n)
+        v = v + np.add.reduce(gx * out.pooling, axis=0)
+    g_logits = v - out.a * _video_sums(v, out.member)   # through the normalization
+    if out.mode == "sigmoid":
         if g_scores is not None:
-            g_s = g_s + g_scores
-        g_logits = g_s * out.scores * (1.0 - out.scores)
+            g_logits = g_logits + g_scores * out.scores
+        g_logits = g_logits * (1.0 - out.scores)
     g_w2 = g_logits @ out.hidden.T
-    g_pre = (p.w2.T @ g_logits) * (1.0 - out.hidden ** 2)
+    g_pre = out.hidden * out.hidden                 # through the tanh, in place
+    np.subtract(1.0, g_pre, out=g_pre)
+    g_pre *= np.dot(p.w2.T, g_logits)   # np.dot: matmul is ~3x slower on a 1-head outer product
     g_w1 = g_pre @ x.values.T
     return g_w1, g_w2
 
 
 # ---------------------------------------------------------------------------
-# regularizers on the (r, n) weights, summed over heads
+# regularizers on the (r, N) weights, summed over heads
 # ---------------------------------------------------------------------------
 
 
-def smooth_reg_direct(a: np.ndarray) -> float:
-    """sum over heads and i<n of (a_i - a_{i+1})^2; 0 for a single frame."""
+def _adjacent_diffs(a: np.ndarray, counts: Sequence[int] | None) -> np.ndarray:
+    """a_i - a_{i+1} along the last axis, 0 where the pair straddles two videos."""
+    diffs = a[..., :-1] - a[..., 1:]
+    if counts is not None and len(counts) > 1:
+        diffs[..., [end - 1 for end in accumulate(counts[:-1])]] = 0.0
+    return diffs
+
+
+def smooth_reg_direct(a: np.ndarray, counts: Sequence[int] | None = None) -> float:
+    """sum over heads and adjacent frames of one video of (a_i - a_{i+1})^2;
+    0 for a single frame. ``counts`` splits the frames into videos."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] < 1:
         raise ShapeError("smoothness penalty needs non-empty weight rows")
-    diffs = a[..., :-1] - a[..., 1:]
+    diffs = _adjacent_diffs(a, counts)
     return float(np.sum(diffs * diffs))
 
 
-def smooth_reg_grad(a: np.ndarray) -> np.ndarray:
+def smooth_reg_grad(a: np.ndarray, counts: Sequence[int] | None = None) -> np.ndarray:
     """Gradient of smooth_reg_direct: 2(a_i - a_{i-1}) + 2(a_i - a_{i+1})."""
     a = np.asarray(a, dtype=np.float64)
     g = np.zeros_like(a)
-    diffs = a[..., :-1] - a[..., 1:]
+    diffs = _adjacent_diffs(a, counts)
     g[..., :-1] += 2.0 * diffs
     g[..., 1:] -= 2.0 * diffs
     return g

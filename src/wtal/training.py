@@ -25,10 +25,12 @@ source training passes the class loss alone, and the gradient certifier
 isolates single terms. Each transfer tap with a nonzero weight is one
 ``transfer_loss`` call and one ``transfer_grads`` call.
 
-A step pools each video on its own (lengths differ), then runs the
-classifier forward and backward once on the stacked (B, r*d) pooled matrix
-M under one (B, h) dropout mask; the transfer taps read M and its hidden
-layer. Only the attention backward runs per video, for all heads at once.
+A step runs the attention forward and backward once per chunk: its
+videos side by side in one feature matrix, consecutive videos of the batch
+up to CHUNK_CELLS // attention_hidden frames (256 at the default 64: about
+a dozen default videos, or one 150-250 frame video). The classifier runs
+forward and backward once on the stacked (B, r*d) pooled matrix M under
+one (B, h) dropout mask, and the transfer taps read M and its hidden layer.
 
 A model's parameters live in one contiguous float64 vector, ``Model.flat``,
 laid out in PARAM_KEYS order; the attention and classifier parameters are
@@ -47,6 +49,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -74,6 +77,12 @@ _ROLE_CODE = {"source": 0, "target": 1}
 _HEADER_TYPES = {"role": str, "stream": str, "iteration": int, "attention_enabled": bool,
                  "attention_mode": str, "params": list, "config": dict}
 _LABEL_SUBSET_CODE = 7
+# Attention hidden units times frames per chunk, so that every (hidden,
+# frames) temporary stays within glibc's default 128 KiB mmap threshold.
+# Larger blocks are mapped fresh and page-fault on every step: one chunk per
+# 16-video batch of 150-250 frames made the step about 1.5x slower than one
+# chunk per video.
+CHUNK_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -187,17 +196,41 @@ def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConf
                  attention_mode=cfg.attention_mode)
 
 
-def _pool(model: Model, x: FeatureMatrix) -> AttentionOutput:
+def _pool(model: Model, x: FeatureMatrix,
+          counts: Sequence[int] | None = None) -> AttentionOutput:
     if model.attention_enabled:
-        return attend(x, model.attention, model.attention_mode)
-    return uniform_attention(x, model.attention.r)
+        return attend(x, model.attention, model.attention_mode, counts)
+    return uniform_attention(x, model.attention.r, counts)
 
 
 def forward_video(model: Model, x: FeatureMatrix,
                   dropout_mask: np.ndarray | None = None
                   ) -> tuple[AttentionOutput, ClassifierOutput]:
+    """One video as a chunk of one; the classifier output has no batch axis."""
     att = _pool(model, x)
-    return att, classify(att.m, model.classifier, dropout_mask)
+    return att, classify(att.m[0], model.classifier, dropout_mask)
+
+
+def forward_batch(model: Model, xs: Sequence[FeatureMatrix],
+                  dropout_mask: np.ndarray | None = None
+                  ) -> tuple[list[tuple[FeatureMatrix, AttentionOutput]], np.ndarray,
+                             ClassifierOutput]:
+    """A training step's forward pass: attention chunk by chunk, then the
+    classifier once. Returns each chunk's (features, attention output), the
+    stacked (B, r*d) pooled matrix and the classifier output."""
+    budget = CHUNK_CELLS // model.attention.w1.shape[0]
+    groups: list[list[FeatureMatrix]] = []
+    for x in xs:        # a video longer than the budget makes a chunk of its own
+        if not groups or sum(v.n for v in groups[-1]) + x.n > budget:
+            groups.append([])
+        groups[-1].append(x)
+    chunks = []
+    for videos in groups:
+        x = videos[0] if len(videos) == 1 else FeatureMatrix(
+            np.concatenate([v.values.T for v in videos]).T)
+        chunks.append((x, _pool(model, x, [v.n for v in videos])))
+    pooled_m = np.vstack([att.m for _, att in chunks])
+    return chunks, pooled_m, classify(pooled_m, model.classifier, dropout_mask)
 
 
 @dataclass(frozen=True)
@@ -249,15 +282,13 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
     n_reg = len(batch) * model.attention.r    # the regularizers average over heads too
 
-    pooled = [_pool(model, x) for x, _ in batch]
-    pooled_m = np.vstack([att.m for att in pooled])
+    chunks, pooled_m, cls = forward_batch(model, [x for x, _ in batch], dropout_mask)
     labels = np.vstack([y for _, y in batch])
-    cls = classify(pooled_m, model.classifier, dropout_mask)
     probs = cls.probs
 
     class_term = float(np.mean(class_loss(probs, labels)))
-    smooth_term = sum(smooth_reg_direct(att.a) for att in pooled) / n_reg
-    sparsity_term = sum(sparsity_reg(att.scores) for att in pooled) / n_reg
+    smooth_term = sum(smooth_reg_direct(att.a, att.counts) for _, att in chunks) / n_reg
+    sparsity_term = sum(sparsity_reg(att.scores) for _, att in chunks) / n_reg
 
     kt_terms = {"fc1": 0.0, "fc2": 0.0}
     kt_grads = {}   # tap -> weighted gradient rows, one per video
@@ -279,20 +310,23 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     views = model.views(grad)
     for acc, g in zip(views[2:], (cg.fc1_w, cg.fc1_b, cg.fc2_w, cg.fc2_b)):
         acc += g
-    for (x, _), att, g_m_v in zip(batch, pooled, g_m):
+    lo = 0
+    for x, att in chunks:
+        hi = lo + len(att.counts)
         g_a = np.zeros_like(att.a)
         g_scores = None
         if w["smooth"]:
-            g_a += w["smooth"] / n_reg * smooth_reg_grad(att.a)
+            g_a += w["smooth"] / n_reg * smooth_reg_grad(att.a, att.counts)
         if w["sparsity"]:
             g_sparse = w["sparsity"] / n_reg * sparsity_reg_grad(att.scores)
             if att.mode == "sigmoid":
                 g_scores = g_sparse
             else:
                 g_a += g_sparse
-        for acc, g in zip(views, attention_grads(x, model.attention, att, g_m=g_m_v,
+        for acc, g in zip(views, attention_grads(x, model.attention, att, g_m=g_m[lo:hi],
                                                  g_a=g_a, g_scores=g_scores)):
             acc += g
+        lo = hi
 
     loss_terms = LossTerms(total=total, class_term=class_term,
                            smooth=smooth_term, sparsity=sparsity_term,
@@ -368,7 +402,7 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
         src_hidden = np.empty((len(source_records), h))
         for i, (_, x) in enumerate(source_records):
             att, cls = forward_video(source_model, x)
-            src_m[i], src_hidden[i] = att.m, cls.hidden_clean
+            src_m[i], src_hidden[i] = att.m[0], cls.hidden_clean
 
     velocity = np.zeros_like(model.flat)
     ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
@@ -482,12 +516,22 @@ def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
 
 
 def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
-    data = Path(path).read_bytes()
+    """Read a checkpoint written by save_checkpoint; every DataFormatError
+    names the file."""
+    try:
+        return _parse_checkpoint(Path(path).read_bytes())
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
     if len(data) < 12 or data[:4] != CKPT_MAGIC:
-        raise DataFormatError(f"{path}: not a checkpoint file")
+        raise DataFormatError("not a checkpoint file")
     version, hlen = struct.unpack("<II", data[4:12])
     if version != CKPT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version}")
+    if 12 + hlen > len(data):
+        raise DataFormatError(f"checkpoint header length {hlen} runs past the end of the file")
     try:
         header = json.loads(data[12:12 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -498,12 +542,18 @@ def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad checkpoint config: {exc!r}") from exc
     offset = 12 + hlen
-    count = sum(math.prod(shape) for shape in shapes)
+    sizes = [math.prod(shape) for shape in shapes]
+    count = sum(sizes)
     if offset + 8 * count > len(data):
         raise DataFormatError("checkpoint payload truncated")
     if offset + 8 * count != len(data):
         raise DataFormatError("checkpoint has trailing bytes")
     flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        name = next(key for key, end in zip(PARAM_KEYS, accumulate(sizes)) if first < end)
+        raise DataFormatError(f"checkpoint parameter {name} holds a non-finite value")
     try:
         model = Model(flat=flat, shapes=shapes, stream=Stream(header["stream"]),
                       role=header["role"], attention_enabled=header["attention_enabled"],

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written in the most literal way possible
 (explicit Python loops, no shared code with src/) so that agreement with
-the library is meaningful evidence, not a tautology. The one exception is
-``transfer_fit_per_step``, which reuses the library's loss and optimizer so
-that it differs from ``train_target`` only in when the source model runs.
+the library is meaningful evidence, not a tautology. The two exceptions
+reuse library kernels so that they differ from the library in one respect
+only: ``transfer_fit_per_step`` in when the source model runs, and
+``total_loss_per_video`` in running the attention layer one video at a time.
 """
 
 import math
@@ -195,6 +196,62 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
         _, _, grad = total_loss(batch, model, cfg, mask, source_acts)
         sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
     return model
+
+
+def total_loss_per_video(batch, model, cfg, dropout_mask=None, source_acts=None,
+                         weights=None):
+    """The training loss and its gradient, with attention forward and
+    backward run on one video at a time (each a chunk of one) and the
+    classifier once on the stacked pooled rows.
+
+    Returns (total, the LOSS_TERMS values in order, gradient like model.flat).
+    """
+    from wtal.attention import (attend, attention_grads, smooth_reg_direct,
+                                smooth_reg_grad, sparsity_reg, sparsity_reg_grad,
+                                uniform_attention)
+    from wtal.classifier import (class_loss, class_loss_grad_logits, classifier_grads,
+                                 classify)
+    from wtal.training import LOSS_TERMS, loss_weights
+    from wtal.transfer import transfer_grads, transfer_loss
+
+    w = loss_weights(cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
+    p = model.attention
+    n_reg = len(batch) * p.r
+    pooled = [attend(x, p, model.attention_mode) if model.attention_enabled
+              else uniform_attention(x, p.r) for x, _ in batch]
+    pooled_m = np.vstack([att.m for att in pooled])
+    labels = np.vstack([y for _, y in batch])
+    cls = classify(pooled_m, model.classifier, dropout_mask)
+    terms = {"class": float(np.mean(class_loss(cls.probs, labels))),
+             "smooth": sum(smooth_reg_direct(att.a) for att in pooled) / n_reg,
+             "sparsity": sum(sparsity_reg(att.scores) for att in pooled) / n_reg,
+             "fc1": 0.0, "fc2": 0.0}
+    kt_grads = {}
+    if source_acts is not None:
+        for tap, source, target in (("fc1", source_acts[0], pooled_m),
+                                    ("fc2", source_acts[1], cls.hidden_clean)):
+            if w[tap]:
+                terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
+                kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
+    total = sum(w[k] * terms[k] for k in LOSS_TERMS)
+
+    g_logits = w["class"] * class_loss_grad_logits(cls.probs, labels) / len(batch)
+    cg = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
+                          g_hidden_clean=kt_grads.get("fc2"))
+    g_m = cg.m + kt_grads.get("fc1", 0.0)
+    g_w1, g_w2 = np.zeros_like(p.w1), np.zeros_like(p.w2)
+    for i, ((x, _), att) in enumerate(zip(batch, pooled)):
+        g_a = w["smooth"] / n_reg * smooth_reg_grad(att.a)
+        g_sparse = w["sparsity"] / n_reg * sparsity_reg_grad(att.scores)
+        sigmoid = att.mode == "sigmoid"
+        g1, g2 = attention_grads(x, p, att, g_m=g_m[i:i + 1],
+                                 g_a=g_a if sigmoid else g_a + g_sparse,
+                                 g_scores=g_sparse if sigmoid else None)
+        g_w1 += g1
+        g_w2 += g2
+    grad = np.concatenate([g.ravel() for g in (g_w1, g_w2, cg.fc1_w, cg.fc1_b,
+                                               cg.fc2_w, cg.fc2_b)])
+    return total, [terms[k] for k in LOSS_TERMS], grad
 
 
 def broadcast_sq_dists(a, b):

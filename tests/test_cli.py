@@ -131,7 +131,8 @@ def _non_finite(blob, rng):
 
 
 def _header(field, value):
-    """Overwrite one little-endian u32 header field (version, d or n)."""
+    """Overwrite one little-endian u32 header field (version, d or n of a
+    feature file; a checkpoint keeps its version at the same offset)."""
     offset = {"version": 4, "d": 8, "n": 12}[field]
 
     def mutate(blob, rng):
@@ -156,6 +157,40 @@ TSRF_CORRUPTIONS = (
     _header("n", lambda n: n + 1),
     lambda blob, rng: _header("n", lambda n: 0)(blob[:16], rng),   # degenerate shape
     _swap_shape,
+)
+
+
+def _ckpt_payload_value(value):
+    """Overwrite one random float64 of a checkpoint's payload."""
+    def mutate(blob, rng):
+        hlen, = struct.unpack("<I", blob[8:12])
+        start = 12 + hlen
+        at = start + 8 * int(rng.integers(0, (len(blob) - start) // 8))
+        return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    return mutate
+
+
+def _ckpt_header_flip(blob, rng):
+    # the high bit makes any byte of the ASCII header invalid UTF-8; a flip
+    # that keeps the JSON valid can only be caught by a checksum
+    hlen, = struct.unpack("<I", blob[8:12])
+    at = 12 + int(rng.integers(0, hlen))
+    return blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1:]
+
+
+# seeded by case index; each must end in one DataFormatError JSON line
+TSRC_CORRUPTIONS = (
+    _truncate, _truncate, _truncate,
+    lambda blob, rng: blob[:12 + struct.unpack("<I", blob[8:12])[0]],   # header only
+    lambda blob, rng: bytes(rng.integers(0, 256, 4, dtype=np.uint8)) + blob[4:],
+    _header("version", lambda v: v + 1),
+    lambda blob, rng: blob[:8] + struct.pack("<I", len(blob)) + blob[12:],
+    _ckpt_header_flip,
+    _ckpt_payload_value(float("nan")),
+    _ckpt_payload_value(float("inf")),
+    _ckpt_payload_value(float("-inf")),
+    lambda blob, rng: blob + bytes(rng.integers(0, 256, int(rng.integers(1, 17)),
+                                                dtype=np.uint8)),
 )
 
 
@@ -628,6 +663,24 @@ class TestCommandFailures:
         err = json.loads(lines[0])
         assert err["error"] == "DataFormatError"
         assert f"{rec.video_id}/flow" in err["message"] and rel in err["message"]
+        assert list(tmp_path.glob("detections*")) == []
+
+    @pytest.mark.parametrize("case", range(len(TSRC_CORRUPTIONS)))
+    def test_corrupt_checkpoint_fails_detect(self, pipeline, tmp_path, capsys, case):
+        blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
+        bad = tmp_path / "target_rgb.ckpt"
+        bad.write_bytes(TSRC_CORRUPTIONS[case](blob, np.random.default_rng(case)))
+        det = tmp_path / "detections.json"
+        rc = cli.main(["detect", "--data", str(pipeline["data"]),
+                       "--ckpt-rgb", str(bad),
+                       "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
+                       "--out", str(det)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataFormatError"
+        assert err["message"].startswith(f"{bad}: ")
         assert list(tmp_path.glob("detections*")) == []
 
     def test_help_exits_zero(self):

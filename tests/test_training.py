@@ -2,12 +2,13 @@
 and the finite-difference gradient certifier."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
 from wtal import training
-from wtal.classifier import class_loss
+from wtal.classifier import class_loss, label_vector
 from wtal.dataset import (
     FeatureMatrix,
     Stream,
@@ -199,9 +200,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(1)
         model = _tiny_model(rng)
         batch = self._batch(rng, model)
-        fwd = [forward_video(model, x) for x, _ in batch]
-        acts = (np.vstack([att.m for att, _ in fwd]),
-                np.vstack([cls.hidden_clean for _, cls in fwd]))
+        # the step's own chunked forward: identical activations, bit for bit
+        _, pooled_m, cls = training.forward_batch(model, [x for x, _ in batch])
+        acts = (pooled_m, cls.hidden_clean)
         cfg = TrainConfig(kernel=KernelConfig(sigma=1.0))
         _, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
         assert terms.fc1 == 0.0
@@ -282,6 +283,36 @@ class TestTotalLoss:
         assert calls == ["classify", "classifier_grads"]
         assert total == reference[0] and np.array_equal(grad, reference[2])
 
+    def test_one_attention_pass_per_chunk(self, monkeypatch):
+        # default shapes: 16 videos of 15-25 frames fill at most two
+        # 256-frame chunks at attention_hidden 64
+        rng = np.random.default_rng(8)
+        cfg = TrainConfig()
+        model = init_model(16, 8, Stream.RGB, "target", cfg, rng)
+        batch = [(FeatureMatrix(rng.normal(size=(16, int(rng.integers(15, 26))))),
+                  label_vector([int(rng.integers(8))], 8)) for _ in range(16)]
+        mask = training._draw_mask(rng, (16, cfg.classifier_hidden), cfg.dropout)
+        acts = (rng.normal(size=(16, 16)), rng.normal(size=(16, cfg.classifier_hidden)))
+        reference = total_loss(batch, model, cfg, mask, acts)
+        calls, frames = [], []
+
+        def counted(name):
+            fn = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                if name == "attend":
+                    frames.append(args[0].n)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("attend", "attention_grads"):
+            monkeypatch.setattr(training, name, counted(name))
+        total, _, grad = total_loss(batch, model, cfg, mask, acts)
+        assert 1 <= calls.count("attend") == calls.count("attention_grads") <= 2
+        assert sum(frames) == sum(x.n for x, _ in batch) and max(frames) <= 256
+        assert total == reference[0] and np.array_equal(grad, reference[2])
+
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):
@@ -301,6 +332,38 @@ class TestTotalLoss:
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "7"
         assert float(fields[1]) == terms.total
+
+
+class TestChunkedStep:
+    """A step runs attention per chunk of videos; the reference runs it per video."""
+
+    LENGTHS = (1, 6, 3, 1, 8, 2, 12, 4)
+
+    @pytest.mark.parametrize("mode,heads,enabled,dropout", [
+        ("softmax", 1, True, False), ("sigmoid", 1, True, True), ("softmax", 2, True, True),
+        ("sigmoid", 2, True, False), ("softmax", 2, False, True), ("sigmoid", 1, False, False),
+    ])
+    def test_matches_one_video_at_a_time(self, monkeypatch, mode, heads, enabled, dropout):
+        monkeypatch.setattr(training, "CHUNK_CELLS", 4 * 10)   # 10 frames at 4 hidden units
+        rng = np.random.default_rng(50)
+        cfg = TrainConfig(alpha=0.3, beta=0.2, attention_mode=mode, attention_enabled=enabled,
+                          heads=heads, attention_hidden=4, classifier_hidden=5,
+                          kernel=KernelConfig(sigma=1.0))
+        model = init_model(3, 3, Stream.RGB, "target", cfg, rng)
+        batch = [(FeatureMatrix(rng.normal(size=(3, n))), label_vector([int(rng.integers(3))], 3))
+                 for n in self.LENGTHS]
+        mask = training._draw_mask(rng, (len(batch), 5), 0.5) if dropout else None
+        acts = (rng.normal(size=(5, 3 * heads)), rng.normal(size=(5, 5)))
+        chunks, _, _ = training.forward_batch(model, [x for x, _ in batch])
+        assert [att.counts for _, att in chunks] == [(1, 6, 3), (1, 8), (2,), (12,), (4,)]
+
+        total, terms, grad = total_loss(batch, model, cfg, mask, acts)
+        ref_total, ref_terms, ref_grad = oracles.total_loss_per_video(batch, model, cfg,
+                                                                      mask, acts)
+        np.testing.assert_allclose(total, ref_total, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(terms.values()[1:], ref_terms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+        assert np.any(grad[:model.attention.w1.size] != 0.0) == enabled
 
 
 class TestGradientCertification:
@@ -480,6 +543,24 @@ class TestCheckpoints:
         bad.write_bytes(blob[:4] + struct.pack("<I", 9) + blob[8:])
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(bad)
+
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        model = _tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, TrainConfig(), 0, path)
+        blob = path.read_bytes()
+        payload = len(blob) - 8 * model.flat.size
+        n_w1 = model.attention.w1.size
+        for value, index, name in ((float("nan"), 0, "att_w1"),
+                                   (float("inf"), n_w1, "att_w2"),
+                                   (float("-inf"), model.flat.size - 1, "fc2_b")):
+            at = payload + 8 * index
+            path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+            with pytest.raises(DataFormatError) as exc:
+                load_checkpoint(path)
+            assert str(exc.value).startswith(f"{path}: ")
+            assert f"parameter {name} holds a non-finite value" in str(exc.value)
 
 
 class TestErrors:
