@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -237,27 +238,58 @@ def _record_to_json(rec: VideoRecord) -> dict:
     return out
 
 
-def _record_from_json(obj: dict) -> VideoRecord:
-    try:
-        segments = None
-        if "segments" in obj:
-            segments = tuple(Segment(int(c), float(a), float(b)) for c, a, b in obj["segments"])
-        feature_paths = {Stream(k): v for k, v in obj["features"].items()}
-        if set(feature_paths) != set(STREAMS):
-            raise ValueError(f"features name {sorted(s.value for s in feature_paths)}, "
-                             f"expected {[s.value for s in STREAMS]}")
-        return VideoRecord(
-            video_id=obj["id"],
-            split=obj["split"],
-            n=int(obj["n"]),
-            fps=float(obj["fps"]),
-            labels=tuple(int(c) for c in obj["labels"]),
-            trimmed=bool(obj["trimmed"]),
-            feature_paths=feature_paths,
-            segments=segments,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed manifest record: {exc}") from exc
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a finite number",
+               bool: "true or false", list: "an array", dict: "an object"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_json(value, kind: type) -> bool:
+    """Whether ``value`` has JSON type ``kind``. An integer is also a number
+    (``float``) provided it is finite; true and false are neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    return isinstance(value, kind)
+
+
+# each record field's JSON type; "segments" may be absent
+_RECORD_FIELDS = (("id", str), ("split", str), ("n", int), ("fps", float),
+                  ("labels", list), ("trimmed", bool), ("features", dict))
+_STREAM_NAMES = sorted(s.value for s in STREAMS)
+
+
+def _record_from_json(obj) -> VideoRecord:
+    if not is_json(obj, dict):
+        raise DataFormatError(f"video record must be a JSON object, got {obj!r}")
+    for key, kind in _RECORD_FIELDS:
+        if not is_json(obj.get(key), kind):
+            raise DataFormatError(f"{key!r} must be {_JSON_TYPES[kind]}, got {obj.get(key)!r}")
+    if not all(is_json(c, int) for c in obj["labels"]):
+        raise DataFormatError(f"'labels' must be integers, got {obj['labels']!r}")
+    paths = obj["features"]
+    if sorted(paths) != _STREAM_NAMES or not all(is_json(p, str) for p in paths.values()):
+        raise DataFormatError(f"'features' must map {_STREAM_NAMES} to path strings, "
+                              f"got {paths!r}")
+    segments = None
+    if "segments" in obj:
+        segments = obj["segments"]
+        if not (is_json(segments, list) and all(
+                is_json(seg, list) and len(seg) == 3 and is_json(seg[0], int)
+                and is_json(seg[1], float) and is_json(seg[2], float) for seg in segments)):
+            raise DataFormatError(f"'segments' must be [label, t_start, t_end] arrays, "
+                                  f"got {segments!r}")
+        segments = tuple(Segment(c, float(a), float(b)) for c, a, b in segments)
+    return VideoRecord(
+        video_id=obj["id"],
+        split=obj["split"],
+        n=obj["n"],
+        fps=float(obj["fps"]),
+        labels=tuple(obj["labels"]),
+        trimmed=obj["trimmed"],
+        feature_paths={s: paths[s.value] for s in STREAMS},
+        segments=segments,
+    )
 
 
 def save_manifest(manifest: Manifest, path: Path) -> None:
@@ -269,55 +301,77 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def load_manifest(path: Path) -> Manifest:
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+def _manifest_from_json(doc) -> Manifest:
+    if not is_json(doc, dict):
         raise DataFormatError("manifest is not a JSON object")
     if doc.get("version") != 1:
         raise DataFormatError(f"unsupported manifest version {doc.get('version')!r}")
-    for key in ("classes", "videos"):
-        if not isinstance(doc.get(key), list):
-            raise DataFormatError(f"manifest {key!r} must be a JSON array")
-    manifest = Manifest(
-        version=1,
-        class_names=tuple(doc["classes"]),
-        videos=tuple(_record_from_json(v) for v in doc["videos"]),
-    )
+    classes, records = doc.get("classes"), doc.get("videos")
+    if not (is_json(classes, list) and all(is_json(c, str) for c in classes)):
+        raise DataFormatError(f"manifest 'classes' must be an array of strings, got {classes!r}")
+    if not is_json(records, list):
+        raise DataFormatError("manifest 'videos' must be a JSON array")
+    videos: dict[str, VideoRecord] = {}
+    for i, obj in enumerate(records):
+        try:
+            rec = _record_from_json(obj)
+        except DataFormatError as exc:
+            raise DataFormatError(f"malformed manifest record {i}: {exc}") from exc
+        if rec.video_id in videos:
+            raise DataFormatError(f"duplicate video id {rec.video_id!r}")
+        videos[rec.video_id] = rec
+    manifest = Manifest(version=1, class_names=tuple(classes), videos=tuple(videos.values()))
     for rec in manifest.videos:
         rec.validate(manifest.n_classes)
     return manifest
 
 
-class Dataset:
-    """A manifest plus all feature matrices, loaded eagerly and immutable."""
+def load_manifest(path: Path) -> Manifest:
+    """Parse and validate ``manifest.json``; every error names the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    try:
+        return _manifest_from_json(doc)
+    except (DataFormatError, InputError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
-    def __init__(self, root: Path, manifest: Manifest,
-                 features: Mapping[tuple[str, Stream], FeatureMatrix]):
+
+class Dataset:
+    """A manifest over a dataset directory. Nothing is decoded up front:
+    each ``features`` call reads, decodes and checks one file and keeps
+    nothing, so a command decodes only the splits it reads."""
+
+    def __init__(self, root: Path, manifest: Manifest):
         self.root = root
         self.manifest = manifest
-        self._features = dict(features)
+        self._records = {rec.video_id: rec for rec in manifest.videos}
+        self._dims: dict[Stream, int] = {}      # feature width per stream, seen so far
 
     @property
     def n_classes(self) -> int:
         return self.manifest.n_classes
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return self.manifest.class_names
-
     def split(self, name: str) -> tuple[VideoRecord, ...]:
         return self.manifest.split(name)
 
     def features(self, video_id: str, stream: Stream) -> FeatureMatrix:
-        return self._features[(video_id, stream)]
-
-    def feature_dim(self, stream: Stream) -> int:
-        for rec in self.manifest.videos:
-            return self._features[(rec.video_id, stream)].d
-        raise InputError("dataset is empty")
+        """Decode one feature file, checking n against the manifest and d
+        against the stream's files read before it."""
+        rec = self._records[video_id]
+        fpath = self.root / rec.feature_paths[stream]
+        if not fpath.is_file():
+            raise DataFormatError(f"{rec.video_id}: missing feature file {fpath}")
+        try:
+            mat = decode_features(fpath.read_bytes())
+            if mat.n != rec.n:
+                raise DataFormatError(f"file has n={mat.n}, manifest says {rec.n}")
+            if self._dims.setdefault(stream, mat.d) != mat.d:
+                raise DataFormatError(f"d={mat.d} differs from {self._dims[stream]}")
+        except DataFormatError as exc:
+            raise DataFormatError(f"{rec.video_id}/{stream.value} ({fpath}): {exc}") from exc
+        return mat
 
     def iter_split(self, name: str, stream: Stream) -> Iterator[tuple[VideoRecord, FeatureMatrix]]:
         for rec in self.split(name):
@@ -325,26 +379,9 @@ class Dataset:
 
 
 def load_dataset(root: Path | str) -> Dataset:
-    """Load and validate a dataset directory (manifest + feature files)."""
+    """Load and validate a dataset's manifest; feature files are read when used."""
     root = Path(root)
-    manifest = load_manifest(root / "manifest.json")
-    features: dict[tuple[str, Stream], FeatureMatrix] = {}
-    dims: dict[Stream, int] = {}
-    for rec in manifest.videos:
-        for stream in STREAMS:
-            fpath = root / rec.feature_paths[stream]
-            if not fpath.is_file():
-                raise DataFormatError(f"{rec.video_id}: missing feature file {fpath}")
-            try:
-                mat = decode_features(fpath.read_bytes())
-                if mat.n != rec.n:
-                    raise DataFormatError(f"file has n={mat.n}, manifest says {rec.n}")
-                if dims.setdefault(stream, mat.d) != mat.d:
-                    raise DataFormatError(f"d={mat.d} differs from {dims[stream]}")
-            except DataFormatError as exc:
-                raise DataFormatError(f"{rec.video_id}/{stream.value} ({fpath}): {exc}") from exc
-            features[(rec.video_id, stream)] = mat
-    return Dataset(root, manifest, features)
+    return Dataset(root, load_manifest(root / "manifest.json"))
 
 
 # ---------------------------------------------------------------------------

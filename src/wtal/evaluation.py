@@ -12,14 +12,13 @@ ground truth are excluded from the mAP mean.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Manifest
+from .dataset import Manifest, is_json
 from .errors import InputError
 
 
@@ -139,20 +138,23 @@ def ground_truth_instances(manifest: Manifest, split: str) -> list[Instance]:
     return out
 
 
+_DETECTION_FIELDS = (("video_id", str), ("class", int), ("t_start", float),
+                     ("t_end", float), ("confidence", float))
+
+
 def instances_from_detections(detections: Sequence[Mapping]) -> list[Instance]:
-    """Parse the detect command's output-schema dicts."""
+    """Parse the detect command's output-schema dicts: a string video id,
+    an integer class and finite numbers for the times and the confidence."""
     out = []
     for i, det in enumerate(detections):
-        try:
-            inst = Instance(video_id=det["video_id"], label=int(det["class"]),
-                            t_start=float(det["t_start"]),
-                            t_end=float(det["t_end"]),
-                            confidence=float(det["confidence"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed detection entry {i}: {exc}") from exc
-        if not math.isfinite(inst.confidence):
-            raise InputError(f"detection entry {i} has confidence {inst.confidence}")
-        out.append(inst)
+        if not is_json(det, dict):
+            raise InputError(f"detection entry {i} is not a JSON object")
+        for key, kind in _DETECTION_FIELDS:
+            if not is_json(det.get(key), kind):
+                raise InputError(f"malformed detection entry {i}: {key!r} is {det.get(key)!r}")
+        out.append(Instance(video_id=det["video_id"], label=det["class"],
+                            t_start=float(det["t_start"]), t_end=float(det["t_end"]),
+                            confidence=float(det["confidence"])))
     return out
 
 
@@ -163,11 +165,15 @@ def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest
     fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
     predicted: dict[str, dict[str, int]] = {key: {} for key in fields}
     for i, p in enumerate(predictions):
-        try:
-            for key, field_name in fields.items():
-                predicted[key][p["video_id"]] = int(np.argmax(p[field_name]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed prediction record {i}: {exc!r}") from exc
+        if not (is_json(p, dict) and is_json(p.get("video_id"), str)):
+            raise InputError(f"malformed prediction record {i}: no string 'video_id'")
+        for key, field_name in fields.items():
+            scores = p.get(field_name)
+            if not (is_json(scores, list) and scores and all(is_json(v, float) for v in scores)):
+                raise InputError(f"malformed prediction record {i}: {field_name!r} is not "
+                                 f"a non-empty array of finite numbers")
+            # the first index of the largest, as np.argmax, without the array
+            predicted[key][p["video_id"]] = max(range(len(scores)), key=scores.__getitem__)
     return {key: accuracy(predicted[key], label_sets) for key in fields}
 
 

@@ -32,18 +32,15 @@ def stable_softmax(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ShapeError(f"softmax expects non-empty rows, got shape {v.shape}")
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))      # never overflows: exp(-x) for x >= 0, exp(x) below
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -388,8 +388,7 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
     activations are fixed, so they are computed once per clip up front.
     """
     init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, role)
-    model = init_model(dataset.feature_dim(stream), dataset.n_classes,
-                       stream, role, cfg, init_rng)
+    model = init_model(records[0][1].d, dataset.n_classes, stream, role, cfg, init_rng)
     if source_model is not None:
         if source_model.shapes != model.shapes:
             raise ConfigError(f"source/target shape mismatch: "

@@ -177,10 +177,9 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
     init_rng, batch_rng, mask_rng = (
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence((cfg.seed, 1, code)).spawn(3))
-    model = init_model(data.feature_dim(stream), data.n_classes, stream, "target",
-                       cfg, init_rng)
     records = list(data.iter_split("train", stream))
     source_records = list(data.iter_split("source", stream))
+    model = init_model(records[0][1].d, data.n_classes, stream, "target", cfg, init_rng)
     velocity = np.zeros_like(model.flat)
     keep = 1.0 - cfg.dropout
     for it in range(cfg.iterations):

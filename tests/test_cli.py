@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wtal.dataset
 import wtal.detection
 from wtal import cli
-from wtal.dataset import Stream, load_dataset
+from wtal.dataset import STREAMS, Stream, load_dataset, load_manifest
 from wtal.errors import ConfigError
 from wtal.training import (CSV_HEADER, TrainConfig, init_model, load_checkpoint,
                            save_checkpoint)
@@ -194,6 +195,61 @@ TSRC_CORRUPTIONS = (
 )
 
 
+def _json_edit(edit):
+    """A corruption that parses a JSON text, edits the document and writes it back."""
+    def mutate(text, rng):
+        doc = json.loads(text)
+        edit(doc, rng)
+        return json.dumps(doc)
+    return mutate
+
+
+def _last(key, value):
+    """Set ``key`` of the last entry (a manifest's last video) to ``value(old)``."""
+    def edit(doc, rng):
+        entry = (doc["videos"] if isinstance(doc, dict) else doc)[-1]
+        entry[key] = value(entry[key])
+    return _json_edit(edit)
+
+
+def _retype(doc, rng):
+    """Give one seeded field of one seeded entry a value of another JSON type."""
+    entries = doc["videos"] if isinstance(doc, dict) else doc
+    entry = entries[int(rng.integers(len(entries)))]
+    key = sorted(entry)[int(rng.integers(len(entry)))]
+    pool = [v for v in (None, True, "x", 1.5, [], {}) if type(v) is not type(entry[key])]
+    entry[key] = pool[int(rng.integers(len(pool)))]
+
+
+# seeded by case index; each must end in one JSON error line: DataFormatError
+# naming the manifest file, InputError for detections and predictions
+JSON_CORRUPTIONS = {
+    "manifest": (
+        _last("features", lambda paths: {**paths, "rgb": 7}),
+        _last("features", lambda paths: list(paths.values())),
+        _last("id", lambda video_id: [video_id]),
+        _json_edit(lambda doc, rng: doc.update(classes=list(range(len(doc["classes"]))))),
+        _json_edit(lambda doc, rng: doc["videos"][0].update(trimmed="no")),   # a source clip
+        _json_edit(lambda doc, rng: doc["videos"][-1].update(id=doc["videos"][0]["id"])),
+        _last("split", lambda split: 0),
+        _json_edit(_retype), _json_edit(_retype), _json_edit(_retype),
+        _truncate, _truncate,
+    ),
+    "detections": (
+        _last("video_id", lambda video_id: [video_id]),
+        _last("class", lambda label: 1.5),
+        _last("class", lambda label: True),
+        _json_edit(_retype), _json_edit(_retype), _truncate,
+    ),
+    "predictions": (
+        _last("logits_rgb", lambda logits: "ab"),
+        _json_edit(_retype), _json_edit(_retype), _truncate,
+    ),
+}
+JSON_CASES = [(what, case) for what, cases in JSON_CORRUPTIONS.items()
+              for case in range(len(cases))]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the whole CLI pipeline once at toy scale."""
@@ -233,6 +289,38 @@ def forward_calls(monkeypatch):
     monkeypatch.setattr(wtal.detection, "forward_video",
                         lambda model, x: calls.append(model.stream) or forward(model, x))
     return calls
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The byte length of each feature file decoded, in call order."""
+    calls = []
+    decode = wtal.dataset.decode_features
+    monkeypatch.setattr(wtal.dataset, "decode_features",
+                        lambda blob: calls.append(len(blob)) or decode(blob))
+    return calls
+
+
+def _train_argv(pipeline, out, role, transfer=True):
+    argv = ["train", "--role", role, "--data", str(pipeline["data"]), "--out", str(out)]
+    if role == "target" and transfer:
+        argv += ["--source-rgb", str(pipeline["src"] / "source_rgb.ckpt"),
+                 "--source-flow", str(pipeline["src"] / "source_flow.ckpt")]
+    elif role == "target":
+        argv += ["--transfer.enabled", "false"]
+    return argv + TRAIN_FLAGS
+
+
+def _detect_argv(data, out, ckpts):
+    return ["detect", "--data", str(data), "--ckpt-rgb", str(ckpts / "target_rgb.ckpt"),
+            "--ckpt-flow", str(ckpts / "target_flow.ckpt"), "--out", str(out)]
+
+
+def _corrupt_first(data, split, stream=Stream.RGB):
+    """Break the magic of the first ``split`` video's file; returns its path."""
+    rel = load_manifest(data / "manifest.json").split(split)[0].feature_paths[stream]
+    (data / rel).write_bytes(b"XXXX" + (data / rel).read_bytes()[4:])
+    return rel
 
 
 class TestPipeline:
@@ -342,6 +430,25 @@ class TestPipeline:
         assert det.read_bytes() == pipeline["det"].read_bytes()
         assert (tmp_path / "detections.predictions.json").read_bytes() == \
             (pipeline["det"].parent / "detections.predictions.json").read_bytes()
+
+    @pytest.mark.parametrize("command, splits", [
+        ("source", ("source",)), ("target", ("train", "source")),
+        ("target_no_transfer", ("train",)), ("detect", ("test",)), ("eval", ()),
+    ])
+    def test_each_command_decodes_only_the_splits_it_reads(self, pipeline, tmp_path,
+                                                            decodes, command, splits):
+        out = tmp_path / "out"
+        argv = {
+            "source": _train_argv(pipeline, out, "source"),
+            "target": _train_argv(pipeline, out, "target"),
+            "target_no_transfer": _train_argv(pipeline, out, "target", transfer=False),
+            "detect": _detect_argv(pipeline["data"], out / "det.json", pipeline["tgt"]),
+            "eval": ["eval", "--data", str(pipeline["data"]),
+                     "--detections", str(pipeline["det"]), "--out", str(out / "r.json")],
+        }[command]
+        assert cli.main(argv) == 0
+        manifest = load_manifest(pipeline["data"] / "manifest.json")
+        assert len(decodes) == len(STREAMS) * sum(len(manifest.split(s)) for s in splits)
 
     def test_resolved_config_is_logged(self, pipeline, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "d"),
@@ -682,6 +789,68 @@ class TestCommandFailures:
         assert err["error"] == "DataFormatError"
         assert err["message"].startswith(f"{bad}: ")
         assert list(tmp_path.glob("detections*")) == []
+
+    @pytest.mark.parametrize("what, case", JSON_CASES)
+    def test_corrupt_json_input_exits_one(self, pipeline, tmp_path, capsys, what, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        paths = {"manifest": data / "manifest.json",
+                 "predictions": tmp_path / "predictions.json",
+                 "detections": tmp_path / "detections.json"}
+        shutil.copy(pipeline["data"] / "manifest.json", paths["manifest"])
+        shutil.copy(pipeline["det"].parent / "detections.predictions.json",
+                    paths["predictions"])
+        # one valid entry, so that entry-level corruptions have a target
+        detections = json.loads(pipeline["det"].read_text()) + [
+            {"video_id": "test_00000", "class": 0, "t_start": 0.0, "t_end": 0.2,
+             "confidence": 0.5}]
+        paths["detections"].write_text(json.dumps(detections, indent=1))
+        text = paths[what].read_text()
+        paths[what].write_text(JSON_CORRUPTIONS[what][case](text, np.random.default_rng(case)))
+        out = tmp_path / "out"
+        commands = [["eval", "--data", str(data), "--detections", str(paths["detections"]),
+                     "--predictions", str(paths["predictions"]),
+                     "--out", str(out / "report.json")]]
+        if what == "manifest":
+            commands.append(_detect_argv(data, out / "detections.json", pipeline["tgt"]))
+        for argv in commands:
+            assert cli.main(argv) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])
+            if what == "manifest":
+                assert err["error"] == "DataFormatError"
+                assert str(paths["manifest"]) in err["message"]
+            else:
+                assert err["error"] == "InputError"
+            assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("split", ["source", "train"])
+    def test_detect_ignores_corrupt_files_outside_the_test_split(self, pipeline, tmp_path,
+                                                                 split):
+        # a corrupt test file fails detect: test_corrupt_feature_file_fails_detect
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        _corrupt_first(data, split)
+        det = tmp_path / "detections.json"
+        assert cli.main(_detect_argv(data, det, pipeline["tgt"])) == 0
+        assert det.read_bytes() == pipeline["det"].read_bytes()
+
+    @pytest.mark.parametrize("transfer", [False, True])
+    def test_target_training_reads_the_source_split_only_with_transfer(
+            self, pipeline, tmp_path, capsys, transfer):
+        shutil.copytree(pipeline["data"], tmp_path / "data")
+        rel = _corrupt_first(tmp_path / "data", "source", Stream.FLOW)
+        out = tmp_path / "m"
+        rc = cli.main(_train_argv({**pipeline, "data": tmp_path / "data"}, out,
+                                  "target", transfer))
+        if not transfer:
+            assert rc == 0
+            return
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataFormatError" and rel in err["message"]
+        assert list(out.glob("*")) == []     # the RGB stream's files are removed too
 
     def test_help_exits_zero(self):
         for argv in (["--help"], ["train", "--help"]):

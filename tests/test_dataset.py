@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import wtal.dataset
 from wtal.dataset import (
     Dataset,
     FeatureMatrix,
@@ -353,36 +354,50 @@ class TestLoadDataset:
         manifest = generate_synthetic(TINY_SPEC, tmp_path)
         data = load_dataset(tmp_path)
         assert data.manifest == manifest
-        assert data.feature_dim(Stream.RGB) == TINY_SPEC.d
-        assert data.feature_dim(Stream.FLOW) == TINY_SPEC.d
-        for rec, mat in data.iter_split("train", Stream.FLOW):
-            assert mat.n == rec.n
+        for stream in STREAMS:
+            for rec, mat in data.iter_split("train", stream):
+                assert (mat.d, mat.n) == (TINY_SPEC.d, rec.n)
+
+    def test_load_decodes_no_file_and_each_read_decodes_one(self, tmp_path, monkeypatch):
+        generate_synthetic(TINY_SPEC, tmp_path)
+        calls = []
+        decode = wtal.dataset.decode_features
+        monkeypatch.setattr(wtal.dataset, "decode_features",
+                            lambda blob: calls.append(len(blob)) or decode(blob))
+        data = load_dataset(tmp_path)
+        assert calls == []
+        for _ in range(2):      # nothing is kept between reads
+            list(data.iter_split("test", Stream.FLOW))
+        assert len(calls) == 2 * TINY_SPEC.target_test
 
     def test_missing_feature_file(self, tmp_path):
-        generate_synthetic(TINY_SPEC, tmp_path)
-        victim = next((tmp_path / "features").glob("*.rgb.tsrf"))
-        victim.unlink()
+        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
+        (tmp_path / rec.feature_paths[Stream.RGB]).unlink()
+        data = load_dataset(tmp_path)
         with pytest.raises(DataFormatError, match="missing feature file"):
-            load_dataset(tmp_path)
+            list(data.iter_split(rec.split, Stream.RGB))
 
     def test_frame_count_mismatch(self, tmp_path):
-        generate_synthetic(TINY_SPEC, tmp_path)
-        victim = next((tmp_path / "features").glob("*.rgb.tsrf"))
+        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
+        victim = tmp_path / rec.feature_paths[Stream.RGB]
         victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d, 99)))))
+        data = load_dataset(tmp_path)
         with pytest.raises(DataFormatError, match="n=99"):
-            load_dataset(tmp_path)
+            list(data.iter_split(rec.split, Stream.RGB))
 
     def test_feature_dim_mismatch(self, tmp_path):
         manifest = generate_synthetic(TINY_SPEC, tmp_path)
         rec = manifest.videos[-1]
         victim = tmp_path / rec.feature_paths[Stream.FLOW]
         victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d + 1, rec.n)))))
+        data = load_dataset(tmp_path)
         with pytest.raises(DataFormatError, match="differs"):
-            load_dataset(tmp_path)
+            list(data.iter_split(rec.split, Stream.FLOW))
 
     def test_corrupt_feature_file(self, tmp_path):
-        generate_synthetic(TINY_SPEC, tmp_path)
-        victim = next((tmp_path / "features").glob("*.flow.tsrf"))
+        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
+        victim = tmp_path / rec.feature_paths[Stream.FLOW]
         victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
+        data = load_dataset(tmp_path)
         with pytest.raises(DataFormatError, match="magic"):
-            load_dataset(tmp_path)
+            list(data.iter_split(rec.split, Stream.FLOW))
