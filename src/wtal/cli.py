@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (STREAMS, Stream, SyntheticSpec, generate_synthetic, load_dataset,
-                      load_manifest)
+from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, generate_synthetic,
+                      load_dataset, load_manifest)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
@@ -185,6 +185,13 @@ def _read_json(path: str, what: str):
         raise InputError(f"{what} file is not valid JSON: {exc}") from exc
 
 
+def _require_split(manifest: Manifest, split: str) -> None:
+    """A split without videos is a misspelling: scoring it would report zeros."""
+    if not manifest.split(split):
+        names = ", ".join(sorted({rec.split for rec in manifest.videos}))
+        raise InputError(f"split {split!r} has no videos; the manifest's splits are {names}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each is handler(args, run_cfg, outputs), with the resolved
 # config (None for gradcheck) and the command's _Outputs
@@ -255,6 +262,7 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     data = load_dataset(args.data)
     if n_rgb != data.n_classes:
         raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has {data.n_classes}")
+    _require_split(data.manifest, args.split)
     predictions, scores = predict_split(data, args.split, model_rgb, model_flow)
     detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
@@ -289,6 +297,7 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
 def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
     # scoring needs the annotations only, not the feature files
     manifest = load_manifest(Path(args.data) / "manifest.json")
+    _require_split(manifest, args.split)
     detections = _read_json(args.detections, "detections")
     if not isinstance(detections, list):
         raise InputError("detections file must be a JSON array")
@@ -343,6 +352,7 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
 
 def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     data = load_dataset(args.data)
+    _require_split(data.manifest, args.split)
     rows = run_ablation(data, run_cfg.train, run_cfg.detect, args.iou, args.split)
     lines = ["arm,accuracy,mAP@" + repr(args.iou)]
     lines += [f"{r['arm']},{r['accuracy']!r},{r['map']!r}" for r in rows]

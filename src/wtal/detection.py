@@ -8,23 +8,25 @@ proposals with half-open frame intervals [ind_start, ind_end), converted
 to seconds by t = ind / fps, scored by the mean in-run fused score.
 No suppression is needed: maximal runs are disjoint by construction.
 
-Each video and stream runs forward once: predict_split reads both the
-video logits and the frame score map off that pass, and detect_split
-only fuses and thresholds the maps it returned.
+predict_split groups consecutive test videos into chunks with the
+training step's rule (chunk_bounds, within both models' frame budgets)
+and runs each chunk and stream forward once, reading both the video logits
+and the frame score maps off that pass; detect_split only fuses and
+thresholds the maps it returned, one video at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .classifier import classify
-from .dataset import Dataset, FeatureMatrix, Stream
+from .dataset import STREAMS, Dataset, FeatureMatrix
 from .errors import ConfigError, ShapeError
 from .numerics import sigmoid, stable_softmax
-from .training import Model, forward_video
+from .training import Model, chunk_bounds, chunk_budget, forward_video, stack_videos
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,23 @@ class Proposal:
     ind_end: int
 
 
-def video_scores(model: Model, x: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass: the video logits and the (C, n) frame score map
-    w_i^c = a_i * sigmoid(frame logit), entries in [0, 1]. The frame logits
-    come from the video classifier applied to every frame as one row batch,
-    each frame tiled across heads to the pooled width; dropout is off."""
-    att, cls = forward_video(model, x)
+def chunk_scores(model: Model, x: FeatureMatrix, counts: Sequence[int] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass over a chunk of videos (``counts`` splits the frame
+    columns, default one video): the (B, C) video logits and the (C, N)
+    frame score map w_i^c = a_i * sigmoid(frame logit), entries in [0, 1].
+    The frame logits come from the video classifier applied to every frame
+    as one row batch, each frame tiled across heads to the pooled width;
+    dropout is off."""
+    att, cls = forward_video(model, x, counts)
     frames = classify(np.tile(x.values, (model.attention.r, 1)).T, model.classifier)
     return cls.logits, att.frame_weights[None, :] * sigmoid(frames.logits.T)
+
+
+def video_scores(model: Model, x: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """One video as a chunk of one: its (C,) logits and (C, n) score map."""
+    logits, scores = chunk_scores(model, x)
+    return logits[0], scores
 
 
 def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,
@@ -68,44 +79,55 @@ def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,
 
 
 def extract_proposals(scores: np.ndarray, fps: float, cfg: DetectConfig) -> list[Proposal]:
-    """Threshold each class's score track into maximal-run proposals."""
+    """Threshold each class's score track into maximal-run proposals, in
+    class-then-time order."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeError("scores must be (classes, frames)")
     if fps <= 0:
         raise ConfigError("fps must be positive")
-    proposals: list[Proposal] = []
-    for c in range(scores.shape[0]):
-        track = scores[c]
-        above = np.concatenate([[False], track >= cfg.threshold, [False]])
-        edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-        for lo, hi in zip(edges[::2], edges[1::2]):
-            proposals.append(Proposal(
-                label=c,
-                t_start=lo / fps,
-                t_end=hi / fps,
-                confidence=float(np.mean(track[lo:hi])),
-                ind_start=int(lo),
-                ind_end=int(hi),
-            ))
-    return proposals
+    above = np.zeros((scores.shape[0], scores.shape[1] + 2), dtype=np.int8)
+    above[:, 1:-1] = scores >= cfg.threshold
+    # each run contributes a rise then a fall in its own row; row-major order
+    # keeps the edges of one class together and in time order
+    rows, edges = np.nonzero(np.diff(above, axis=1))
+    # add.reduce / count is np.mean's arithmetic, so confidences keep its bits
+    return [Proposal(label=c, t_start=lo / fps, t_end=hi / fps,
+                     confidence=float(np.add.reduce(scores[c, lo:hi]) / (hi - lo)),
+                     ind_start=lo, ind_end=hi)
+            for c, lo, hi in zip(rows[::2].tolist(), edges[::2].tolist(),
+                                 edges[1::2].tolist())]
 
 
 def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
                   ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Classification records for accuracy scoring, and each video's (RGB,
-    flow) frame score maps by id, from one forward pass per video and stream."""
+    flow) frame score maps by id. Consecutive videos form chunks within
+    both models' frame budgets; each chunk and stream runs forward once, and
+    only one chunk's features are decoded at a time."""
+    recs = data.split(split)
+    budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
     records, scores = [], {}
-    for rec in data.split(split):
-        z_rgb, w_rgb = video_scores(model_rgb, data.features(rec.video_id, Stream.RGB))
-        z_flow, w_flow = video_scores(model_flow, data.features(rec.video_id, Stream.FLOW))
-        records.append({
-            "video_id": rec.video_id,
-            "logits_rgb": z_rgb.tolist(),
-            "logits_flow": z_flow.tolist(),
-            "probs_fused": stable_softmax((z_rgb + z_flow) / 2.0).tolist(),
-        })
-        scores[rec.video_id] = (w_rgb, w_flow)
+    for lo, hi in chunk_bounds([rec.n for rec in recs], budget):
+        chunk = recs[lo:hi]
+        # video by video, RGB before flow: the first bad file in manifest
+        # order is the one reported
+        x_rgb, x_flow = zip(*([data.features(rec.video_id, s) for s in STREAMS]
+                              for rec in chunk))
+        z_rgb, w_rgb = chunk_scores(model_rgb, *stack_videos(x_rgb))
+        z_flow, w_flow = chunk_scores(model_flow, *stack_videos(x_flow))
+        probs = stable_softmax((z_rgb + z_flow) / 2.0)
+        cuts = np.cumsum([rec.n for rec in chunk[:-1]])
+        for rec, zr, zf, p, wr, wf in zip(chunk, z_rgb, z_flow, probs,
+                                          np.split(w_rgb, cuts, axis=1),
+                                          np.split(w_flow, cuts, axis=1)):
+            records.append({
+                "video_id": rec.video_id,
+                "logits_rgb": zr.tolist(),
+                "logits_flow": zf.tolist(),
+                "probs_fused": p.tolist(),
+            })
+            scores[rec.video_id] = (wr, wf)
     return records, scores
 
 

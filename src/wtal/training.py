@@ -8,8 +8,9 @@ The overall target loss per step is
 
 with the regularizers averaged over attention heads, and the transfer terms
 computed between this step's target activation batch and a sampled batch of
-the frozen source model's activations, which are computed once per source
-clip before the first step. Source training minimizes the class loss alone.
+the frozen source model's activations, which are computed before the
+first step, one forward pass per chunk of source clips. Source training
+minimizes the class loss alone.
 
 Optimization is SGD with momentum: v <- mu v - lr g, p <- p + v, with the
 learning rate divided by decay_factor every decay_every iterations.
@@ -31,6 +32,8 @@ up to CHUNK_CELLS // attention_hidden frames (256 at the default 64: about
 a dozen default videos, or one 150-250 frame video). The classifier runs
 forward and backward once on the stacked (B, r*d) pooled matrix M under
 one (B, h) dropout mask, and the transfer taps read M and its hidden layer.
+``chunk_bounds`` is the one grouping rule: the step, the source-activation
+cache and detection's ``predict_split`` all chunk with it.
 
 A model's parameters live in one contiguous float64 vector, ``Model.flat``,
 laid out in PARAM_KEYS order; the attention and classifier parameters are
@@ -203,12 +206,40 @@ def _pool(model: Model, x: FeatureMatrix,
     return uniform_attention(x, model.attention.r, counts)
 
 
-def forward_video(model: Model, x: FeatureMatrix,
-                  dropout_mask: np.ndarray | None = None
+def chunk_bounds(counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """Consecutive items grouped greedily into chunks of at most ``budget``
+    frames, as [start, stop) index pairs; an item longer than the budget
+    makes a chunk of its own."""
+    bounds, start, total = [], 0, 0
+    for i, n in enumerate(counts):
+        if i > start and total + n > budget:
+            bounds.append((start, i))
+            start, total = i, 0
+        total += n
+    if counts:
+        bounds.append((start, len(counts)))
+    return bounds
+
+
+def chunk_budget(model: Model) -> int:
+    """Frames per chunk: CHUNK_CELLS // attention_hidden."""
+    return CHUNK_CELLS // model.attention.w1.shape[0]
+
+
+def stack_videos(xs: Sequence[FeatureMatrix]) -> tuple[FeatureMatrix, list[int]]:
+    """The videos' frames side by side in one (d, N) feature matrix, and
+    their frame counts."""
+    x = xs[0] if len(xs) == 1 else FeatureMatrix(np.concatenate([v.values.T for v in xs]).T)
+    return x, [v.n for v in xs]
+
+
+def forward_video(model: Model, x: FeatureMatrix, counts: Sequence[int] | None = None
                   ) -> tuple[AttentionOutput, ClassifierOutput]:
-    """One video as a chunk of one; the classifier output has no batch axis."""
-    att = _pool(model, x)
-    return att, classify(att.m[0], model.classifier, dropout_mask)
+    """A chunk's forward pass without dropout: attention once over its
+    videos' frames (``counts`` splits the columns, default one video), then
+    the classifier on the (B, r*d) pooled rows, one row per video."""
+    att = _pool(model, x, counts)
+    return att, classify(att.m, model.classifier)
 
 
 def forward_batch(model: Model, xs: Sequence[FeatureMatrix],
@@ -218,17 +249,10 @@ def forward_batch(model: Model, xs: Sequence[FeatureMatrix],
     """A training step's forward pass: attention chunk by chunk, then the
     classifier once. Returns each chunk's (features, attention output), the
     stacked (B, r*d) pooled matrix and the classifier output."""
-    budget = CHUNK_CELLS // model.attention.w1.shape[0]
-    groups: list[list[FeatureMatrix]] = []
-    for x in xs:        # a video longer than the budget makes a chunk of its own
-        if not groups or sum(v.n for v in groups[-1]) + x.n > budget:
-            groups.append([])
-        groups[-1].append(x)
     chunks = []
-    for videos in groups:
-        x = videos[0] if len(videos) == 1 else FeatureMatrix(
-            np.concatenate([v.values.T for v in videos]).T)
-        chunks.append((x, _pool(model, x, [v.n for v in videos])))
+    for lo, hi in chunk_bounds([x.n for x in xs], chunk_budget(model)):
+        x, counts = stack_videos(xs[lo:hi])
+        chunks.append((x, _pool(model, x, counts)))
     pooled_m = np.vstack([att.m for _, att in chunks])
     return chunks, pooled_m, classify(pooled_m, model.classifier, dropout_mask)
 
@@ -385,7 +409,8 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
 
     With a ``source_model``, each step adds the transfer terms against the
     frozen model's activations on a sampled batch of source clips. Those
-    activations are fixed, so they are computed once per clip up front.
+    activations are fixed, so they are computed up front, chunk by chunk,
+    holding one chunk's intermediates at a time.
     """
     init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, role)
     model = init_model(records[0][1].d, dataset.n_classes, stream, role, cfg, init_rng)
@@ -399,9 +424,10 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
         h, width = model.classifier.fc1_w.shape
         src_m = np.empty((len(source_records), width))
         src_hidden = np.empty((len(source_records), h))
-        for i, (_, x) in enumerate(source_records):
-            att, cls = forward_video(source_model, x)
-            src_m[i], src_hidden[i] = att.m[0], cls.hidden_clean
+        xs = [x for _, x in source_records]
+        for lo, hi in chunk_bounds([x.n for x in xs], chunk_budget(source_model)):
+            att, cls = forward_video(source_model, *stack_videos(xs[lo:hi]))
+            src_m[lo:hi], src_hidden[lo:hi] = att.m, cls.hidden_clean
 
     velocity = np.zeros_like(model.flat)
     ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written in the most literal way possible
 (explicit Python loops, no shared code with src/) so that agreement with
-the library is meaningful evidence, not a tautology. The two exceptions
+the library is meaningful evidence, not a tautology. The exceptions
 reuse library kernels so that they differ from the library in one respect
 only: ``transfer_fit_per_step`` in when the source model runs, and
-``total_loss_per_video`` in running the attention layer one video at a time.
+``total_loss_per_video`` and ``predict_split_per_video`` in running the
+attention layer one video at a time.
 """
 
 import math
@@ -290,3 +291,40 @@ def broadcast_transfer_grads(source, target, sigma):
     diff_tu = t[:, None, :] - u[None, :, :]          # [i, p] = t_i - u_p
     g -= (2.0 / (n_t * n_u)) * np.sum(k_tu[:, :, None] * diff_tu, axis=0) / s2
     return g
+
+
+def extract_proposals_per_class(scores, fps, cfg):
+    """Maximal runs at or above the threshold, one class track at a time,
+    each scored by np.mean over its frames."""
+    from wtal.detection import Proposal
+
+    proposals = []
+    for c in range(scores.shape[0]):
+        track = scores[c]
+        above = np.concatenate([[False], track >= cfg.threshold, [False]])
+        edges = np.flatnonzero(np.diff(above.astype(np.int8)))
+        for lo, hi in zip(edges[::2], edges[1::2]):
+            proposals.append(Proposal(label=c, t_start=lo / fps, t_end=hi / fps,
+                                      confidence=float(np.mean(track[lo:hi])),
+                                      ind_start=int(lo), ind_end=int(hi)))
+    return proposals
+
+
+def predict_split_per_video(data, split, model_rgb, model_flow):
+    """predict_split with one forward pass per video and stream."""
+    from wtal.dataset import Stream
+    from wtal.detection import video_scores
+    from wtal.numerics import stable_softmax
+
+    records, scores = [], {}
+    for rec in data.split(split):
+        z_rgb, w_rgb = video_scores(model_rgb, data.features(rec.video_id, Stream.RGB))
+        z_flow, w_flow = video_scores(model_flow, data.features(rec.video_id, Stream.FLOW))
+        records.append({
+            "video_id": rec.video_id,
+            "logits_rgb": z_rgb.tolist(),
+            "logits_flow": z_flow.tolist(),
+            "probs_fused": stable_softmax((z_rgb + z_flow) / 2.0).tolist(),
+        })
+        scores[rec.video_id] = (w_rgb, w_flow)
+    return records, scores

@@ -15,6 +15,7 @@ import pytest
 
 import wtal.dataset
 import wtal.detection
+import wtal.training
 from wtal import cli
 from wtal.dataset import STREAMS, Stream, load_dataset, load_manifest
 from wtal.errors import ConfigError
@@ -281,14 +282,40 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+# 20 frames at the pipeline's 4 attention hidden units: chunks of one or two videos
+SMALL_CHUNK_CELLS = 4 * 20
+
+
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """The stream of each model that ``wtal.detection`` runs forward, in call order."""
+    """Each forward pass that ``wtal.detection`` runs, in call order, as
+    (stream, per-video frame counts, the chunk's features), with chunks of
+    at most 20 frames."""
+    monkeypatch.setattr(wtal.training, "CHUNK_CELLS", SMALL_CHUNK_CELLS)
     calls = []
     forward = wtal.detection.forward_video
-    monkeypatch.setattr(wtal.detection, "forward_video",
-                        lambda model, x: calls.append(model.stream) or forward(model, x))
+
+    def record(model, x, counts=None):
+        calls.append((model.stream, tuple(counts or (x.n,)), x.values))
+        return forward(model, x, counts)
+
+    monkeypatch.setattr(wtal.detection, "forward_video", record)
     return calls
+
+
+def _assert_forwarded_once(calls, data, split, passes=1):
+    """Per stream, the forward passes hold every ``split`` video's frames
+    exactly once per pass over the split, in manifest order, and each holds
+    at most 20 frames or one longer video."""
+    recs = data.split(split)
+    for stream in STREAMS:
+        mine = [(counts, values) for s, counts, values in calls if s == stream]
+        assert len(mine) > passes
+        assert all(sum(counts) <= 20 or len(counts) == 1 for counts, _ in mine)
+        assert [n for counts, _ in mine for n in counts] == [rec.n for rec in recs] * passes
+        frames = np.hstack([data.features(rec.video_id, stream).values for rec in recs])
+        np.testing.assert_array_equal(np.hstack([v for _, v in mine]),
+                                      np.hstack([frames] * passes))
 
 
 @pytest.fixture
@@ -425,11 +452,19 @@ class TestPipeline:
                          "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
                          "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
                          "--out", str(det)]) == 0
-        n_test = len(load_dataset(pipeline["data"]).split("test"))
-        assert sorted(forward_calls) == sorted([Stream.RGB, Stream.FLOW] * n_test)
-        assert det.read_bytes() == pipeline["det"].read_bytes()
-        assert (tmp_path / "detections.predictions.json").read_bytes() == \
-            (pipeline["det"].parent / "detections.predictions.json").read_bytes()
+        _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test")
+        # smaller chunks move the scores by rounding only
+        for path in (det, tmp_path / "detections.predictions.json"):
+            got = json.loads(path.read_text())
+            want = json.loads((pipeline["det"].parent / path.name).read_text())
+            assert len(got) == len(want)
+            for row, ref in zip(got, want):
+                assert row.keys() == ref.keys()
+                for key, value in row.items():
+                    if isinstance(value, str):
+                        assert value == ref[key]
+                    else:
+                        np.testing.assert_allclose(value, ref[key], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("command, splits", [
         ("source", ("source",)), ("target", ("train", "source")),
@@ -825,6 +860,24 @@ class TestCommandFailures:
                 assert err["error"] == "InputError"
             assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("command", ["detect", "eval", "ablate"])
+    def test_split_without_videos_exits_one(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "detect": _detect_argv(pipeline["data"], out / "det.json", pipeline["tgt"]),
+            "eval": ["eval", "--data", str(pipeline["data"]),
+                     "--detections", str(pipeline["det"]), "--out", str(out / "r.json")],
+            "ablate": ["ablate", "--data", str(pipeline["data"]),
+                       "--out", str(out / "ablation.csv")] + TRAIN_FLAGS,
+        }[command]
+        assert cli.main(argv + ["--split", "tset"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert "'tset'" in err["message"] and "source, test, train" in err["message"]
+        assert not out.exists() or list(out.glob("*")) == []
+
     @pytest.mark.parametrize("split", ["source", "train"])
     def test_detect_ignores_corrupt_files_outside_the_test_split(self, pipeline, tmp_path,
                                                                  split):
@@ -908,6 +961,5 @@ class TestAblateCommand:
                        "--train.attention_hidden", "4",
                        "--train.classifier_hidden", "6"])
         assert rc == 0
-        n_test = len(load_dataset(pipeline["data"]).split("test"))
-        assert sorted(forward_calls) == \
-            sorted([Stream.RGB, Stream.FLOW] * n_test * len(cli.ABLATION_ARMS))
+        _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test",
+                               passes=len(cli.ABLATION_ARMS))

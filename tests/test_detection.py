@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wtal.dataset import FeatureMatrix, Stream, SyntheticSpec, generate_synthetic, load_dataset
+from wtal import detection
+from wtal.dataset import (STREAMS, Dataset, FeatureMatrix, Manifest, Stream, SyntheticSpec,
+                          VideoRecord, encode_features, generate_synthetic, load_dataset)
 from wtal.detection import (
     DetectConfig,
     Proposal,
@@ -113,6 +115,26 @@ class TestExtractProposals:
                 covered.append(sum(p.ind_end - p.ind_start for p in props))
             assert covered == sorted(covered, reverse=True)
 
+    def test_matches_per_class_oracle(self):
+        rng = np.random.default_rng(10)
+        for case in range(1200):
+            shape = (int(rng.integers(1, 5)), 1 if case % 7 == 0 else int(rng.integers(2, 40)))
+            thr = float(rng.uniform(0.05, 0.95))
+            scores = rng.uniform(size=shape)
+            kind = case % 5
+            if kind == 1:                       # every frame above
+                scores = rng.uniform(thr, 1.0, size=shape)
+            elif kind == 2:                     # no frame above
+                scores = rng.uniform(0.0, thr, size=shape) * 0.999
+            elif kind == 3:                     # the threshold equals a score
+                thr = float(rng.choice(scores.ravel()))
+            elif kind == 4:                     # runs touching both ends
+                scores[:, [0, -1]] = rng.uniform(thr, 1.0, size=(shape[0], 2))
+            cfg = DetectConfig(threshold=thr)
+            fps = float(rng.choice([25.0, 7.3]))
+            assert extract_proposals(scores, fps, cfg) == \
+                oracles.extract_proposals_per_class(scores, fps, cfg)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ShapeError):
             extract_proposals(np.zeros(5), 25.0, DetectConfig())
@@ -135,7 +157,7 @@ class TestFrameScores:
             x = FeatureMatrix(rng.normal(size=(4, 7)))
             logits, scores = video_scores(model, x)
             att, cls = forward_video(model, x)
-            np.testing.assert_array_equal(logits, cls.logits)
+            np.testing.assert_array_equal(logits, cls.logits[0])
             for c in range(3):
                 for i in range(7):
                     ref = oracles.frame_class_score(x.values[:, i],
@@ -230,8 +252,9 @@ class TestSplitOutputs:
         rec = data.split("test")[0]
         _, w_rgb = video_scores(m_rgb, data.features(rec.video_id, Stream.RGB))
         _, w_flow = video_scores(m_flow, data.features(rec.video_id, Stream.FLOW))
-        np.testing.assert_array_equal(scores[rec.video_id][0], w_rgb)
-        np.testing.assert_array_equal(scores[rec.video_id][1], w_flow)
+        # the split runs as chunks of videos, video_scores as a chunk of one
+        np.testing.assert_allclose(scores[rec.video_id][0], w_rgb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scores[rec.video_id][1], w_flow, rtol=0, atol=1e-12)
         fused = fused_frame_scores(w_rgb, w_flow, cfg)
         manual = [{"video_id": rec.video_id, "class": p.label,
                    "t_start": p.t_start, "t_end": p.t_end,
@@ -253,8 +276,67 @@ class TestSplitOutputs:
             for model, stream, z, w in zip((m_rgb, m_flow), (Stream.RGB, Stream.FLOW),
                                            (z_rgb, z_flow), scores[pred["video_id"]]):
                 x = data.features(pred["video_id"], stream)
-                np.testing.assert_array_equal(z, forward_video(model, x)[1].logits)
+                np.testing.assert_allclose(z, video_scores(model, x)[0], rtol=0, atol=1e-12)
                 assert w.shape == (data.n_classes, x.n)
             np.testing.assert_allclose(fused, oracles.fuse_streams(z_rgb, z_flow),
                                        rtol=0, atol=1e-12)
             assert z_rgb.shape == z_flow.shape == (data.n_classes,)
+
+
+class TestChunkedPrediction:
+    """predict_split runs chunks of videos; the oracle runs one video at a time."""
+
+    # budget 256 at attention_hidden 64: a 300-frame video makes a chunk of
+    # its own, and 1-frame videos ride along with their neighbours
+    LENGTHS = (300, 1, 12, 7, 250, 9, 1, 40, 200, 3, 1)
+
+    @staticmethod
+    def _dataset(root, rng, d=5, n_classes=3):
+        videos = []
+        for i, n in enumerate(TestChunkedPrediction.LENGTHS):
+            paths = {}
+            for stream in STREAMS:
+                paths[stream] = f"{stream.value}_{i:02d}.tsrf"
+                (root / paths[stream]).write_bytes(
+                    encode_features(FeatureMatrix(rng.normal(size=(d, n)))))
+            videos.append(VideoRecord(video_id=f"test_{i:02d}", split="test", n=n, fps=25.0,
+                                      labels=(int(rng.integers(n_classes)),), trimmed=False,
+                                      feature_paths=paths))
+        return Dataset(root, Manifest(version=1, class_names=("a", "b", "c"),
+                                      videos=tuple(videos)))
+
+    @pytest.mark.parametrize("mode,heads,enabled,hidden_rgb,hidden_flow", [
+        ("softmax", 1, True, 64, 64), ("softmax", 2, True, 64, 48),
+        ("sigmoid", 1, True, 32, 64), ("sigmoid", 2, True, 64, 64),
+        ("softmax", 1, False, 64, 128),
+    ])
+    def test_matches_one_video_at_a_time(self, tmp_path, monkeypatch, mode, heads, enabled,
+                                         hidden_rgb, hidden_flow):
+        chunks = []
+        forward = detection.forward_video
+        monkeypatch.setattr(detection, "forward_video", lambda model, x, counts=None: (
+            chunks.append(tuple(counts or (x.n,))) or forward(model, x, counts)))
+        rng = np.random.default_rng(20)
+        data = self._dataset(tmp_path, rng)
+        m_rgb, m_flow = (
+            init_model(5, 3, stream, "target",
+                       TrainConfig(attention_hidden=hidden, classifier_hidden=7, heads=heads,
+                                   attention_mode=mode, attention_enabled=enabled,
+                                   init_scale=2.0), rng)
+            for stream, hidden in ((Stream.RGB, hidden_rgb), (Stream.FLOW, hidden_flow)))
+        preds, scores = predict_split(data, "test", m_rgb, m_flow)
+        # one pass per chunk and stream, within both models' frame budgets
+        budget = 16384 // max(hidden_rgb, hidden_flow)
+        assert chunks[::2] == chunks[1::2]
+        assert [n for counts in chunks[::2] for n in counts] == list(self.LENGTHS)
+        assert all(sum(counts) <= budget or len(counts) == 1 for counts in chunks)
+        ref_preds, ref_scores = oracles.predict_split_per_video(data, "test", m_rgb, m_flow)
+        assert [p["video_id"] for p in preds] == [p["video_id"] for p in ref_preds]
+        assert list(scores) == list(ref_scores)
+        for pred, ref in zip(preds, ref_preds):
+            for key in ("logits_rgb", "logits_flow", "probs_fused"):
+                np.testing.assert_allclose(pred[key], ref[key], rtol=0, atol=1e-12)
+        for video_id, maps in scores.items():
+            for w, ref_w in zip(maps, ref_scores[video_id]):
+                assert w.shape == ref_w.shape
+                np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)

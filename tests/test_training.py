@@ -191,7 +191,7 @@ class TestTotalLoss:
         batch = self._batch(rng, model)
         cfg = TrainConfig(alpha=0.0, beta=0.0, transfer=TransferConfig(enabled=False))
         total, terms, _ = total_loss(batch, model, cfg)
-        expected = np.mean([class_loss(forward_video(model, x)[1].probs, y)
+        expected = np.mean([class_loss(forward_video(model, x)[1].probs[0], y)
                             for x, y in batch])
         np.testing.assert_allclose(total, expected, rtol=0, atol=1e-15)
         assert terms.fc1 == 0.0 and terms.fc2 == 0.0
@@ -422,19 +422,27 @@ class TestTrainingLoops:
         assert max(fc1_vals) > 0.0
 
     def test_source_model_runs_once_per_source_clip(self, tiny_data, monkeypatch):
+        # every clip's frames pass through the source model exactly once, in
+        # chunks within the frame budget (or of one longer clip)
         src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
+        monkeypatch.setattr(training, "CHUNK_CELLS", 6 * 30)  # 30 frames at 6 hidden units
         calls = []
 
-        def counting_forward(model, x, dropout_mask=None):
-            calls.append(model is src)
-            return forward_video(model, x, dropout_mask)
+        def recording_forward(model, x, counts=None):
+            if model is src:
+                calls.append((tuple(counts or (x.n,)), x.values))
+            return forward_video(model, x, counts)
 
-        monkeypatch.setattr(training, "forward_video", counting_forward)
+        monkeypatch.setattr(training, "forward_video", recording_forward)
+        clips = [x.values for _, x in tiny_data.iter_split("source", Stream.RGB)]
         for iterations in (3, 30):
             calls.clear()
             cfg = dataclasses.replace(TINY_CFG, iterations=iterations)
             train_target(tiny_data, Stream.RGB, cfg, source_model=src)
-            assert sum(calls) == len(tiny_data.split("source"))
+            assert len(calls) > 1
+            assert all(sum(counts) <= 30 or len(counts) == 1 for counts, _ in calls)
+            assert [n for counts, _ in calls for n in counts] == [c.shape[1] for c in clips]
+            np.testing.assert_array_equal(np.hstack([v for _, v in calls]), np.hstack(clips))
 
     def test_cached_source_activations_match_per_step_forward(self, tiny_data):
         cfg = dataclasses.replace(TINY_CFG, iterations=12,
@@ -443,7 +451,8 @@ class TestTrainingLoops:
             src, _ = train_source(tiny_data, stream, cfg)
             model, _ = train_target(tiny_data, stream, cfg, source_model=src)
             reference = oracles.transfer_fit_per_step(tiny_data, stream, cfg, src)
-            assert np.array_equal(model.flat, reference.flat)
+            # the cache runs a chunk of clips at once, the reference one clip
+            np.testing.assert_allclose(model.flat, reference.flat, rtol=0, atol=1e-12)
 
     def test_transfer_needs_source_model(self, tiny_data):
         with pytest.raises(ConfigError, match="source model"):
