@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, generate_synthetic,
-                      load_dataset, load_manifest)
+from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, check_fields,
+                      generate_synthetic, is_json, load_dataset, load_manifest)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
@@ -46,6 +46,8 @@ _SECTION_CLASSES = {
 }
 # transfer/kernel live in their own sections, not under train
 _TRAIN_NESTED = {"transfer", "kernel"}
+# the JSON kinds of fields that take more than their default's kind
+_FIELD_KINDS = {"synth.shift": (float, [float]), "kernel.sigma": (str, float)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +70,8 @@ def _default_value(f: dataclasses.Field):
 
 
 def _coerce(section: str, key: str, value, from_cli: bool):
-    """Bring a config value to the field's natural type.
+    """Check a config value's JSON kind (its default's unless ``_FIELD_KINDS``
+    says otherwise) and bring it to the field's natural type.
 
     CLI values arrive as strings and are parsed as JSON when possible, so
     booleans/numbers/lists work; bare words fall back to strings.
@@ -79,24 +82,14 @@ def _coerce(section: str, key: str, value, from_cli: bool):
         except json.JSONDecodeError:
             pass
     default = _default_value(_section_fields(section)[key])
-    where = f"{section}.{key}"
-    if isinstance(value, list):
+    kind = [type(default[0])] if isinstance(default, tuple) else type(default)
+    check_fields({key: value}, [(key, _FIELD_KINDS.get(f"{section}.{key}", kind))],
+                 ConfigError, section)
+    if isinstance(default, tuple) and len(value) != len(default):
+        raise ConfigError(f"{section}: {key!r} must hold {len(default)} values, got {value!r}")
+    if is_json(value, list):
         return tuple(value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} expects true/false, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} expects an integer, got {value!r}")
-        if float(value) != int(value):
-            raise ConfigError(f"{where} expects an integer, got {value!r}")
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} expects a number, got {value!r}")
-        return float(value)
-    return value
+    return float(value) if kind is float else value
 
 
 def resolve_config(config_path: str | None,
@@ -110,12 +103,12 @@ def resolve_config(config_path: str | None,
             loaded = json.loads(Path(config_path).read_text())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not is_json(loaded, dict):
             raise ConfigError("config file must be a JSON object of sections")
         for section, body in loaded.items():
             if section not in _SECTION_CLASSES:
                 raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(body, dict):
+            if not is_json(body, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
             for key, value in body.items():
                 if key not in doc[section]:
@@ -178,11 +171,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str, parse: Callable[[list], object]):
+    """``parse`` applied to a JSON array file; every InputError names the file."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
+        if not is_json(doc, list):
+            raise InputError(f"{what} file must be a JSON array")
+        return parse(doc)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
+        raise InputError(f"{path}: {what} file is not valid JSON: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _require_split(manifest: Manifest, split: str) -> None:
@@ -298,18 +297,13 @@ def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
     # scoring needs the annotations only, not the feature files
     manifest = load_manifest(Path(args.data) / "manifest.json")
     _require_split(manifest, args.split)
-    detections = _read_json(args.detections, "detections")
-    if not isinstance(detections, list):
-        raise InputError("detections file must be a JSON array")
-    instances = instances_from_detections(detections)
+    instances = _read_json(args.detections, "detections", instances_from_detections)
     gt = ground_truth_instances(manifest, args.split)
     thresholds = parse_thresholds(args.thresholds)
     acc = None
     if args.predictions is not None:
-        predictions = _read_json(args.predictions, "predictions")
-        if not isinstance(predictions, list):
-            raise InputError("predictions file must be a JSON array")
-        acc = accuracy_from_predictions(predictions, manifest, args.split)
+        acc = _read_json(args.predictions, "predictions", lambda doc: accuracy_from_predictions(
+            doc, manifest, args.split))
     report = map_at_iou(instances, gt, thresholds, acc)
     emit_report(report, manifest.class_names, Path(args.out), outputs.write)
     return 0

@@ -243,42 +243,58 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a finite number",
 _FLOAT_MAX = sys.float_info.max
 
 
-def is_json(value, kind: type) -> bool:
-    """Whether ``value`` has JSON type ``kind``. An integer is also a number
-    (``float``) provided it is finite; true and false are neither."""
+def is_json(value, kind) -> bool:
+    """Whether ``value`` has JSON kind ``kind``: a type, ``[kind]`` for an
+    array of that kind, or a tuple of alternative kinds. An integer is also
+    a number (``float``) provided it is finite; true and false are neither."""
     if isinstance(value, bool):
-        return kind is bool
+        return kind is bool or isinstance(kind, tuple) and bool in kind
     if kind is float:
         return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
-    return isinstance(value, kind)
+    if isinstance(kind, type):
+        return isinstance(value, kind)
+    if isinstance(kind, list):     # kind * len(value): the element kind once per element
+        return isinstance(value, list) and all(map(is_json, value, kind * len(value)))
+    return any(is_json(value, k) for k in kind)
 
 
-# each record field's JSON type; "segments" may be absent
+def _kind_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_kind_name, kind))
+    return _JSON_TYPES[kind] if isinstance(kind, type) else f"an array, each {_kind_name(kind[0])}"
+
+
+def check_fields(obj, table, error: type[Exception], where: str) -> None:
+    """Raise ``error`` unless ``obj`` is a JSON object whose every ``(key,
+    kind)`` in ``table`` passes ``is_json``; the message names ``where``."""
+    if not is_json(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    for key, kind in table:
+        if not is_json(obj.get(key), kind):
+            raise error(f"{where}: {key!r} must be {_kind_name(kind)}, got {obj.get(key)!r}")
+
+
+# each record field's JSON kind; "segments" may be absent
 _RECORD_FIELDS = (("id", str), ("split", str), ("n", int), ("fps", float),
-                  ("labels", list), ("trimmed", bool), ("features", dict))
+                  ("labels", [int]), ("trimmed", bool), ("features", dict))
+_MANIFEST_FIELDS = (("version", int), ("classes", [str]), ("videos", list))
 _STREAM_NAMES = sorted(s.value for s in STREAMS)
 
 
-def _record_from_json(obj) -> VideoRecord:
-    if not is_json(obj, dict):
-        raise DataFormatError(f"video record must be a JSON object, got {obj!r}")
-    for key, kind in _RECORD_FIELDS:
-        if not is_json(obj.get(key), kind):
-            raise DataFormatError(f"{key!r} must be {_JSON_TYPES[kind]}, got {obj.get(key)!r}")
-    if not all(is_json(c, int) for c in obj["labels"]):
-        raise DataFormatError(f"'labels' must be integers, got {obj['labels']!r}")
+def _record_from_json(obj, where: str) -> VideoRecord:
+    check_fields(obj, _RECORD_FIELDS, DataFormatError, where)
     paths = obj["features"]
     if sorted(paths) != _STREAM_NAMES or not all(is_json(p, str) for p in paths.values()):
-        raise DataFormatError(f"'features' must map {_STREAM_NAMES} to path strings, "
-                              f"got {paths!r}")
+        raise DataFormatError(f"{where}: 'features' must map {_STREAM_NAMES} to path "
+                              f"strings, got {paths!r}")
     segments = None
     if "segments" in obj:
         segments = obj["segments"]
         if not (is_json(segments, list) and all(
                 is_json(seg, list) and len(seg) == 3 and is_json(seg[0], int)
                 and is_json(seg[1], float) and is_json(seg[2], float) for seg in segments)):
-            raise DataFormatError(f"'segments' must be [label, t_start, t_end] arrays, "
-                                  f"got {segments!r}")
+            raise DataFormatError(f"{where}: 'segments' must be [label, t_start, t_end] "
+                                  f"arrays, got {segments!r}")
         segments = tuple(Segment(c, float(a), float(b)) for c, a, b in segments)
     return VideoRecord(
         video_id=obj["id"],
@@ -302,25 +318,17 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
 
 
 def _manifest_from_json(doc) -> Manifest:
-    if not is_json(doc, dict):
-        raise DataFormatError("manifest is not a JSON object")
-    if doc.get("version") != 1:
-        raise DataFormatError(f"unsupported manifest version {doc.get('version')!r}")
-    classes, records = doc.get("classes"), doc.get("videos")
-    if not (is_json(classes, list) and all(is_json(c, str) for c in classes)):
-        raise DataFormatError(f"manifest 'classes' must be an array of strings, got {classes!r}")
-    if not is_json(records, list):
-        raise DataFormatError("manifest 'videos' must be a JSON array")
+    check_fields(doc, _MANIFEST_FIELDS, DataFormatError, "manifest")
+    if doc["version"] != 1:
+        raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
     videos: dict[str, VideoRecord] = {}
-    for i, obj in enumerate(records):
-        try:
-            rec = _record_from_json(obj)
-        except DataFormatError as exc:
-            raise DataFormatError(f"malformed manifest record {i}: {exc}") from exc
+    for i, obj in enumerate(doc["videos"]):
+        rec = _record_from_json(obj, f"manifest record {i}")
         if rec.video_id in videos:
             raise DataFormatError(f"duplicate video id {rec.video_id!r}")
         videos[rec.video_id] = rec
-    manifest = Manifest(version=1, class_names=tuple(classes), videos=tuple(videos.values()))
+    manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
+                        videos=tuple(videos.values()))
     for rec in manifest.videos:
         rec.validate(manifest.n_classes)
     return manifest
@@ -361,14 +369,15 @@ class Dataset:
         against the stream's files read before it."""
         rec = self._records[video_id]
         fpath = self.root / rec.feature_paths[stream]
-        if not fpath.is_file():
-            raise DataFormatError(f"{rec.video_id}: missing feature file {fpath}")
         try:
             mat = decode_features(fpath.read_bytes())
             if mat.n != rec.n:
                 raise DataFormatError(f"file has n={mat.n}, manifest says {rec.n}")
             if self._dims.setdefault(stream, mat.d) != mat.d:
                 raise DataFormatError(f"d={mat.d} differs from {self._dims[stream]}")
+        except FileNotFoundError as exc:
+            raise DataFormatError(f"{rec.video_id}/{stream.value}: missing feature file "
+                                  f"{fpath}") from exc
         except DataFormatError as exc:
             raise DataFormatError(f"{rec.video_id}/{stream.value} ({fpath}): {exc}") from exc
         return mat

@@ -64,12 +64,6 @@ def chunk_scores(model: Model, x: FeatureMatrix, counts: Sequence[int] | None = 
     return cls.logits, att.frame_weights[None, :] * sigmoid(frames.logits.T)
 
 
-def video_scores(model: Model, x: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """One video as a chunk of one: its (C,) logits and (C, n) score map."""
-    logits, scores = chunk_scores(model, x)
-    return logits[0], scores
-
-
 def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,
                        cfg: DetectConfig) -> np.ndarray:
     """theta-weighted fusion of the two streams' frame score maps."""

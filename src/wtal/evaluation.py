@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Manifest, is_json
+from .dataset import Manifest, check_fields
 from .errors import InputError
 
 
@@ -140,6 +140,8 @@ def ground_truth_instances(manifest: Manifest, split: str) -> list[Instance]:
 
 _DETECTION_FIELDS = (("video_id", str), ("class", int), ("t_start", float),
                      ("t_end", float), ("confidence", float))
+_PREDICTION_FIELDS = (("video_id", str), ("logits_rgb", [float]), ("logits_flow", [float]),
+                      ("probs_fused", [float]))
 
 
 def instances_from_detections(detections: Sequence[Mapping]) -> list[Instance]:
@@ -147,11 +149,7 @@ def instances_from_detections(detections: Sequence[Mapping]) -> list[Instance]:
     an integer class and finite numbers for the times and the confidence."""
     out = []
     for i, det in enumerate(detections):
-        if not is_json(det, dict):
-            raise InputError(f"detection entry {i} is not a JSON object")
-        for key, kind in _DETECTION_FIELDS:
-            if not is_json(det.get(key), kind):
-                raise InputError(f"malformed detection entry {i}: {key!r} is {det.get(key)!r}")
+        check_fields(det, _DETECTION_FIELDS, InputError, f"detection entry {i}")
         out.append(Instance(video_id=det["video_id"], label=det["class"],
                             t_start=float(det["t_start"]), t_end=float(det["t_end"]),
                             confidence=float(det["confidence"])))
@@ -165,13 +163,11 @@ def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest
     fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
     predicted: dict[str, dict[str, int]] = {key: {} for key in fields}
     for i, p in enumerate(predictions):
-        if not (is_json(p, dict) and is_json(p.get("video_id"), str)):
-            raise InputError(f"malformed prediction record {i}: no string 'video_id'")
+        check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
         for key, field_name in fields.items():
-            scores = p.get(field_name)
-            if not (is_json(scores, list) and scores and all(is_json(v, float) for v in scores)):
-                raise InputError(f"malformed prediction record {i}: {field_name!r} is not "
-                                 f"a non-empty array of finite numbers")
+            scores = p[field_name]
+            if not scores:
+                raise InputError(f"prediction record {i}: {field_name!r} is empty")
             # the first index of the largest, as np.argmax, without the array
             predicted[key][p["video_id"]] = max(range(len(scores)), key=scores.__getitem__)
     return {key: accuracy(predicted[key], label_sets) for key in fields}

@@ -64,7 +64,7 @@ from .attention import (MODES, AttentionOutput, AttentionParams, attend,
 from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          class_loss_grad_logits, classifier_grads, classify,
                          label_vector)
-from .dataset import Dataset, FeatureMatrix, Stream
+from .dataset import Dataset, FeatureMatrix, Stream, check_fields, is_json
 from .errors import ConfigError, DataFormatError, DivergenceError, InputError
 from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
 
@@ -515,13 +515,7 @@ def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
 
 def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
     """Check the header's schema; returns the parameter shapes it declares."""
-    if not isinstance(header, dict):
-        raise DataFormatError("checkpoint header is not a JSON object")
-    for key, kind in _HEADER_TYPES.items():
-        if key not in header:
-            raise DataFormatError(f"checkpoint header lacks {key!r}")
-        if not isinstance(header[key], kind) or (kind is int and isinstance(header[key], bool)):
-            raise DataFormatError(f"checkpoint header {key!r} must be of type {kind.__name__}")
+    check_fields(header, _HEADER_TYPES.items(), DataFormatError, "checkpoint header")
     if header["role"] not in _ROLE_CODE:
         raise DataFormatError(f"unknown checkpoint role {header['role']!r}")
     if header["stream"] not in {s.value for s in Stream}:
@@ -529,13 +523,12 @@ def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
     if header["attention_mode"] not in MODES:
         raise DataFormatError(f"unknown attention mode {header['attention_mode']!r}")
     specs = header["params"]
-    names = [spec.get("name") if isinstance(spec, dict) else None for spec in specs]
+    names = [spec.get("name") if is_json(spec, dict) else None for spec in specs]
     if names != list(PARAM_KEYS):
         raise DataFormatError(f"checkpoint parameters are {names}, expected {list(PARAM_KEYS)}")
     shapes = tuple(spec.get("shape") for spec in specs)
     for name, shape in zip(names, shapes):
-        if not (isinstance(shape, list) and all(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        if not (is_json(shape, [int]) and all(n >= 0 for n in shape)):
             raise DataFormatError(f"checkpoint parameter {name} has bad shape {shape!r}")
     return tuple(tuple(shape) for shape in shapes)
 

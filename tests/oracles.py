@@ -6,7 +6,8 @@ the library is meaningful evidence, not a tautology. The exceptions
 reuse library kernels so that they differ from the library in one respect
 only: ``transfer_fit_per_step`` in when the source model runs, and
 ``total_loss_per_video`` and ``predict_split_per_video`` in running the
-attention layer one video at a time.
+attention layer one video at a time. ``video_scores`` is the library's
+chunk scoring on a chunk of one video.
 """
 
 import math
@@ -310,10 +311,18 @@ def extract_proposals_per_class(scores, fps, cfg):
     return proposals
 
 
+def video_scores(model, x):
+    """``detection.chunk_scores`` on one video: its (C,) logits and (C, n)
+    score map."""
+    from wtal.detection import chunk_scores
+
+    logits, scores = chunk_scores(model, x)
+    return logits[0], scores
+
+
 def predict_split_per_video(data, split, model_rgb, model_flow):
     """predict_split with one forward pass per video and stream."""
     from wtal.dataset import Stream
-    from wtal.detection import video_scores
     from wtal.numerics import stable_softmax
 
     records, scores = [], {}

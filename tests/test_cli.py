@@ -31,6 +31,18 @@ TRAIN_FLAGS = [
     "--train.iterations", "20", "--train.batch_size", "4",
     "--train.attention_hidden", "4", "--train.classifier_hidden", "6",
 ]
+# (field, value as JSON text): values of the wrong JSON kind, non-finite
+# numbers, and arrays where the field takes none or one of another length
+# or element kind
+BAD_CONFIG_VALUES = [
+    ("synth.d", "Infinity"), ("synth.d", "NaN"), ("synth.d", "1e400"),
+    ("train.lr_rgb", "Infinity"), ("train.lr_rgb", "NaN"), ("train.lr_rgb", "1e400"),
+    ("synth.seed", '"fast"'), ("transfer.enabled", "7"),
+    ("synth.frames", '["a",3]'), ("synth.frames", "[20]"), ("synth.frames", "5"),
+    ("synth.action_fraction", '["a",0.2]'), ("synth.shift", '["x"]'),
+    ("train.alpha", "[1]"), ("kernel.sigma", "[1]"), ("kernel.sigma", "true"),
+    ("kernel.sigma", "Infinity"),
+]
 
 
 class TestParseThresholds:
@@ -78,8 +90,10 @@ class TestResolveConfig:
         assert doc["synth"]["seed"] == 5
 
     def test_tuple_fields_from_json(self):
-        run_cfg, _ = cli.resolve_config(None, {"synth.frames": "[8,12]"})
+        run_cfg, _ = cli.resolve_config(None, {"synth.frames": "[8,12]",
+                                               "synth.shift": "[1, 2.5, 0]"})
         assert run_cfg.synth.frames == (8, 12)
+        assert run_cfg.synth.shift == (1, 2.5, 0)
 
     def test_bool_and_string_fields(self):
         run_cfg, _ = cli.resolve_config(
@@ -101,11 +115,23 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             cli.resolve_config(str(path), {})
 
-    def test_type_errors_rejected(self):
-        with pytest.raises(ConfigError, match="integer"):
-            cli.resolve_config(None, {"synth.seed": "fast"})
-        with pytest.raises(ConfigError, match="true/false"):
-            cli.resolve_config(None, {"transfer.enabled": "7"})
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+    def test_type_errors_rejected(self, tmp_path, capsys, field, value, given):
+        section, key = field.split(".")
+        argv = ["synth", "--out", str(tmp_path / "data")]
+        if given == "flag":
+            argv += [f"--{field}", value]
+        else:
+            (tmp_path / "cfg.json").write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert section in err["message"] and repr(key) in err["message"]
+        assert not (tmp_path / "data").exists()
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
@@ -180,6 +206,33 @@ def _ckpt_header_flip(blob, rng):
     return blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1:]
 
 
+def _ckpt_header_edit(edit):
+    """A corruption that edits a checkpoint's JSON header and rewrites its
+    length field, so that only the edit is wrong."""
+    def mutate(blob, rng):
+        hlen, = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        edit(header, rng)
+        text = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:]
+    return mutate
+
+
+def _retype_field(entry, rng):
+    """Give one seeded field of a JSON object a value of another JSON type."""
+    key = sorted(entry)[int(rng.integers(len(entry)))]
+    pool = [v for v in (None, True, "x", 1.5, [], {}) if type(v) is not type(entry[key])]
+    entry[key] = pool[int(rng.integers(len(pool)))]
+
+
+def _shape_entry(value):
+    """Set one seeded entry of one seeded parameter shape to ``value``."""
+    def edit(header, rng):
+        shape = header["params"][int(rng.integers(len(header["params"])))]["shape"]
+        shape[int(rng.integers(len(shape)))] = value
+    return edit
+
+
 # seeded by case index; each must end in one DataFormatError JSON line
 TSRC_CORRUPTIONS = (
     _truncate, _truncate, _truncate,
@@ -193,6 +246,10 @@ TSRC_CORRUPTIONS = (
     _ckpt_payload_value(float("-inf")),
     lambda blob, rng: blob + bytes(rng.integers(0, 256, int(rng.integers(1, 17)),
                                                 dtype=np.uint8)),
+    _ckpt_header_edit(_retype_field), _ckpt_header_edit(_retype_field),
+    _ckpt_header_edit(_retype_field),
+    _ckpt_header_edit(_shape_entry(-1)), _ckpt_header_edit(_shape_entry(True)),
+    _ckpt_header_edit(_shape_entry(1.5)),
 )
 
 
@@ -216,10 +273,7 @@ def _last(key, value):
 def _retype(doc, rng):
     """Give one seeded field of one seeded entry a value of another JSON type."""
     entries = doc["videos"] if isinstance(doc, dict) else doc
-    entry = entries[int(rng.integers(len(entries)))]
-    key = sorted(entry)[int(rng.integers(len(entry)))]
-    pool = [v for v in (None, True, "x", 1.5, [], {}) if type(v) is not type(entry[key])]
-    entry[key] = pool[int(rng.integers(len(pool)))]
+    _retype_field(entries[int(rng.integers(len(entries)))], rng)
 
 
 # seeded by case index; each must end in one JSON error line: DataFormatError

@@ -17,9 +17,11 @@ from wtal.dataset import (
     STREAMS,
     SyntheticSpec,
     VideoRecord,
+    check_fields,
     decode_features,
     encode_features,
     generate_synthetic,
+    is_json,
     load_dataset,
     load_manifest,
     save_manifest,
@@ -117,6 +119,28 @@ class TestFeatureFormat:
             FeatureMatrix(np.zeros(3))
         with pytest.raises(InputError):
             FeatureMatrix(np.zeros((0, 4)))
+
+
+class TestJsonKinds:
+    @pytest.mark.parametrize("value, kind, expected", [
+        (True, bool, True), (True, int, False), (True, float, False), (1, float, True),
+        (1.5, int, False), (float("inf"), float, False), (float("nan"), float, False),
+        ([1, 2], [int], True), ([1, True], [int], False), ([], [str], True),
+        ("x", [str], False), ([[1.5]], [[float]], True), (True, (bool, str), True),
+        ("median", (str, float), True), (2, (str, float), True), (True, (str, float), False),
+        ([1.0, -2], (float, [float]), True), ([1.0, None], (float, [float]), False),
+    ])
+    def test_kinds(self, value, kind, expected):
+        assert is_json(value, kind) is expected
+
+    def test_check_fields_names_where_key_and_kind(self):
+        with pytest.raises(InputError, match=r"^entry 3: 'a' must be an array, each an "
+                                             r"integer, got \[1, 'x'\]$"):
+            check_fields({"a": [1, "x"]}, (("a", [int]),), InputError, "entry 3")
+        with pytest.raises(DataFormatError, match=r"^entry 3 is not a JSON object$"):
+            check_fields([], (("a", int),), DataFormatError, "entry 3")
+        with pytest.raises(InputError, match="'b' must be a string or a finite number, got None"):
+            check_fields({"a": 1}, (("a", int), ("b", (str, float))), InputError, "entry 3")
 
 
 class TestManifest:
@@ -374,8 +398,10 @@ class TestLoadDataset:
         rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
         (tmp_path / rec.feature_paths[Stream.RGB]).unlink()
         data = load_dataset(tmp_path)
-        with pytest.raises(DataFormatError, match="missing feature file"):
+        with pytest.raises(DataFormatError, match="missing feature file") as exc:
             list(data.iter_split(rec.split, Stream.RGB))
+        assert f"{rec.video_id}/rgb" in str(exc.value)
+        assert str(tmp_path / rec.feature_paths[Stream.RGB]) in str(exc.value)
 
     def test_frame_count_mismatch(self, tmp_path):
         rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]

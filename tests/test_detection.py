@@ -15,12 +15,12 @@ from wtal.detection import (
     extract_proposals,
     fused_frame_scores,
     predict_split,
-    video_scores,
 )
 from wtal.errors import ConfigError, ShapeError
 from wtal.training import Model, TrainConfig, forward_video, init_model, train_source
 
 import oracles
+from oracles import video_scores
 
 
 def _model(rng, d=4, n_classes=3, heads=1, mode="softmax"):
