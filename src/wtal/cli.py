@@ -9,6 +9,13 @@ Each run prints its fully-resolved configuration to stdout. Artifacts are
 written atomically (temp file + rename) and removed if the command fails
 partway, so a nonzero exit never leaves partial outputs behind.
 
+``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
+models share nothing until detection fuses them, so ``_fit_streams`` runs
+the RGB fit in this process and the flow fit in one forked child, and the
+command writes its files only after both are back. The results are those
+of fitting one stream after the other, bit for bit; an RGB error is raised
+before a flow error, and no process outlives the command.
+
 Exit codes: 0 ok, 1 runtime error (JSON error object on stderr), 2 usage.
 """
 
@@ -184,6 +191,54 @@ def _read_json(path: str, what: str, parse: Callable[[list], object]):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _fit_streams(fit: Callable[[Stream], object]) -> dict[Stream, object]:
+    """``{stream: fit(stream)}`` in STREAMS order, the two fits running at once.
+
+    RGB runs in this process and flow in one forked child, which sends back
+    its result or the exception it raised. The RGB error is raised first,
+    then the flow error; a child that exits without sending anything raises
+    ChildProcessError. Whatever happens, the child is stopped and joined
+    before this returns. Fork, not spawn: the child starts from the loaded
+    dataset and models instead of a fresh import.
+    """
+    import multiprocessing  # here, not at the top: it adds ~15 ms to every command
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_fit_in_child, args=(fit, Stream.FLOW, writer))
+    child.start()       # flushes stdout first, so nothing buffered is printed twice
+    writer.close()
+    try:
+        rgb = fit(Stream.RGB)
+        try:
+            ok, flow = reader.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(f"the flow stream's training process exited with code "
+                                    f"{child.exitcode} before sending its result") from None
+        if not ok:
+            raise flow
+        return {Stream.RGB: rgb, Stream.FLOW: flow}
+    finally:
+        reader.close()
+        if child.is_alive():
+            child.terminate()
+        child.join()
+
+
+def _fit_in_child(fit: Callable[[Stream], object], stream: Stream, writer) -> None:
+    """The forked child's side of ``_fit_streams``: send ``(True, result)`` or
+    ``(False, exception)``. It prints nothing; the parent reports errors."""
+    try:
+        message = (True, fit(stream))
+    except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
+        message = (False, exc)
+    try:
+        writer.send(message)
+    except BaseException:  # noqa: BLE001 - unsendable or the parent is gone: it sees EOF
+        pass
+
+
 def _require_split(manifest: Manifest, split: str) -> None:
     """A split without videos is a misspelling: scoring it would report zeros."""
     if not manifest.split(split):
@@ -228,11 +283,13 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
                                   f"of the other stream ({sources[stream].stream.value})")
     data = load_dataset(args.data)
     outdir = Path(args.out)
-    for stream in STREAMS:
+
+    def fit(stream: Stream):
         if args.role == "source":
-            model, rows = train_source(data, stream, cfg)
-        else:
-            model, rows = train_target(data, stream, cfg, sources[stream])
+            return train_source(data, stream, cfg)
+        return train_target(data, stream, cfg, sources[stream])
+
+    for stream, (model, rows) in _fit_streams(fit).items():
         outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
                       lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
         outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
@@ -241,6 +298,8 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
 
 
 def _cmd_gradcheck(args, *_) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     errors = certify_gradients(seed=args.seed)
     worst = max(errors.values())
     for name in sorted(errors):
@@ -326,12 +385,12 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
         arm_cfg = dataclasses.replace(
             cfg, attention_enabled=att_on,
             transfer=dataclasses.replace(cfg.transfer, enabled=kt_on))
-        models = {}
-        for stream in STREAMS:
-            source_model = None
-            if kt_on:
-                source_model, _ = train_source(data, stream, arm_cfg)
-            models[stream], _ = train_target(data, stream, arm_cfg, source_model)
+
+        def fit(stream: Stream):
+            source_model = train_source(data, stream, arm_cfg)[0] if kt_on else None
+            return train_target(data, stream, arm_cfg, source_model)[0]
+
+        models = _fit_streams(fit)
         predictions, scores = predict_split(data, split, models[Stream.RGB],
                                             models[Stream.FLOW])
         detections = detect_split(data, split, scores, dcfg)
@@ -345,6 +404,8 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
 
 
 def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
+    if not (0.0 < args.iou <= 1.0):
+        raise ConfigError(f"--iou must lie in (0, 1], got {args.iou!r}")
     data = load_dataset(args.data)
     _require_split(data.manifest, args.split)
     rows = run_ablation(data, run_cfg.train, run_cfg.detect, args.iou, args.split)

@@ -173,6 +173,8 @@ class SyntheticSpec:
             raise ConfigError(f"empty action-fraction range {self.action_fraction}")
         if min(self.source_per_class, self.target_train, self.target_test) < 1:
             raise ConfigError("every split needs at least one video")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ class TrainConfig:
             raise ConfigError("dropout rate must lie in [0, 1)")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.attention_mode not in MODES:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if min(self.attention_hidden, self.heads, self.classifier_hidden) < 1:
@@ -170,6 +172,11 @@ class Model:
         views = self.views(self.flat)
         self.attention = AttentionParams(*views[:2])
         self.classifier = ClassifierParams(*views[2:])
+
+    def __reduce__(self):
+        # rebuilt from ``flat``, so that the unpickled views share its memory
+        return (Model, (self.flat, self.shapes, self.stream, self.role,
+                        self.attention_enabled, self.attention_mode))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a vector laid out like ``flat``."""

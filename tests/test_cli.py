@@ -2,12 +2,15 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from wtal import cli
 from wtal.dataset import STREAMS, Stream, load_dataset, load_manifest
 from wtal.errors import ConfigError
 from wtal.training import (CSV_HEADER, TrainConfig, init_model, load_checkpoint,
-                           save_checkpoint)
+                           save_checkpoint, train_source, train_target)
 
 SYNTH_FLAGS = [
     "--synth.n_classes", "2", "--synth.d", "4",
@@ -373,13 +376,19 @@ def _assert_forwarded_once(calls, data, split, passes=1):
 
 
 @pytest.fixture
-def decodes(monkeypatch):
-    """The byte length of each feature file decoded, in call order."""
-    calls = []
+def decodes(monkeypatch, tmp_path):
+    """A function that lists the byte length of each feature file decoded so
+    far, by this process and by the forked flow-stream child alike."""
+    log = tmp_path / "decodes.log"
     decode = wtal.dataset.decode_features
-    monkeypatch.setattr(wtal.dataset, "decode_features",
-                        lambda blob: calls.append(len(blob)) or decode(blob))
-    return calls
+
+    def record(blob):
+        with open(log, "a") as fh:
+            fh.write(f"{len(blob)}\n")
+        return decode(blob)
+
+    monkeypatch.setattr(wtal.dataset, "decode_features", record)
+    return lambda: [int(n) for n in log.read_text().split()] if log.exists() else []
 
 
 def _train_argv(pipeline, out, role, transfer=True):
@@ -390,6 +399,26 @@ def _train_argv(pipeline, out, role, transfer=True):
     elif role == "target":
         argv += ["--transfer.enabled", "false"]
     return argv + TRAIN_FLAGS
+
+
+def _python(*args):
+    """A fresh interpreter that imports this ``wtal``, its output captured."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
+def _ablate_argv(data, out, *flags):
+    return ["ablate", "--data", str(data), "--out", str(out), "--train.iterations", "10",
+            "--train.batch_size", "4", "--train.attention_hidden", "4",
+            "--train.classifier_hidden", "6", *flags]
+
+
+def _one_error(err_text):
+    """The single JSON error line a failed command leaves on stderr."""
+    lines = err_text.splitlines()
+    assert len(lines) == 1, err_text
+    return json.loads(lines[0])
 
 
 def _detect_argv(data, out, ckpts):
@@ -537,7 +566,7 @@ class TestPipeline:
         }[command]
         assert cli.main(argv) == 0
         manifest = load_manifest(pipeline["data"] / "manifest.json")
-        assert len(decodes) == len(STREAMS) * sum(len(manifest.split(s)) for s in splits)
+        assert len(decodes()) == len(STREAMS) * sum(len(manifest.split(s)) for s in splits)
 
     def test_resolved_config_is_logged(self, pipeline, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "d"),
@@ -715,12 +744,8 @@ class TestCommandFailures:
     def test_divergence_stops_training(self, pipeline, tmp_path, flags, names):
         # a child process, so that numpy's floating-point warnings would reach
         # its stderr as they do on the command line
-        run = subprocess.run(
-            [sys.executable, "-m", "wtal.cli", "train", "--role", "target",
-             "--data", str(pipeline["data"]), "--out", str(tmp_path / "m"),
-             "--transfer.enabled", "false"] + TRAIN_FLAGS + flags,
-            capture_output=True, text=True, timeout=120,
-            env=os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        run = _python("-m", "wtal.cli",
+                      *_train_argv(pipeline, tmp_path / "m", "target", transfer=False), *flags)
         assert run.returncode == 1
         lines = run.stderr.splitlines()
         assert len(lines) == 1, run.stderr
@@ -959,11 +984,117 @@ class TestCommandFailures:
         assert err["error"] == "DataFormatError" and rel in err["message"]
         assert list(out.glob("*")) == []     # the RGB stream's files are removed too
 
+    @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+    def test_negative_seed_exits_one(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--out", str(out), "--synth.seed", "-1"] + SYNTH_FLAGS,
+                "train": _train_argv(pipeline, out, "source") + ["--train.seed", "-1"],
+                "gradcheck": ["gradcheck", "--seed", "-1"]}[command]
+        assert cli.main(argv) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "seed" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iou", ["2", "0", "-0.5", "nan", "inf"])
+    def test_ablate_rejects_iou_outside_the_unit_interval(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch, iou):
+        calls = []
+        monkeypatch.setattr(cli, "train_target",
+                            lambda *a, **k: calls.append(a) or train_target(*a, **k))
+        out = tmp_path / "ablation.csv"
+        assert cli.main(_ablate_argv(pipeline["data"], out, "--iou", iou)) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "--iou" in err["message"]
+        assert calls == [] and not out.exists()
+
     def test_help_exits_zero(self):
         for argv in (["--help"], ["train", "--help"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 0
+
+
+class TestStreamsSideBySide:
+    """``train`` and ``ablate`` fit the flow stream in one forked child."""
+
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_train_matches_streams_fitted_one_after_the_other(self, pipeline, tmp_path,
+                                                              role):
+        out = tmp_path / "m"
+        assert cli.main(_train_argv(pipeline, out, role)) == 0
+        cfg = cli.resolve_config(None, dict(zip((f[2:] for f in TRAIN_FLAGS[::2]),
+                                                TRAIN_FLAGS[1::2])))[0].train
+        data = load_dataset(pipeline["data"])
+        for stream in STREAMS:
+            if role == "source":
+                model, rows = train_source(data, stream, cfg)
+            else:
+                source, _, _ = load_checkpoint(pipeline["src"] / f"source_{stream.value}.ckpt")
+                model, rows = train_target(data, stream, cfg, source)
+            save_checkpoint(model, cfg, cfg.iterations, tmp_path / "serial.ckpt")
+            name = f"{role}_{stream.value}"
+            assert (out / f"{name}.ckpt").read_bytes() == \
+                (tmp_path / "serial.ckpt").read_bytes()
+            assert (out / f"{name}_loss.csv").read_text() == "\n".join(rows) + "\n"
+
+    @staticmethod
+    def _argv(pipeline, out, command, *flags):
+        """A target fit without transfer (``train``) or the four arms (``ablate``)."""
+        if command == "train":
+            return _train_argv(pipeline, out, "target", transfer=False) + list(flags)
+        return _ablate_argv(pipeline["data"], out, *flags)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_rgb_error_stops_the_running_flow_child(self, pipeline, tmp_path, capfd,
+                                                    monkeypatch, command):
+        fit = cli.train_target
+
+        def slow_flow(data, stream, cfg, source):
+            if stream == Stream.FLOW:
+                time.sleep(60)      # still fitting when the RGB stream diverges
+            return fit(data, stream, cfg, source)
+
+        monkeypatch.setattr(cli, "train_target", slow_flow)
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert cli.main(self._argv(pipeline, out, command, "--train.lr_rgb", "1e300")) == 1
+        assert time.monotonic() - started < 30
+        err = _one_error(capfd.readouterr().err)     # both processes' stderr
+        assert err["error"] == "DivergenceError"
+        assert err["message"].startswith("target rgb training diverged")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_resolved_config_is_printed_once_through_a_pipe(self, pipeline, tmp_path,
+                                                            command):
+        run = _python("-m", "wtal.cli", *self._argv(pipeline, tmp_path / "out", command))
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["command"] == command
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_killed_child_exits_one(self, pipeline, tmp_path, capfd, monkeypatch, command):
+        parent, fit = os.getpid(), cli.train_target
+
+        def killed_in_child(data, stream, cfg, source):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit(data, stream, cfg, source)
+
+        monkeypatch.setattr(cli, "train_target", killed_in_child)
+        out = tmp_path / "out"
+        assert cli.main(self._argv(pipeline, out, command)) == 1
+        err = _one_error(capfd.readouterr().err)
+        assert err["error"] == "ChildProcessError"
+        assert f"exited with code {-signal.SIGKILL}" in err["message"]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        run = _python("-c", "import sys, wtal.cli; "
+                      "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+        assert run.returncode == 0 and run.stdout.strip() == "[]", run.stderr
 
 
 class TestOutputs:
@@ -992,12 +1123,7 @@ class TestGradcheckCommand:
 class TestAblateCommand:
     def test_four_arms_reported(self, pipeline, tmp_path):
         out = tmp_path / "ablation.csv"
-        rc = cli.main(["ablate", "--data", str(pipeline["data"]),
-                       "--out", str(out),
-                       "--train.iterations", "10", "--train.batch_size", "4",
-                       "--train.attention_hidden", "4",
-                       "--train.classifier_hidden", "6"])
-        assert rc == 0
+        assert cli.main(_ablate_argv(pipeline["data"], out)) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "arm,accuracy,mAP@0.5"
         assert [ln.split(",")[0] for ln in lines[1:]] == \
@@ -1009,11 +1135,6 @@ class TestAblateCommand:
 
     def test_one_forward_per_test_video_and_stream_per_arm(self, pipeline, tmp_path,
                                                             forward_calls):
-        rc = cli.main(["ablate", "--data", str(pipeline["data"]),
-                       "--out", str(tmp_path / "ablation.csv"),
-                       "--train.iterations", "10", "--train.batch_size", "4",
-                       "--train.attention_hidden", "4",
-                       "--train.classifier_hidden", "6"])
-        assert rc == 0
+        assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
         _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test",
                                passes=len(cli.ABLATION_ARMS))

@@ -2,6 +2,7 @@
 and the finite-difference gradient certifier."""
 
 import dataclasses
+import pickle
 import struct
 
 import numpy as np
@@ -94,6 +95,7 @@ class TestConfig:
             dict(attention_mode="mean"),
             dict(label_fraction=0.0),
             dict(decay_every=0),
+            dict(seed=-1),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()
@@ -128,6 +130,18 @@ class TestParameterLayout:
         loaded, _, _ = load_checkpoint(path)
         self._check_views(loaded)
         np.testing.assert_array_equal(loaded.flat, model.flat)
+
+    def test_unpickled_views_follow_the_flat_vector(self):
+        model = _tiny_model()
+        copy = pickle.loads(pickle.dumps(model))
+        self._check_views(copy)
+        np.testing.assert_array_equal(copy.flat, model.flat)
+        assert (copy.shapes, copy.stream, copy.role, copy.attention_enabled,
+                copy.attention_mode) == (model.shapes, model.stream, model.role,
+                                         model.attention_enabled, model.attention_mode)
+        copy.flat += 1.0
+        np.testing.assert_array_equal(copy.attention.w1, model.attention.w1 + 1.0)
+        np.testing.assert_array_equal(copy.classifier.fc2_b, model.classifier.fc2_b + 1.0)
 
 
 class TestOptimizer:
