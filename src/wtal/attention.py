@@ -60,12 +60,7 @@ def _membership(counts: Sequence[int], n: int) -> np.ndarray:
     """The (B, N) 0/1 matrix whose row b marks the columns of video b."""
     if min(counts, default=0) < 1 or sum(counts) != n:
         raise ShapeError(f"frame counts {tuple(counts)} do not split {n} frames")
-    if len(counts) == 1:                # one video: skip the loop on this hot path
-        return np.ones((1, n))
-    member = np.zeros((len(counts), n))
-    for row, end, count in zip(member, accumulate(counts), counts):
-        row[end - count:end] = 1.0
-    return member
+    return np.repeat(np.eye(len(counts)), counts, axis=1)
 
 
 def _video_sums(v: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -116,8 +111,6 @@ def attend(x: FeatureMatrix, p: AttentionParams, mode: str = "softmax",
     """Pool each video's frames into m_b = concat_k(X_b @ a_k) with learned
     weights; ``counts`` splits the columns of ``x`` into videos (default:
     one video)."""
-    # detection calls this once per video and stream: attribute lookups and
-    # keyword arguments are kept off this path
     if mode not in MODES:
         raise ConfigError(f"unknown attention mode {mode!r}")
     values = x.values

@@ -5,6 +5,8 @@ Subcommands: synth | train | gradcheck | detect | eval | ablate.
 Configuration is a JSON document with sections synth / train / transfer /
 kernel / detect; every key has a CLI override flag named --<section>.<key>
 (the mapping is one-to-one), and unknown sections or keys are rejected.
+Every command builds, and so checks, every section, also those it does
+not use.
 Each run prints its fully-resolved configuration to stdout. Artifacts are
 written atomically (temp file + rename) and removed if the command fails
 partway, so a nonzero exit never leaves partial outputs behind.
@@ -32,14 +34,15 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, check_fields,
-                      generate_synthetic, is_json, load_dataset, load_manifest)
+                      generate_synthetic, is_json, load_dataset, load_manifest,
+                      read_json)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
                          ground_truth_instances, instances_from_detections,
                          map_at_iou)
-from .training import (TrainConfig, certify_gradients, load_checkpoint,
-                       save_checkpoint, train_source, train_target)
+from .training import (TrainConfig, certify_gradients, config_from_dict,
+                       load_checkpoint, save_checkpoint, train_source, train_target)
 from .transfer import KernelConfig, TransferConfig
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -106,12 +109,9 @@ def resolve_config(config_path: str | None,
     doc = {section: {name: _default_value(f) for name, f in _section_fields(section).items()}
            for section in _SECTION_CLASSES}
     if config_path is not None:
-        try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        loaded = read_json(config_path, "config file", ConfigError)
         if not is_json(loaded, dict):
-            raise ConfigError("config file must be a JSON object of sections")
+            raise ConfigError(f"{config_path}: config file must be a JSON object of sections")
         for section, body in loaded.items():
             if section not in _SECTION_CLASSES:
                 raise ConfigError(f"unknown config section {section!r}")
@@ -126,11 +126,9 @@ def resolve_config(config_path: str | None,
         doc[section][key] = _coerce(section, key, raw, from_cli=True)
 
     synth = SyntheticSpec(**doc["synth"])
-    train = TrainConfig(transfer=TransferConfig(**doc["transfer"]),
-                        kernel=KernelConfig(**doc["kernel"]), **doc["train"])
-    train.validate()
-    detect = DetectConfig(**doc["detect"])
-    return RunConfig(synth=synth, train=train, detect=detect), doc
+    train = config_from_dict({**doc["train"], "transfer": doc["transfer"],
+                              "kernel": doc["kernel"]})
+    return RunConfig(synth=synth, train=train, detect=DetectConfig(**doc["detect"])), doc
 
 
 def _log_resolved(command: str, doc: dict) -> None:
@@ -180,13 +178,11 @@ def _json_text(obj) -> str:
 
 def _read_json(path: str, what: str, parse: Callable[[list], object]):
     """``parse`` applied to a JSON array file; every InputError names the file."""
+    doc = read_json(path, f"{what} file", InputError)
     try:
-        doc = json.loads(Path(path).read_text())
         if not is_json(doc, list):
             raise InputError(f"{what} file must be a JSON array")
         return parse(doc)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {what} file is not valid JSON: {exc}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -154,15 +154,17 @@ class SyntheticSpec:
     fps: float = 25.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.d < 1:
             raise ConfigError("feature dimension must be >= 1")
-        if self.separation <= 0:
+        if not self.separation > 0:      # written so that NaN fails
             raise ConfigError("class-mean separation must be > 0")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ConfigError("noise scale must be >= 0")
+        if not self.fps > 0:
+            raise ConfigError("fps must be > 0")
         lo, hi = self.frames
         if not (1 <= lo <= hi):
             raise ConfigError(f"empty frame-count range {self.frames}")
@@ -175,6 +177,8 @@ class SyntheticSpec:
             raise ConfigError("every split needs at least one video")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if isinstance(self.shift, (tuple, list)) and len(self.shift) != self.d:
+            raise ConfigError(f"shift vector must have length d={self.d}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +340,18 @@ def _manifest_from_json(doc) -> Manifest:
     return manifest
 
 
+def read_json(path: Path | str, what: str, error: type[Exception]):
+    """The JSON document in file ``path``; a parse error is ``error`` and
+    names the file and ``what`` it should hold."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
+
+
 def load_manifest(path: Path) -> Manifest:
     """Parse and validate ``manifest.json``; every error names the file."""
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    doc = read_json(path, "manifest", DataFormatError)
     try:
         return _manifest_from_json(doc)
     except (DataFormatError, InputError) as exc:
@@ -415,10 +425,7 @@ def _class_means(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
 
 def _shift_vector(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
     if isinstance(spec.shift, (tuple, list)):
-        vec = np.asarray(spec.shift, dtype=np.float64)
-        if vec.shape != (spec.d,):
-            raise ConfigError(f"shift vector must have length d={spec.d}")
-        return vec
+        return np.asarray(spec.shift, dtype=np.float64)
     direction = rng.standard_normal(spec.d)
     norm = float(np.linalg.norm(direction))
     return direction * (float(spec.shift) / norm)
@@ -483,7 +490,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: Path | str) -> Manifest:
     ``numpy.random.Generator(PCG64(SeedSequence(spec.seed)))`` children in a
     fixed order.
     """
-    spec.validate()
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)

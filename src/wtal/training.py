@@ -111,16 +111,16 @@ class TrainConfig:
     transfer: TransferConfig = field(default_factory=TransferConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
-    def validate(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+    def __post_init__(self):
+        if not (self.alpha >= 0 and self.beta >= 0):     # written so that NaN fails
             raise ConfigError("regularizer weights must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.lr_rgb <= 0 or self.lr_flow <= 0:
+        if not (self.lr_rgb > 0 and self.lr_flow > 0):
             raise ConfigError("learning rates must be positive")
-        if self.decay_every < 1 or self.decay_factor <= 0:
+        if not (self.decay_every >= 1 and self.decay_factor > 0):
             raise ConfigError("invalid learning-rate schedule")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout rate must lie in [0, 1)")
@@ -132,6 +132,8 @@ class TrainConfig:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if min(self.attention_hidden, self.heads, self.classifier_hidden) < 1:
             raise ConfigError("layer sizes must be >= 1")
+        if not self.init_scale >= 0:
+            raise ConfigError("init_scale must be >= 0")
         if not (0.0 < self.label_fraction <= 1.0):
             raise ConfigError("label_fraction must lie in (0, 1]")
 
@@ -462,7 +464,6 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
 def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
                  ) -> tuple[Model, list[str]]:
     """Train one stream's source model on the trimmed split, class loss only."""
-    cfg.validate()
     records = list(dataset.iter_split("source", stream))
     if not records:
         raise InputError("source split is empty")
@@ -475,7 +476,6 @@ def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
 def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
                  source_model: Model | None = None) -> tuple[Model, list[str]]:
     """Train one stream's target model on the untrimmed train split."""
-    cfg.validate()
     records = list(dataset.iter_split("train", stream))
     if not records:
         raise InputError("train split is empty")

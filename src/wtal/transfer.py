@@ -158,9 +158,6 @@ def mmd2_grad_u(t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
 def transfer_loss(source: np.ndarray, target: np.ndarray,
                   kcfg: KernelConfig) -> tuple[float, float]:
     """Squared MMD at one classifier tap, and the bandwidth it used."""
-    if source.shape[1] != target.shape[1]:
-        raise ConfigError(f"source and target widths differ: "
-                          f"{source.shape[1]} vs {target.shape[1]}")
     t, u = _check_pair(source, target)
     _, _, d_tt, d_uu, d_tu = _sq_blocks(t, u)
     if kcfg.sigma == "median":

@@ -93,7 +93,7 @@ class TestResolveConfig:
         assert doc["synth"]["seed"] == 5
 
     def test_tuple_fields_from_json(self):
-        run_cfg, _ = cli.resolve_config(None, {"synth.frames": "[8,12]",
+        run_cfg, _ = cli.resolve_config(None, {"synth.frames": "[8,12]", "synth.d": "3",
                                                "synth.shift": "[1, 2.5, 0]"})
         assert run_cfg.synth.frames == (8, 12)
         assert run_cfg.synth.shift == (1, 2.5, 0)
@@ -143,7 +143,18 @@ class TestResolveConfig:
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="not valid JSON") as exc:
+            cli.resolve_config(str(path), {})
+        assert str(exc.value).startswith(f"{path}: config file ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "config file must be a JSON object of sections"),
+        ({"train": 5}, "config section 'train' must be an object"),
+    ], ids=["file", "section"])
+    def test_non_object_config_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
             cli.resolve_config(str(path), {})
 
 
@@ -253,6 +264,10 @@ TSRC_CORRUPTIONS = (
     _ckpt_header_edit(_retype_field),
     _ckpt_header_edit(_shape_entry(-1)), _ckpt_header_edit(_shape_entry(True)),
     _ckpt_header_edit(_shape_entry(1.5)),
+    # values out of range in the config the checkpoint was trained with
+    _ckpt_header_edit(lambda header, rng: header["config"].update(iterations=0)),
+    _ckpt_header_edit(lambda header, rng: header["config"].update(dropout=7.5)),
+    _ckpt_header_edit(lambda header, rng: header["config"].update(alpha="x")),
 )
 
 
@@ -664,19 +679,25 @@ class TestCommandFailures:
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
 
-    @pytest.mark.parametrize("mutate", [
-        lambda h: h.update(stream="depth"),
-        lambda h: h.pop("config"),
-        lambda h: h.pop("params"),
-        lambda h: h["config"].update(bogus=1),
-        lambda h: h.pop("role"),
-        lambda h: h.pop("iteration"),
-        lambda h: h["params"][0].update(name="att_w0"),
-        lambda h: h["params"].reverse(),
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda h: h.update(stream="depth"), "unknown checkpoint stream 'depth'"),
+        (lambda h: h.pop("config"), "'config' must be an object"),
+        (lambda h: h.pop("params"), "'params' must be an array"),
+        (lambda h: h["config"].update(bogus=1), "bad checkpoint config"),
+        (lambda h: h.pop("role"), "'role' must be a string"),
+        (lambda h: h.pop("iteration"), "'iteration' must be an integer"),
+        (lambda h: h["params"][0].update(name="att_w0"), "checkpoint parameters are"),
+        (lambda h: h["params"].reverse(), "checkpoint parameters are"),
+        (lambda h: h.update(role="teacher"), "unknown checkpoint role 'teacher'"),
+        (lambda h: h.update(attention_mode="mean"), "unknown attention mode 'mean'"),
+        # att_w2 stored (b, r) instead of (r, b): the sizes still add up
+        (lambda h: h["params"][1]["shape"].reverse(),
+         "inconsistent checkpoint parameter shapes"),
     ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
-            "no_role", "no_iteration", "renamed_param", "reordered_params"])
+            "no_role", "no_iteration", "renamed_param", "reordered_params",
+            "unknown_role", "unknown_attention_mode", "transposed_shape"])
     def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
-                                                   mutate):
+                                                   mutate, message):
         blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
         hlen, = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + hlen])
@@ -691,6 +712,7 @@ class TestCommandFailures:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataFormatError"
+        assert err["message"].startswith(f"{bad}: ") and message in err["message"]
         assert not (tmp_path / "d.json").exists()
 
     def test_target_transfer_needs_source_checkpoints(self, pipeline, tmp_path, capsys):
@@ -994,6 +1016,40 @@ class TestCommandFailures:
         err = _one_error(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "seed" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--synth.frames", "[3,2]", "empty frame-count range"),
+        ("detect", "--synth.frames", "[3,2]", "empty frame-count range"),
+        ("eval", "--synth.d", "0", "feature dimension"),
+        ("synth", "--train.iterations", "0", "iterations"),
+    ], ids=["train", "detect", "eval", "synth"])
+    def test_every_config_section_is_checked(self, pipeline, tmp_path, capsys, command,
+                                             flag, value, message):
+        # each command checks every section, also those it does not read
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--out", str(out)],
+                "train": _train_argv(pipeline, out, "source"),
+                "detect": _detect_argv(pipeline["data"], out / "det.json", pipeline["tgt"]),
+                "eval": ["eval", "--data", str(pipeline["data"]),
+                         "--detections", str(pipeline["det"]),
+                         "--out", str(out / "report.json")]}[command]
+        assert cli.main(argv + [flag, value]) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+        assert not out.exists()
+
+    def test_synth_replaces_an_existing_output_and_a_stale_partial(self, pipeline,
+                                                                    tmp_path):
+        out = tmp_path / "data"
+        for stale in (out, tmp_path / "data.partial"):
+            stale.mkdir()
+            (stale / "stale.txt").write_text("left over")
+        assert cli.main(["synth", "--out", str(out)] + SYNTH_FLAGS) == 0
+        assert not (tmp_path / "data.partial").exists()
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == sorted(
+            p.relative_to(pipeline["data"]) for p in pipeline["data"].rglob("*"))
+        assert ((out / "manifest.json").read_bytes()
+                == (pipeline["data"] / "manifest.json").read_bytes())
 
     @pytest.mark.parametrize("iou", ["2", "0", "-0.5", "nan", "inf"])
     def test_ablate_rejects_iou_outside_the_unit_interval(self, pipeline, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Tests for the feature container format, manifest i/o, and the
 synthetic benchmark generator."""
 
+import math
 import json
 import struct
 
@@ -223,26 +224,44 @@ class TestFrameLabels:
 
 class TestSyntheticSpecValidation:
     def test_defaults_are_valid(self):
-        SyntheticSpec().validate()
+        SyntheticSpec()
 
     def test_rejects_single_class(self):
         with pytest.raises(ConfigError):
-            SyntheticSpec(n_classes=1).validate()
+            SyntheticSpec(n_classes=1)
 
     def test_rejects_short_videos(self):
         # untrimmed structure needs room for up to 3 runs plus gaps
         with pytest.raises(ConfigError):
-            SyntheticSpec(frames=(4, 12)).validate()
+            SyntheticSpec(frames=(4, 12))
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigError):
-            SyntheticSpec(action_fraction=(0.0, 0.2)).validate()
+            SyntheticSpec(action_fraction=(0.0, 0.2))
         with pytest.raises(ConfigError):
-            SyntheticSpec(action_fraction=(0.5, 0.2)).validate()
+            SyntheticSpec(action_fraction=(0.5, 0.2))
 
     def test_rejects_nonpositive_separation(self):
         with pytest.raises(ConfigError):
-            SyntheticSpec(separation=0.0).validate()
+            SyntheticSpec(separation=0.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(d=0), "feature dimension"),
+        (dict(noise=-0.1), "noise"),
+        (dict(noise=math.nan), "noise"),
+        (dict(separation=math.nan), "separation"),
+        (dict(fps=0.0), "fps"),
+        (dict(fps=-5.0), "fps"),
+        (dict(frames=(12, 8)), "empty frame-count range"),
+        (dict(target_test=0), "at least one video"),
+        (dict(source_per_class=0), "at least one video"),
+        (dict(seed=-1), "seed"),
+        (dict(d=3, shift=(1.0, 2.0)), "length d=3"),
+    ], ids=["d", "noise", "noise_nan", "separation_nan", "fps_zero", "fps_negative",
+            "frames", "target_test", "source_per_class", "seed", "shift"])
+    def test_rejects_out_of_range_values(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            SyntheticSpec(**bad)
 
 
 class TestGenerateSynthetic:
@@ -366,11 +385,10 @@ class TestGenerateSynthetic:
         np.testing.assert_allclose(col - target_mean[rec.labels[0]], vec,
                                    rtol=0, atol=1e-6)
 
-    def test_shift_vector_length_checked(self, tmp_path):
+    def test_shift_vector_length_checked(self):
         import dataclasses
-        spec = dataclasses.replace(TINY_SPEC, shift=(1.0, 2.0))
         with pytest.raises(ConfigError, match="shift"):
-            generate_synthetic(spec, tmp_path)
+            dataclasses.replace(TINY_SPEC, shift=(1.0, 2.0))
 
 
 class TestLoadDataset:

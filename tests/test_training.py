@@ -2,6 +2,7 @@
 and the finite-difference gradient certifier."""
 
 import dataclasses
+import json
 import pickle
 import struct
 
@@ -76,7 +77,7 @@ def _named(model):
 
 class TestConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_round_trip_through_dict(self):
         cfg = TrainConfig(alpha=0.3, attention_mode="sigmoid",
@@ -96,9 +97,16 @@ class TestConfig:
             dict(label_fraction=0.0),
             dict(decay_every=0),
             dict(seed=-1),
+            dict(attention_hidden=0),
+            dict(heads=0),
+            dict(classifier_hidden=0),
+            dict(alpha=float("nan")),
+            dict(lr_flow=float("nan")),
+            dict(decay_factor=float("nan")),
+            dict(init_scale=-1.0),
         ):
             with pytest.raises(ConfigError):
-                TrainConfig(**bad).validate()
+                TrainConfig(**bad)
 
     def test_per_stream_learning_rate(self):
         cfg = TrainConfig(lr_rgb=1e-4, lr_flow=5e-4)
@@ -567,6 +575,21 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(bad)
 
+
+    @pytest.mark.parametrize("field, value", [("iterations", 0), ("dropout", 7.5),
+                                              ("alpha", "x"), ("lr_rgb", float("nan"))])
+    def test_rejects_out_of_range_config(self, tmp_path, field, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(_tiny_model(), TrainConfig(), 0, path)
+        blob = path.read_bytes()
+        hlen, = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header["config"][field] = value
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        with pytest.raises(DataFormatError, match="bad checkpoint config") as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_rejects_non_finite_parameters(self, tmp_path):
         model = _tiny_model()

@@ -260,8 +260,10 @@ class TestTransferLoss:
             assert transfer_loss(batch, batch.copy(), KernelConfig(sigma=1.0)) == (0.0, 1.0)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="3 vs 4"):
+        with pytest.raises(ShapeError, match="3 vs 4"):
             transfer_loss(np.zeros((2, 3)), np.zeros((2, 4)), KernelConfig(sigma=1.0))
+        with pytest.raises(ShapeError, match="2-D"):
+            transfer_loss(np.zeros(3), np.zeros((2, 3)), KernelConfig(sigma=1.0))
 
     def test_grads_match_finite_differences_at_fixed_sigma(self):
         rng = np.random.default_rng(13)
