@@ -71,7 +71,7 @@ def _video_sums(v: np.ndarray, member: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttentionOutput:
-    """Forward pass artifacts; hidden/logits are kept for the backward pass.
+    """Forward pass artifacts; hidden is kept for the backward pass.
 
     ``a`` is (r, N), each head's weights summing to 1 over each video, and
     ``m`` is (B, r*d), row b concatenating video b's per-head pooled vectors.
@@ -86,7 +86,6 @@ class AttentionOutput:
     m: np.ndarray
     scores: np.ndarray
     hidden: np.ndarray
-    logits: np.ndarray
     mode: str
     counts: tuple[int, ...]
     member: np.ndarray
@@ -129,8 +128,8 @@ def attend(x: FeatureMatrix, p: AttentionParams, mode: str = "softmax",
         scores = sigmoid(logits)
     a = scores / _video_sums(scores, member)
     pooling, m = _pooled(values, a, member)
-    return AttentionOutput(a, m, a if mode == "softmax" else scores, hidden, logits, mode,
-                           counts, member, pooling)
+    return AttentionOutput(a, m, a if mode == "softmax" else scores, hidden, mode, counts,
+                           member, pooling)
 
 
 def uniform_attention(x: FeatureMatrix, r: int = 1,
@@ -141,8 +140,7 @@ def uniform_attention(x: FeatureMatrix, r: int = 1,
     member = _membership(counts, x.n)
     a = np.tile((1.0 / np.array(counts, dtype=np.float64)) @ member, (r, 1))
     pooling, m = _pooled(x.values, a, member)
-    return AttentionOutput(a, m, a, np.zeros((0, x.n)), np.zeros((r, x.n)), "uniform",
-                           counts, member, pooling)
+    return AttentionOutput(a, m, a, np.zeros((0, x.n)), "uniform", counts, member, pooling)
 
 
 def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,

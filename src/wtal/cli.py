@@ -33,16 +33,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, check_fields,
-                      generate_synthetic, is_json, load_dataset, load_manifest,
-                      read_json)
+from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, config_value,
+                      field_default, generate_synthetic, is_json, load_dataset,
+                      load_manifest, read_json)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
                          ground_truth_instances, instances_from_detections,
                          map_at_iou)
-from .training import (TrainConfig, certify_gradients, config_from_dict,
-                       load_checkpoint, save_checkpoint, train_source, train_target)
+from .training import (TrainConfig, certify_gradients, load_checkpoint,
+                       save_checkpoint, train_source, train_target)
 from .transfer import KernelConfig, TransferConfig
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -54,10 +54,6 @@ _SECTION_CLASSES = {
     "kernel": KernelConfig,
     "detect": DetectConfig,
 }
-# transfer/kernel live in their own sections, not under train
-_TRAIN_NESTED = {"transfer", "kernel"}
-# the JSON kinds of fields that take more than their default's kind
-_FIELD_KINDS = {"synth.shift": (float, [float]), "kernel.sigma": (str, float)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,45 +64,17 @@ class RunConfig:
 
 
 def _section_fields(section: str) -> dict[str, dataclasses.Field]:
-    cls = _SECTION_CLASSES[section]
-    return {f.name: f for f in dataclasses.fields(cls)
-            if not (section == "train" and f.name in _TRAIN_NESTED)}
-
-
-def _default_value(f: dataclasses.Field):
-    if f.default is not dataclasses.MISSING:
-        return f.default
-    return f.default_factory()
-
-
-def _coerce(section: str, key: str, value, from_cli: bool):
-    """Check a config value's JSON kind (its default's unless ``_FIELD_KINDS``
-    says otherwise) and bring it to the field's natural type.
-
-    CLI values arrive as strings and are parsed as JSON when possible, so
-    booleans/numbers/lists work; bare words fall back to strings.
-    """
-    if from_cli:
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError:
-            pass
-    default = _default_value(_section_fields(section)[key])
-    kind = [type(default[0])] if isinstance(default, tuple) else type(default)
-    check_fields({key: value}, [(key, _FIELD_KINDS.get(f"{section}.{key}", kind))],
-                 ConfigError, section)
-    if isinstance(default, tuple) and len(value) != len(default):
-        raise ConfigError(f"{section}: {key!r} must hold {len(default)} values, got {value!r}")
-    if is_json(value, list):
-        return tuple(value)
-    return float(value) if kind is float else value
+    """The section's fields; train's config-valued fields (transfer, kernel)
+    are sections of their own."""
+    return {f.name: f for f in dataclasses.fields(_SECTION_CLASSES[section])
+            if not dataclasses.is_dataclass(field_default(f))}
 
 
 def resolve_config(config_path: str | None,
                    overrides: dict[str, str]) -> tuple[RunConfig, dict]:
     """Defaults <- config file <- CLI flags; returns the built config and
     the fully-resolved document for logging."""
-    doc = {section: {name: _default_value(f) for name, f in _section_fields(section).items()}
+    doc = {section: {name: field_default(f) for name, f in _section_fields(section).items()}
            for section in _SECTION_CLASSES}
     if config_path is not None:
         loaded = read_json(config_path, "config file", ConfigError)
@@ -117,17 +85,22 @@ def resolve_config(config_path: str | None,
                 raise ConfigError(f"unknown config section {section!r}")
             if not is_json(body, dict):
                 raise ConfigError(f"config section {section!r} must be an object")
+            fields = _section_fields(section)
             for key, value in body.items():
-                if key not in doc[section]:
+                if key not in fields:
                     raise ConfigError(f"unknown config key {section}.{key}")
-                doc[section][key] = _coerce(section, key, value, from_cli=False)
+                doc[section][key] = config_value(fields[key], value, section)
     for dotted, raw in overrides.items():
         section, key = dotted.split(".", 1)
-        doc[section][key] = _coerce(section, key, raw, from_cli=True)
+        try:    # as JSON, so that booleans, numbers and lists work; a bare word stays a string
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        doc[section][key] = config_value(_section_fields(section)[key], value, section)
 
     synth = SyntheticSpec(**doc["synth"])
-    train = config_from_dict({**doc["train"], "transfer": doc["transfer"],
-                              "kernel": doc["kernel"]})
+    train = TrainConfig(**doc["train"], transfer=TransferConfig(**doc["transfer"]),
+                        kernel=KernelConfig(**doc["kernel"]))
     return RunConfig(synth=synth, train=train, detect=DetectConfig(**doc["detect"])), doc
 
 
@@ -335,6 +308,8 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
+            if not (0.0 < start <= 1.0 and 0.0 < stop <= 1.0):
+                raise ValueError("grid ends must lie in (0, 1]")
             if step <= 0 or stop < start:
                 raise ValueError("empty grid")
             count = int(round((stop - start) / step)) + 1
@@ -425,7 +400,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             flag = f"--{section}.{name}"
             parser.add_argument(flag, dest=flag[2:], metavar="V", default=None,
                                 help=f"override {section}.{name} "
-                                     f"(default {_default_value(f)!r})")
+                                     f"(default {field_default(f)!r})")
 
 
 def _overrides(args) -> dict[str, str]:

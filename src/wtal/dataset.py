@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -150,7 +150,7 @@ class SyntheticSpec:
     action_fraction: tuple[float, float] = (0.06, 0.16)
     separation: float = 5.0
     noise: float = 0.4
-    shift: float | tuple[float, ...] = 2.0
+    shift: float | tuple[float, ...] = field(default=2.0, metadata={"kind": (float, [float])})
     fps: float = 25.0
     seed: int = 0
 
@@ -278,6 +278,41 @@ def check_fields(obj, table, error: type[Exception], where: str) -> None:
     for key, kind in table:
         if not is_json(obj.get(key), kind):
             raise error(f"{where}: {key!r} must be {_kind_name(kind)}, got {obj.get(key)!r}")
+
+
+def field_default(f: Field):
+    """The default value of dataclass field ``f``."""
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+def config_value(f: Field, value, where: str):
+    """``value`` for field ``f`` of a config class, which raises ConfigError
+    naming ``where`` unless it has the JSON kind of the field's default (or
+    ``f.metadata["kind"]``, for a field that takes more), brought to the
+    field's type: an array becomes a tuple of the default's length and an
+    integer a float where the default is one. A config-valued field builds
+    its class from a nested object, through ``config_from_json``."""
+    default = field_default(f)
+    if is_dataclass(default):
+        return config_from_json(type(default), value, f"{where}.{f.name}")
+    kind = f.metadata.get("kind", [type(default[0])] if isinstance(default, tuple)
+                          else type(default))
+    check_fields({f.name: value}, [(f.name, kind)], ConfigError, where)
+    if isinstance(default, tuple) and len(value) != len(default):
+        raise ConfigError(f"{where}: {f.name!r} must hold {len(default)} values, got {value!r}")
+    if is_json(value, list):
+        return tuple(value)
+    return float(value) if kind is float else value
+
+
+def config_from_json(cls: type, obj, where: str):
+    """A ``cls`` config from a JSON object holding every field and no other
+    key, each value through ``config_value``."""
+    check_fields(obj, (), ConfigError, where)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return cls(**{f.name: config_value(f, obj.get(f.name), where) for f in fields(cls)})
 
 
 # each record field's JSON kind; "segments" may be absent

@@ -36,14 +36,11 @@ def stable_softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))      # never overflows: exp(-x) for x >= 0, exp(x) below
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def finite_diff_grad(

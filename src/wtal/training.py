@@ -64,7 +64,8 @@ from .attention import (MODES, AttentionOutput, AttentionParams, attend,
 from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          class_loss_grad_logits, classifier_grads, classify,
                          label_vector)
-from .dataset import Dataset, FeatureMatrix, Stream, check_fields, is_json
+from .dataset import (Dataset, FeatureMatrix, Stream, check_fields, config_from_json,
+                      is_json)
 from .errors import ConfigError, DataFormatError, DivergenceError, InputError
 from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
 
@@ -73,7 +74,7 @@ CKPT_VERSION = 1
 PARAM_KEYS = ("att_w1", "att_w2", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 LOSS_TERMS = ("class", "smooth", "sparsity", "fc1", "fc2")
 CSV_HEADER = "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
-_LOSS_COLUMNS = CSV_HEADER.split(",")[1:]     # the names of LossTerms.values()
+_LOSS_COLUMNS = CSV_HEADER.split(",")[1:]     # the total, then LOSS_TERMS
 
 _STREAM_CODE = {Stream.RGB: 0, Stream.FLOW: 1}
 _ROLE_CODE = {"source": 0, "target": 1}
@@ -139,17 +140,6 @@ class TrainConfig:
 
     def lr_for(self, stream: Stream) -> float:
         return self.lr_rgb if stream == Stream.RGB else self.lr_flow
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
-
-
-def config_from_dict(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    transfer = TransferConfig(**doc.pop("transfer"))
-    kernel = KernelConfig(**doc.pop("kernel"))
-    return TrainConfig(transfer=transfer, kernel=kernel, **doc)
 
 
 @dataclass
@@ -266,24 +256,6 @@ def forward_batch(model: Model, xs: Sequence[FeatureMatrix],
     return chunks, pooled_m, classify(pooled_m, model.classifier, dropout_mask)
 
 
-@dataclass(frozen=True)
-class LossTerms:
-    total: float
-    class_term: float
-    smooth: float
-    sparsity: float
-    fc1: float
-    fc2: float
-
-    def values(self) -> tuple[float, ...]:
-        """The terms in CSV column order."""
-        return (self.total, self.class_term, self.smooth, self.sparsity,
-                self.fc1, self.fc2)
-
-    def csv_row(self, iteration: int) -> str:
-        return f"{iteration}," + ",".join(repr(v) for v in self.values())
-
-
 def loss_weights(cfg: TrainConfig) -> dict[str, float]:
     """The target objective: class + alpha R_smooth + beta R_sparsity + L_FC1 + L_FC2,
     with each transfer term weighted 0 when its tap is switched off."""
@@ -298,14 +270,15 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
                dropout_mask: np.ndarray | None = None,
                source_acts: tuple[np.ndarray, np.ndarray] | None = None,
                weights: dict[str, float] | None = None
-               ) -> tuple[float, LossTerms, np.ndarray]:
+               ) -> tuple[float, dict[str, float], np.ndarray]:
     """Weighted loss over one batch and its analytic gradient w.r.t. ``model.flat``.
 
     ``dropout_mask`` is the batch's (B, h) mask matrix, or None for no
     dropout. ``weights`` maps LOSS_TERMS names to weights (absent names
-    weigh 0) and defaults to ``loss_weights(cfg)``; the returned LossTerms
-    keep each term's unweighted value. ``source_acts`` is the frozen source
-    model's (pooled, hidden) batch; without it the transfer terms are dropped.
+    weigh 0) and defaults to ``loss_weights(cfg)``; the returned terms map
+    each LOSS_TERMS name, in that order, to its unweighted value.
+    ``source_acts`` is the frozen source model's (pooled, hidden) batch;
+    without it the transfer terms are dropped.
     """
     if not batch:
         raise InputError("empty batch")
@@ -319,21 +292,20 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     labels = np.vstack([y for _, y in batch])
     probs = cls.probs
 
-    class_term = float(np.mean(class_loss(probs, labels)))
-    smooth_term = sum(smooth_reg_direct(att.a, att.counts) for _, att in chunks) / n_reg
-    sparsity_term = sum(sparsity_reg(att.scores) for _, att in chunks) / n_reg
+    terms = dict.fromkeys(LOSS_TERMS, 0.0)
+    terms["class"] = float(np.mean(class_loss(probs, labels)))
+    terms["smooth"] = sum(smooth_reg_direct(att.a, att.counts) for _, att in chunks) / n_reg
+    terms["sparsity"] = sum(sparsity_reg(att.scores) for _, att in chunks) / n_reg
 
-    kt_terms = {"fc1": 0.0, "fc2": 0.0}
     kt_grads = {}   # tap -> weighted gradient rows, one per video
     if source_acts is not None:
         for tap, source, target in (("fc1", source_acts[0], pooled_m),
                                     ("fc2", source_acts[1], cls.hidden_clean)):
             if w[tap]:
-                kt_terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
+                terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
                 kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
 
-    values = (class_term, smooth_term, sparsity_term, kt_terms["fc1"], kt_terms["fc2"])
-    total = sum((w[k] * v for k, v in zip(LOSS_TERMS, values) if w[k]), 0.0)
+    total = sum((w[k] * terms[k] for k in LOSS_TERMS if w[k]), 0.0)
 
     g_logits = w["class"] * (class_loss_grad_logits(probs, labels) / len(batch))
     cg = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
@@ -361,10 +333,7 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
             acc += g
         lo = hi
 
-    loss_terms = LossTerms(total=total, class_term=class_term,
-                           smooth=smooth_term, sparsity=sparsity_term,
-                           fc1=kt_terms["fc1"], fc2=kt_terms["fc2"])
-    return total, loss_terms, grad
+    return total, terms, grad
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +419,14 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
             sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
             source_acts = (src_m[sidx], src_hidden[sidx])
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
-            _, terms, grad = total_loss(batch, model, cfg, mask, source_acts, weights)
+            total, terms, grad = total_loss(batch, model, cfg, mask, source_acts, weights)
             sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
-        bad = [f"{name}={v!r}" for name, v in zip(_LOSS_COLUMNS, terms.values())
-               if not math.isfinite(v)]
+        values = (total, *terms.values())
+        bad = [f"{name}={v!r}" for name, v in zip(_LOSS_COLUMNS, values) if not math.isfinite(v)]
         if bad or not np.isfinite(model.flat).all():
             raise DivergenceError(f"{role} {stream.value} training diverged at iteration {it}: "
                                   f"non-finite {', '.join(bad) or 'parameters after the update'}")
-        rows.append(terms.csv_row(it))
+        rows.append(f"{it}," + ",".join(map(repr, values)))
     return model, rows
 
 
@@ -513,7 +482,7 @@ def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
         "attention_mode": model.attention_mode,
         "params": [{"name": k, "shape": list(shape)}
                    for k, shape in zip(PARAM_KEYS, model.shapes)],
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     Path(path).write_bytes(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(blob)) + blob
@@ -563,9 +532,9 @@ def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
         raise DataFormatError(f"corrupt checkpoint header: {exc}") from exc
     shapes = _header_shapes(header)
     try:
-        cfg = config_from_dict(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad checkpoint config: {exc!r}") from exc
+        cfg = config_from_json(TrainConfig, header["config"], "config")
+    except ConfigError as exc:
+        raise DataFormatError(f"bad checkpoint config: {exc}") from exc
     offset = 12 + hlen
     sizes = [math.prod(shape) for shape in shapes]
     count = sum(sizes)

@@ -41,7 +41,7 @@ bandwidth; which taps run is decided by the training loss weights alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .errors import ConfigError, SampleError, ShapeError
 class KernelConfig:
     """sigma is a positive number or the string "median"."""
 
-    sigma: float | str = "median"
+    sigma: float | str = field(default="median", metadata={"kind": (str, float)})
 
     def __post_init__(self):
         if isinstance(self.sigma, str):

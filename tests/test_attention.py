@@ -82,7 +82,7 @@ class TestAttend:
         rng = np.random.default_rng(4)
         x, p = _random_instance(rng)
         out = attend(x, p)
-        shifted = stable_softmax(out.logits[0] + 37.5)
+        shifted = stable_softmax((p.w2 @ out.hidden)[0] + 37.5)
         assert int(np.argmax(shifted)) == int(np.argmax(out.a[0]))
 
     def test_sigmoid_mode_normalizes_scores(self):
@@ -104,6 +104,8 @@ class TestAttend:
         p = AttentionParams(np.zeros((2, 5)), np.zeros((1, 2)))
         with pytest.raises(ShapeError):
             attend(x, p)
+        with pytest.raises(ShapeError, match="2-D"):
+            AttentionParams(np.zeros((2, 5)), np.zeros(2))
 
 
 class TestUniformAttention:
@@ -337,7 +339,7 @@ class TestChunks:
         out = attend(chunk, p, mode, counts=self.LENGTHS)
         singles = [attend(v, p, mode) for v in videos]
         assert out.a.shape == (r, chunk.n) and out.m.shape == (len(videos), r * chunk.d)
-        for name in ("a", "scores", "hidden", "logits"):
+        for name in ("a", "scores", "hidden"):
             np.testing.assert_allclose(getattr(out, name),
                                        np.hstack([getattr(s, name) for s in singles]),
                                        rtol=0, atol=1e-12, err_msg=name)

@@ -108,6 +108,10 @@ class TestClassify:
         with pytest.raises(ShapeError):
             ClassifierParams(np.zeros((3, 4)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
 
+    def test_rejects_inconsistent_parameter_shapes(self):
+        with pytest.raises(ShapeError, match="inconsistent"):
+            ClassifierParams(np.zeros((3, 4)), np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+
 
 class TestLabelsAndLoss:
     def test_single_label_one_hot(self):
@@ -124,6 +128,10 @@ class TestLabelsAndLoss:
             label_vector([], 3)
         with pytest.raises(InputError):
             label_vector([3], 3)
+
+    def test_loss_rejects_unequal_shapes(self):
+        with pytest.raises(ShapeError, match="equal shapes"):
+            class_loss(np.full(4, 0.25), label_vector([1], 3))
 
     def test_uniform_probs_cost_log_c(self):
         probs = np.full(4, 0.25)

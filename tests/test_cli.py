@@ -61,7 +61,7 @@ class TestParseThresholds:
 
     def test_rejects_bad_specs(self):
         for bad in ("abc", "0.9:0.1:0.1", "0.1:0.9:-0.1", "0:0.9:0.1",
-                    "0.5,1.5", "2.0"):
+                    "0.5,1.5", "2.0", "0.1:inf:0.1", "-inf:0.5:0.1"):
             with pytest.raises(ConfigError):
                 cli.parse_thresholds(bad)
 
@@ -268,6 +268,12 @@ TSRC_CORRUPTIONS = (
     _ckpt_header_edit(lambda header, rng: header["config"].update(iterations=0)),
     _ckpt_header_edit(lambda header, rng: header["config"].update(dropout=7.5)),
     _ckpt_header_edit(lambda header, rng: header["config"].update(alpha="x")),
+    # values of the wrong JSON kind in that config
+    _ckpt_header_edit(lambda header, rng: header["config"].update(iterations=1.5)),
+    _ckpt_header_edit(lambda header, rng: header["config"].update(alpha=True)),
+    _ckpt_header_edit(lambda header, rng: header["config"].update(batch_size=2.5)),
+    _ckpt_header_edit(lambda header, rng: header["config"]["kernel"].update(sigma=True)),
+    _ckpt_header_edit(lambda header, rng: header["config"]["transfer"].update(enabled=1)),
 )
 
 
@@ -317,6 +323,7 @@ JSON_CORRUPTIONS = {
     "predictions": (
         _last("logits_rgb", lambda logits: "ab"),
         _json_edit(_retype), _json_edit(_retype), _truncate,
+        _last("probs_fused", lambda probs: []),
     ),
 }
 JSON_CASES = [(what, case) for what, cases in JSON_CORRUPTIONS.items()
@@ -666,6 +673,15 @@ class TestCommandFailures:
         assert err["error"] == "ConfigError"
         assert "have 3 classes" in err["message"] and "has 2" in err["message"]
         assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("spec", ["0.1:inf:0.1", "-inf:0.5:0.1"])
+    def test_eval_rejects_a_grid_with_an_infinite_end(self, pipeline, tmp_path, capsys, spec):
+        out = tmp_path / "report.json"
+        rc = cli.main(["eval", "--data", str(pipeline["data"]), "--detections",
+                       str(pipeline["det"]), f"--thresholds={spec}", "--out", str(out)])
+        assert rc == 1
+        assert _one_error(capsys.readouterr().err)["error"] == "ConfigError"
+        assert list(tmp_path.glob("report*")) == []
 
     def test_failed_report_write_leaves_no_partial_report(self, pipeline, tmp_path,
                                                           capsys):
@@ -1050,6 +1066,21 @@ class TestCommandFailures:
             p.relative_to(pipeline["data"]) for p in pipeline["data"].rglob("*"))
         assert ((out / "manifest.json").read_bytes()
                 == (pipeline["data"] / "manifest.json").read_bytes())
+
+    def test_failed_synth_keeps_the_existing_output(self, tmp_path, capsys, monkeypatch):
+        def fail_halfway(spec, out_dir):
+            (out_dir / "features").mkdir(parents=True)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "generate_synthetic", fail_halfway)
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        assert cli.main(["synth", "--out", str(out)] + SYNTH_FLAGS) == 1
+        assert _one_error(capsys.readouterr().err) == {"error": "OSError",
+                                                       "message": "disk full"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("iou", ["2", "0", "-0.5", "nan", "inf"])
     def test_ablate_rejects_iou_outside_the_unit_interval(self, pipeline, tmp_path, capsys,

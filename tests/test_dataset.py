@@ -1,6 +1,7 @@
 """Tests for the feature container format, manifest i/o, and the
 synthetic benchmark generator."""
 
+import dataclasses
 import math
 import json
 import struct
@@ -188,6 +189,18 @@ class TestManifest:
         with pytest.raises(InputError, match="label 4"):
             rec.validate(n_classes=2)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(n=0), "need n >= 1 and fps > 0"),
+        (dict(fps=0.0), "need n >= 1 and fps > 0"),
+        (dict(labels=()), "empty label set"),
+        (dict(segments=(Segment(5, 0.0, 0.1),)), "segment label 5"),
+    ], ids=["n", "fps", "labels", "segment_label"])
+    def test_rejects_bad_record(self, changes, message):
+        rec = VideoRecord(video_id="v", split="test", n=5, fps=25.0, labels=(0,),
+                          trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"})
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(rec, **changes).validate(n_classes=2)
+
     def test_segment_bounds_checked(self):
         with pytest.raises(InputError):
             Segment(0, -0.1, 0.2).validate(n=10, fps=25.0)
@@ -278,7 +291,6 @@ class TestGenerateSynthetic:
 
     def test_seed_changes_features(self, tmp_path):
         generate_synthetic(TINY_SPEC, tmp_path / "a")
-        import dataclasses
         generate_synthetic(dataclasses.replace(TINY_SPEC, seed=1), tmp_path / "b")
         a = (tmp_path / "a" / "features" / "source_00_0000.rgb.tsrf").read_bytes()
         b = (tmp_path / "b" / "features" / "source_00_0000.rgb.tsrf").read_bytes()

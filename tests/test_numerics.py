@@ -117,6 +117,10 @@ class TestFiniteDiffGrad:
         with pytest.raises(ShapeError):
             finite_diff_grad(lambda x: 0.0, np.zeros(2), h=0.0)
 
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(FloatingPointError, match="entry 1"):
+            finite_diff_grad(lambda x: float("inf") if x[1] > 0 else 0.0, np.zeros(2))
+
 
 class TestGradRelError:
     def test_zero_for_identical(self):

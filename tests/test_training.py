@@ -12,9 +12,11 @@ import pytest
 from wtal import training
 from wtal.classifier import class_loss, label_vector
 from wtal.dataset import (
+    Dataset,
     FeatureMatrix,
     Stream,
     SyntheticSpec,
+    config_from_json,
     generate_synthetic,
     load_dataset,
 )
@@ -25,8 +27,6 @@ from wtal.training import (
     PARAM_KEYS,
     TrainConfig,
     certify_gradients,
-    config_from_dict,
-    config_to_dict,
     forward_video,
     init_model,
     labeled_subset,
@@ -83,7 +83,8 @@ class TestConfig:
         cfg = TrainConfig(alpha=0.3, attention_mode="sigmoid",
                           transfer=TransferConfig(enabled=True, fc2_enabled=False),
                           kernel=KernelConfig(sigma=2.5))
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_json(TrainConfig, doc, "config") == cfg
 
     def test_rejects_bad_values(self):
         for bad in (
@@ -216,7 +217,8 @@ class TestTotalLoss:
         expected = np.mean([class_loss(forward_video(model, x)[1].probs[0], y)
                             for x, y in batch])
         np.testing.assert_allclose(total, expected, rtol=0, atol=1e-15)
-        assert terms.fc1 == 0.0 and terms.fc2 == 0.0
+        assert list(terms) == list(LOSS_TERMS)
+        assert terms["fc1"] == 0.0 and terms["fc2"] == 0.0
 
     def test_matching_activations_zero_transfer_cost(self):
         rng = np.random.default_rng(1)
@@ -227,8 +229,8 @@ class TestTotalLoss:
         acts = (pooled_m, cls.hidden_clean)
         cfg = TrainConfig(kernel=KernelConfig(sigma=1.0))
         _, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
-        assert terms.fc1 == 0.0
-        assert terms.fc2 == 0.0
+        assert terms["fc1"] == 0.0
+        assert terms["fc2"] == 0.0
 
     def test_weights_scale_regularizers(self):
         rng = np.random.default_rng(2)
@@ -238,9 +240,9 @@ class TestTotalLoss:
         cfg2 = TrainConfig(alpha=2.0, beta=0.5, transfer=TransferConfig(enabled=False))
         t1, terms1, _ = total_loss(batch, model, cfg1)
         t2, terms2, _ = total_loss(batch, model, cfg2)
-        assert terms1.smooth == terms2.smooth  # raw means are weight-free
+        assert terms1["smooth"] == terms2["smooth"]  # raw means are weight-free
         np.testing.assert_allclose(
-            t2 - t1, 2.0 * terms2.smooth + 0.5 * terms2.sparsity,
+            t2 - t1, 2.0 * terms2["smooth"] + 0.5 * terms2["sparsity"],
             rtol=0, atol=1e-15)
 
     def test_zero_weight_drops_the_term_from_loss_and_gradient(self):
@@ -344,17 +346,6 @@ class TestTotalLoss:
             total_loss(self._batch(rng, model), model, TrainConfig(),
                        weights={"class": 1.0, "entropy": 1.0})
 
-    def test_csv_row_layout(self):
-        assert CSV_HEADER == "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
-        rng = np.random.default_rng(4)
-        model = _tiny_model(rng)
-        _, terms, _ = total_loss(self._batch(rng, model), model, TrainConfig())
-        row = terms.csv_row(7)
-        fields = row.split(",")
-        assert len(fields) == len(CSV_HEADER.split(","))
-        assert fields[0] == "7"
-        assert float(fields[1]) == terms.total
-
 
 class TestChunkedStep:
     """A step runs attention per chunk of videos; the reference runs it per video."""
@@ -383,7 +374,7 @@ class TestChunkedStep:
         ref_total, ref_terms, ref_grad = oracles.total_loss_per_video(batch, model, cfg,
                                                                       mask, acts)
         np.testing.assert_allclose(total, ref_total, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(terms.values()[1:], ref_terms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(list(terms.values()), ref_terms, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
         assert np.any(grad[:model.attention.w1.size] != 0.0) == enabled
 
@@ -409,6 +400,17 @@ class TestTrainingLoops:
             _, cls = forward_video(model, x)
             hits += int(np.argmax(cls.probs) == rec.labels[0])
         assert hits / len(records) >= 0.99
+
+    def test_rows_follow_the_csv_header(self, tiny_data):
+        assert CSV_HEADER == "iter,L,L_class,R_smooth,R_sparsity,L_FC1,L_FC2"
+        _, rows = train_source(tiny_data, Stream.RGB, TINY_CFG)
+        assert rows[0] == CSV_HEADER and len(rows) == TINY_CFG.iterations + 1
+        for it, row in enumerate(rows[1:]):
+            fields = row.split(",")
+            assert len(fields) == len(CSV_HEADER.split(","))
+            assert fields[0] == str(it)
+            # the source role's only weight is {"class": 1.0}: L is L_class, bit for bit
+            assert fields[1] == fields[2] and fields[5:] == ["0.0", "0.0"]
 
     def test_class_loss_declines(self, tiny_data):
         cfg = dataclasses.replace(TINY_CFG, iterations=400,
@@ -436,6 +438,14 @@ class TestTrainingLoops:
         before = src.flat.copy()
         train_target(tiny_data, Stream.RGB, TINY_CFG, source_model=src)
         np.testing.assert_array_equal(src.flat, before)
+
+    def test_transfer_needs_a_source_split(self, tiny_data):
+        src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
+        manifest = tiny_data.manifest
+        targets_only = Dataset(tiny_data.root, dataclasses.replace(
+            manifest, videos=tuple(v for v in manifest.videos if v.split != "source")))
+        with pytest.raises(InputError, match="needs a source split"):
+            train_target(targets_only, Stream.RGB, TINY_CFG, source_model=src)
 
     def test_transfer_terms_appear_in_log(self, tiny_data):
         src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)

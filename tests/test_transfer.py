@@ -216,12 +216,13 @@ class TestGramForm:
                   np.eye(5)[int(rng.integers(5))]) for _ in range(cfg.batch_size)]
         acts = (rng.normal(size=(16, 16)), np.maximum(rng.normal(size=(16, 128)), 0.0))
         mask = (rng.random((cfg.batch_size, cfg.classifier_hidden)) < 0.2) / 0.2
-        _, terms, grad = total_loss(batch, model, cfg, mask, acts)
+        total, terms, grad = total_loss(batch, model, cfg, mask, acts)
         monkeypatch.setattr(training, "transfer_loss", oracles.broadcast_transfer_loss)
         monkeypatch.setattr(training, "transfer_grads", oracles.broadcast_transfer_grads)
-        _, want_terms, want_grad = total_loss(batch, model, cfg, mask, acts)
-        assert terms.fc1 > 0.0 and terms.fc2 > 0.0
-        np.testing.assert_allclose(terms.values(), want_terms.values(), rtol=0, atol=1e-12)
+        want_total, want_terms, want_grad = total_loss(batch, model, cfg, mask, acts)
+        assert terms["fc1"] > 0.0 and terms["fc2"] > 0.0
+        np.testing.assert_allclose([total, *terms.values()], [want_total, *want_terms.values()],
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
@@ -282,8 +283,8 @@ class TestTransferLoss:
         total, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
         off = dataclasses.replace(cfg, transfer=TransferConfig(enabled=False))
         total_off, _, _ = total_loss(batch, model, off, source_acts=acts)
-        assert terms.fc2 == 0.0 and terms.fc1 > 0.0
-        assert total == total_off + terms.fc1
+        assert terms["fc2"] == 0.0 and terms["fc1"] > 0.0
+        assert total == total_off + terms["fc1"]
 
     def test_disabled_fc2_grad_is_zero(self):
         model, batch, acts, cfg = fc2_switch_case(14)
