@@ -46,6 +46,7 @@ from .training import (TrainConfig, certify_gradients, load_checkpoint,
 from .transfer import KernelConfig, TransferConfig
 
 GRADCHECK_TOLERANCE = 1e-5
+MAX_THRESHOLDS = 1000       # the most thresholds a start:stop:step grid may hold
 
 _SECTION_CLASSES = {
     "synth": SyntheticSpec,
@@ -260,7 +261,7 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
 
     for stream, (model, rows) in _fit_streams(fit).items():
         outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
-                      lambda tmp: save_checkpoint(model, cfg, cfg.iterations, tmp))
+                      lambda tmp: save_checkpoint(model, tmp))
         outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
                       lambda tmp: tmp.write_text("\n".join(rows) + "\n"))
     return 0
@@ -304,7 +305,7 @@ def _predictions_path(detections_path: Path) -> Path:
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
-    """"0.1:0.9:0.1" is an inclusive grid; "0.5,0.75,0.95" a literal list."""
+    """"0.1:0.9:0.1" is an inclusive grid (at most MAX_THRESHOLDS); "0.5,0.75" a list."""
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
@@ -313,10 +314,12 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
             if step <= 0 or stop < start:
                 raise ValueError("empty grid")
             count = int(round((stop - start) / step)) + 1
+            if count > MAX_THRESHOLDS:
+                raise ValueError(f"the grid holds {count} thresholds, more than {MAX_THRESHOLDS}")
             vals = tuple(round(start + i * step, 10) for i in range(count))
         else:
             vals = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # OverflowError: a step so small the count is inf
         raise ConfigError(f"bad threshold spec {text!r}: {exc}") from exc
     if not vals or any(not (0.0 < v <= 1.0) for v in vals):
         raise ConfigError(f"thresholds must lie in (0, 1]: {text!r}")
@@ -327,7 +330,8 @@ def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
     # scoring needs the annotations only, not the feature files
     manifest = load_manifest(Path(args.data) / "manifest.json")
     _require_split(manifest, args.split)
-    instances = _read_json(args.detections, "detections", instances_from_detections)
+    instances = _read_json(args.detections, "detections", lambda doc: instances_from_detections(
+        doc, manifest, args.split))
     gt = ground_truth_instances(manifest, args.split)
     thresholds = parse_thresholds(args.thresholds)
     acc = None
@@ -366,7 +370,7 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
                                             models[Stream.FLOW])
         detections = detect_split(data, split, scores, dcfg)
         acc = accuracy_from_predictions(predictions, data.manifest, split)
-        report = map_at_iou(instances_from_detections(detections),
+        report = map_at_iou(instances_from_detections(detections, data.manifest, split),
                             ground_truth_instances(data.manifest, split),
                             (iou_thr,), acc)
         rows.append({"arm": name, "accuracy": acc["fused"],

@@ -4,8 +4,8 @@ A frame's score for class c is its attention weight (mean over heads)
 times sigmoid(class-c logit of the classifier applied to that frame),
 fused across streams as theta * rgb + (1 - theta) * flow. Per class,
 maximal consecutive runs of frames at or above the threshold become
-proposals with half-open frame intervals [ind_start, ind_end), converted
-to seconds by t = ind / fps, scored by the mean in-run fused score.
+proposals with half-open frame intervals [ind_start, ind_end), scored by
+the mean in-run fused score; detect_split converts them to t = ind / fps.
 No suppression is needed: maximal runs are disjoint by construction.
 
 predict_split groups consecutive test videos into chunks with the
@@ -41,16 +41,6 @@ class DetectConfig:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class Proposal:
-    label: int
-    t_start: float
-    t_end: float
-    confidence: float
-    ind_start: int
-    ind_end: int
-
-
 def chunk_scores(model: Model, x: FeatureMatrix, counts: Sequence[int] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass over a chunk of videos (``counts`` splits the frame
@@ -72,23 +62,19 @@ def fused_frame_scores(w_rgb: np.ndarray, w_flow: np.ndarray,
     return cfg.theta * w_rgb + (1.0 - cfg.theta) * w_flow
 
 
-def extract_proposals(scores: np.ndarray, fps: float, cfg: DetectConfig) -> list[Proposal]:
-    """Threshold each class's score track into maximal-run proposals, in
-    class-then-time order."""
+def extract_proposals(scores: np.ndarray, cfg: DetectConfig) -> list[tuple[int, int, int, float]]:
+    """Threshold each class's score track into maximal-run proposals:
+    (class, ind_start, ind_end, confidence) tuples, in class-then-time order."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeError("scores must be (classes, frames)")
-    if fps <= 0:
-        raise ConfigError("fps must be positive")
     above = np.zeros((scores.shape[0], scores.shape[1] + 2), dtype=np.int8)
     above[:, 1:-1] = scores >= cfg.threshold
     # each run contributes a rise then a fall in its own row; row-major order
     # keeps the edges of one class together and in time order
     rows, edges = np.nonzero(np.diff(above, axis=1))
     # add.reduce / count is np.mean's arithmetic, so confidences keep its bits
-    return [Proposal(label=c, t_start=lo / fps, t_end=hi / fps,
-                     confidence=float(np.add.reduce(scores[c, lo:hi]) / (hi - lo)),
-                     ind_start=lo, ind_end=hi)
+    return [(c, lo, hi, float(np.add.reduce(scores[c, lo:hi]) / (hi - lo)))
             for c, lo, hi in zip(rows[::2].tolist(), edges[::2].tolist(),
                                  edges[1::2].tolist())]
 
@@ -128,17 +114,17 @@ def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
 def detect_split(data: Dataset, split: str,
                  scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
                  cfg: DetectConfig) -> list[dict]:
-    """Proposals for every video in a split, as output-schema dicts, from
-    the score maps that predict_split returned."""
+    """Proposals for every video in a split, as output-schema dicts in
+    seconds, from the score maps that predict_split returned."""
     out = []
     for rec in data.split(split):
         fused = fused_frame_scores(*scores[rec.video_id], cfg)
-        for prop in extract_proposals(fused, rec.fps, cfg):
+        for c, lo, hi, confidence in extract_proposals(fused, cfg):
             out.append({
                 "video_id": rec.video_id,
-                "class": prop.label,
-                "t_start": prop.t_start,
-                "t_end": prop.t_end,
-                "confidence": prop.confidence,
+                "class": c,
+                "t_start": lo / rec.fps,
+                "t_end": hi / rec.fps,
+                "confidence": confidence,
             })
     return out

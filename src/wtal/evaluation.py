@@ -144,30 +144,43 @@ _PREDICTION_FIELDS = (("video_id", str), ("logits_rgb", [float]), ("logits_flow"
                       ("probs_fused", [float]))
 
 
-def instances_from_detections(detections: Sequence[Mapping]) -> list[Instance]:
-    """Parse the detect command's output-schema dicts: a string video id,
-    an integer class and finite numbers for the times and the confidence."""
+def instances_from_detections(detections: Sequence[Mapping], manifest: Manifest,
+                              split: str) -> list[Instance]:
+    """Parse the detect command's output-schema dicts: a video id of the split,
+    a class in [0, n_classes), finite t_start < t_end and a finite confidence."""
+    videos = {rec.video_id for rec in manifest.split(split)}
     out = []
     for i, det in enumerate(detections):
-        check_fields(det, _DETECTION_FIELDS, InputError, f"detection entry {i}")
-        out.append(Instance(video_id=det["video_id"], label=det["class"],
-                            t_start=float(det["t_start"]), t_end=float(det["t_end"]),
-                            confidence=float(det["confidence"])))
+        where = f"detection entry {i}"
+        check_fields(det, _DETECTION_FIELDS, InputError, where)
+        if det["video_id"] not in videos:
+            raise InputError(f"{where}: video {det['video_id']!r} is not in split {split!r}")
+        if not 0 <= det["class"] < manifest.n_classes:
+            raise InputError(f"{where}: class {det['class']} outside [0, {manifest.n_classes})")
+        if not det["t_start"] < det["t_end"]:
+            raise InputError(f"{where}: t_start {det['t_start']} is not before t_end")
+        out.append(Instance(det["video_id"], det["class"], float(det["t_start"]),
+                            float(det["t_end"]), float(det["confidence"])))
     return out
 
 
 def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest,
                               split: str) -> dict[str, float]:
-    """Per-stream and fused accuracy from the detect command's predictions."""
+    """Per-stream and fused accuracy from the detect command's predictions:
+    one record per video of the split, each array holding n_classes scores."""
     label_sets = {rec.video_id: set(rec.labels) for rec in manifest.split(split)}
     fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
     predicted: dict[str, dict[str, int]] = {key: {} for key in fields}
     for i, p in enumerate(predictions):
         check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
+        if p["video_id"] not in label_sets or p["video_id"] in predicted["rgb"]:
+            raise InputError(f"prediction record {i}: {p['video_id']!r} is repeated or not "
+                             f"in split {split!r}")
         for key, field_name in fields.items():
             scores = p[field_name]
-            if not scores:
-                raise InputError(f"prediction record {i}: {field_name!r} is empty")
+            if len(scores) != manifest.n_classes:
+                raise InputError(f"prediction record {i}: {field_name!r} holds "
+                                 f"{len(scores)} scores for {manifest.n_classes} classes")
             # the first index of the largest, as np.argmax, without the array
             predicted[key][p["video_id"]] = max(range(len(scores)), key=scores.__getitem__)
     return {key: accuracy(predicted[key], label_sets) for key in fields}

@@ -138,13 +138,15 @@ class TrainConfig:
         if not (0.0 < self.label_fraction <= 1.0):
             raise ConfigError("label_fraction must lie in (0, 1]")
 
-    def lr_for(self, stream: Stream) -> float:
-        return self.lr_rgb if stream == Stream.RGB else self.lr_flow
+    def lr_for(self, stream: Stream, iteration: int = 0) -> float:
+        """The stream's rate, divided by decay_factor every decay_every iterations."""
+        lr0 = self.lr_rgb if stream == Stream.RGB else self.lr_flow
+        return lr0 * self.decay_factor ** (-(iteration // self.decay_every))
 
 
 @dataclass
 class Model:
-    """One stream's trainable state plus the pooling mode it was built with.
+    """One stream's trainable state plus the config it was built with.
 
     ``flat`` holds every parameter, in PARAM_KEYS order with the per-key
     ``shapes``; ``attention`` and ``classifier`` are views of it, so
@@ -155,8 +157,7 @@ class Model:
     shapes: tuple[tuple[int, ...], ...]
     stream: Stream
     role: str
-    attention_enabled: bool = True
-    attention_mode: str = "softmax"
+    cfg: TrainConfig
     attention: AttentionParams = field(init=False, repr=False)
     classifier: ClassifierParams = field(init=False, repr=False)
 
@@ -167,8 +168,7 @@ class Model:
 
     def __reduce__(self):
         # rebuilt from ``flat``, so that the unpickled views share its memory
-        return (Model, (self.flat, self.shapes, self.stream, self.role,
-                        self.attention_enabled, self.attention_mode))
+        return (Model, (self.flat, self.shapes, self.stream, self.role, self.cfg))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a vector laid out like ``flat``."""
@@ -193,15 +193,13 @@ def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConf
         np.zeros(n_classes),
     ]
     return Model(flat=np.concatenate([a.ravel() for a in arrays]),
-                 shapes=tuple(a.shape for a in arrays), stream=stream, role=role,
-                 attention_enabled=cfg.attention_enabled,
-                 attention_mode=cfg.attention_mode)
+                 shapes=tuple(a.shape for a in arrays), stream=stream, role=role, cfg=cfg)
 
 
 def _pool(model: Model, x: FeatureMatrix,
           counts: Sequence[int] | None = None) -> AttentionOutput:
-    if model.attention_enabled:
-        return attend(x, model.attention, model.attention_mode, counts)
+    if model.cfg.attention_enabled:
+        return attend(x, model.attention, model.cfg.attention_mode, counts)
     return uniform_attention(x, model.attention.r, counts)
 
 
@@ -266,7 +264,6 @@ def loss_weights(cfg: TrainConfig) -> dict[str, float]:
 
 
 def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
-               cfg: TrainConfig,
                dropout_mask: np.ndarray | None = None,
                source_acts: tuple[np.ndarray, np.ndarray] | None = None,
                weights: dict[str, float] | None = None
@@ -275,14 +272,14 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
 
     ``dropout_mask`` is the batch's (B, h) mask matrix, or None for no
     dropout. ``weights`` maps LOSS_TERMS names to weights (absent names
-    weigh 0) and defaults to ``loss_weights(cfg)``; the returned terms map
+    weigh 0) and defaults to ``loss_weights(model.cfg)``; the returned terms map
     each LOSS_TERMS name, in that order, to its unweighted value.
     ``source_acts`` is the frozen source model's (pooled, hidden) batch;
     without it the transfer terms are dropped.
     """
     if not batch:
         raise InputError("empty batch")
-    w = loss_weights(cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
+    w = loss_weights(model.cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
     unknown = set(w) - set(LOSS_TERMS)
     if unknown:
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
@@ -302,7 +299,7 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
         for tap, source, target in (("fc1", source_acts[0], pooled_m),
                                     ("fc2", source_acts[1], cls.hidden_clean)):
             if w[tap]:
-                terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
+                terms[tap], sigma = transfer_loss(source, target, model.cfg.kernel)
                 kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
 
     total = sum((w[k] * terms[k] for k in LOSS_TERMS if w[k]), 0.0)
@@ -341,15 +338,10 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
 # ---------------------------------------------------------------------------
 
 
-def learning_rate(lr0: float, iteration: int, cfg: TrainConfig) -> float:
-    return lr0 * cfg.decay_factor ** (-(iteration // cfg.decay_every))
-
-
-def sgd_step(model: Model, grad: np.ndarray, velocity: np.ndarray,
-             iteration: int, lr0: float, cfg: TrainConfig) -> None:
-    """v <- mu v - lr g; p <- p + v, on the flat parameter and velocity vectors."""
-    velocity *= cfg.momentum
-    velocity -= learning_rate(lr0, iteration, cfg) * grad
+def sgd_step(model: Model, grad: np.ndarray, velocity: np.ndarray, iteration: int) -> None:
+    """v <- mu v - lr g; p <- p + v on the flat vectors, with mu and lr from model.cfg."""
+    velocity *= model.cfg.momentum
+    velocity -= model.cfg.lr_for(model.stream, iteration) * grad
     model.flat += velocity
 
 
@@ -419,8 +411,8 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
             sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
             source_acts = (src_m[sidx], src_hidden[sidx])
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
-            total, terms, grad = total_loss(batch, model, cfg, mask, source_acts, weights)
-            sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+            total, terms, grad = total_loss(batch, model, mask, source_acts, weights)
+            sgd_step(model, grad, velocity, it)
         values = (total, *terms.values())
         bad = [f"{name}={v!r}" for name, v in zip(_LOSS_COLUMNS, values) if not math.isfinite(v)]
         if bad or not np.isfinite(model.flat).all():
@@ -465,8 +457,17 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
-                    path: Path | str) -> None:
+def _header(model: Model) -> dict:
+    """The header save_checkpoint writes for ``model`` and the reader checks a file's
+    header against: all but the parameter shapes come from the model's config."""
+    cfg = model.cfg
+    return {"role": model.role, "stream": model.stream.value, "iteration": cfg.iterations,
+            "attention_enabled": cfg.attention_enabled, "attention_mode": cfg.attention_mode,
+            "params": [{"name": k, "shape": list(s)} for k, s in zip(PARAM_KEYS, model.shapes)],
+            "config": asdict(cfg)}
+
+
+def save_checkpoint(model: Model, path: Path | str) -> None:
     """Write magic + u32 version + u32 header length + JSON header + payload.
 
     The header is canonical JSON (sorted keys, no whitespace) and the
@@ -474,17 +475,7 @@ def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
     parameter in header order, so the file is byte-reproducible from the
     same model state.
     """
-    header = {
-        "role": model.role,
-        "stream": model.stream.value,
-        "iteration": iteration,
-        "attention_enabled": model.attention_enabled,
-        "attention_mode": model.attention_mode,
-        "params": [{"name": k, "shape": list(shape)}
-                   for k, shape in zip(PARAM_KEYS, model.shapes)],
-        "config": asdict(cfg),
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps(_header(model), sort_keys=True, separators=(",", ":")).encode()
     Path(path).write_bytes(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(blob)) + blob
                            + np.ascontiguousarray(model.flat, dtype="<f8").tobytes())
 
@@ -492,12 +483,9 @@ def save_checkpoint(model: Model, cfg: TrainConfig, iteration: int,
 def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
     """Check the header's schema; returns the parameter shapes it declares."""
     check_fields(header, _HEADER_TYPES.items(), DataFormatError, "checkpoint header")
-    if header["role"] not in _ROLE_CODE:
-        raise DataFormatError(f"unknown checkpoint role {header['role']!r}")
-    if header["stream"] not in {s.value for s in Stream}:
-        raise DataFormatError(f"unknown checkpoint stream {header['stream']!r}")
-    if header["attention_mode"] not in MODES:
-        raise DataFormatError(f"unknown attention mode {header['attention_mode']!r}")
+    for key, known in (("role", _ROLE_CODE), ("stream", [s.value for s in Stream])):
+        if header[key] not in known:
+            raise DataFormatError(f"unknown checkpoint {key} {header[key]!r}")
     specs = header["params"]
     names = [spec.get("name") if is_json(spec, dict) else None for spec in specs]
     if names != list(PARAM_KEYS):
@@ -510,8 +498,8 @@ def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
 
 
 def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
-    """Read a checkpoint written by save_checkpoint; every DataFormatError
-    names the file."""
+    """Read a checkpoint written by save_checkpoint: the model, its config
+    and its iteration count; every DataFormatError names the file."""
     try:
         return _parse_checkpoint(Path(path).read_bytes())
     except DataFormatError as exc:
@@ -550,11 +538,16 @@ def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
         raise DataFormatError(f"checkpoint parameter {name} holds a non-finite value")
     try:
         model = Model(flat=flat, shapes=shapes, stream=Stream(header["stream"]),
-                      role=header["role"], attention_enabled=header["attention_enabled"],
-                      attention_mode=header["attention_mode"])
+                      role=header["role"], cfg=cfg)
     except ValueError as exc:
         raise DataFormatError(f"inconsistent checkpoint parameter shapes: {exc}") from exc
-    return model, cfg, header["iteration"]
+    sizes = dict(zip(("attention_hidden", "heads", "classifier_hidden"), (s[0] for s in shapes)))
+    expected = _header(model) | {k: getattr(cfg, k) for k in sizes}
+    wrong = [f"{k} is {v!r} but the config gives {expected[k]!r}"
+             for k, v in (header | sizes).items() if k in expected and v != expected[k]]
+    if wrong:
+        raise DataFormatError(f"checkpoint header disagrees with its config: {'; '.join(wrong)}")
+    return model, cfg, cfg.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +591,11 @@ def certify_gradients(seed: int = 0, trials: int = 3) -> dict[str, float]:
         full = loss_weights(cfg)
         cases = [(name, {name: full[name]}) for name in LOSS_TERMS] + [("total", full)]
         for name, weights in cases:
-            _, _, analytic = total_loss(batch, model, cfg, mask, source_acts, weights)
+            _, _, analytic = total_loss(batch, model, mask, source_acts, weights)
 
             def f(_: np.ndarray) -> float:
                 # finite_diff_grad perturbs model.flat in place; the views follow
-                return total_loss(batch, model, cfg, mask, source_acts, weights)[0]
+                return total_loss(batch, model, mask, source_acts, weights)[0]
 
             numeric = finite_diff_grad(f, model.flat)
             err = grad_rel_error(analytic, numeric)

@@ -194,13 +194,12 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
         fwd = [forward_video(source_model, source_records[i][1]) for i in sidx]
         source_acts = (np.vstack([att.m for att, _ in fwd]),
                        np.vstack([cls.hidden_clean for _, cls in fwd]))
-        _, _, grad = total_loss(batch, model, cfg, mask, source_acts)
-        sgd_step(model, grad, velocity, it, cfg.lr_for(stream), cfg)
+        _, _, grad = total_loss(batch, model, mask, source_acts)
+        sgd_step(model, grad, velocity, it)
     return model
 
 
-def total_loss_per_video(batch, model, cfg, dropout_mask=None, source_acts=None,
-                         weights=None):
+def total_loss_per_video(batch, model, dropout_mask=None, source_acts=None, weights=None):
     """The training loss and its gradient, with attention forward and
     backward run on one video at a time (each a chunk of one) and the
     classifier once on the stacked pooled rows.
@@ -215,10 +214,11 @@ def total_loss_per_video(batch, model, cfg, dropout_mask=None, source_acts=None,
     from wtal.training import LOSS_TERMS, loss_weights
     from wtal.transfer import transfer_grads, transfer_loss
 
+    cfg = model.cfg
     w = loss_weights(cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
     p = model.attention
     n_reg = len(batch) * p.r
-    pooled = [attend(x, p, model.attention_mode) if model.attention_enabled
+    pooled = [attend(x, p, cfg.attention_mode) if cfg.attention_enabled
               else uniform_attention(x, p.r) for x, _ in batch]
     pooled_m = np.vstack([att.m for att in pooled])
     labels = np.vstack([y for _, y in batch])
@@ -294,20 +294,17 @@ def broadcast_transfer_grads(source, target, sigma):
     return g
 
 
-def extract_proposals_per_class(scores, fps, cfg):
-    """Maximal runs at or above the threshold, one class track at a time,
-    each scored by np.mean over its frames."""
-    from wtal.detection import Proposal
-
+def extract_proposals_per_class(scores, cfg):
+    """Maximal runs at or above the threshold, one class track at a time, as
+    (class, ind_start, ind_end, confidence) tuples, each scored by np.mean
+    over its frames."""
     proposals = []
     for c in range(scores.shape[0]):
         track = scores[c]
         above = np.concatenate([[False], track >= cfg.threshold, [False]])
         edges = np.flatnonzero(np.diff(above.astype(np.int8)))
         for lo, hi in zip(edges[::2], edges[1::2]):
-            proposals.append(Proposal(label=c, t_start=lo / fps, t_end=hi / fps,
-                                      confidence=float(np.mean(track[lo:hi])),
-                                      ind_start=int(lo), ind_end=int(hi)))
+            proposals.append((c, int(lo), int(hi), float(np.mean(track[lo:hi]))))
     return proposals
 
 

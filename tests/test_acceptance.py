@@ -57,7 +57,7 @@ def _score_models(data, models, iou_thr=0.5):
     preds, scores = predict_split(data, "test", models[Stream.RGB], models[Stream.FLOW])
     dets = detect_split(data, "test", scores, DetectConfig())
     acc = accuracy_from_predictions(preds, data.manifest, "test")
-    report = map_at_iou(instances_from_detections(dets),
+    report = map_at_iou(instances_from_detections(dets, data.manifest, "test"),
                         ground_truth_instances(data.manifest, "test"),
                         (iou_thr,), acc)
     return acc["fused"], report.map_per_threshold[0]

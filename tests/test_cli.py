@@ -61,9 +61,15 @@ class TestParseThresholds:
 
     def test_rejects_bad_specs(self):
         for bad in ("abc", "0.9:0.1:0.1", "0.1:0.9:-0.1", "0:0.9:0.1",
-                    "0.5,1.5", "2.0", "0.1:inf:0.1", "-inf:0.5:0.1"):
+                    "0.5,1.5", "2.0", "0.1:inf:0.1", "-inf:0.5:0.1",
+                    "0.1:0.9:1e-5", "0.1:0.9:1e-12", "0.1:0.9:5e-324"):
             with pytest.raises(ConfigError):
                 cli.parse_thresholds(bad)
+
+    def test_grid_size_is_bounded(self):
+        assert len(cli.parse_thresholds("0.001:1:0.001")) == cli.MAX_THRESHOLDS == 1000
+        with pytest.raises(ConfigError, match="80001 thresholds, more than 1000"):
+            cli.parse_thresholds("0.1:0.9:1e-5")
 
 
 class TestResolveConfig:
@@ -300,8 +306,10 @@ def _retype(doc, rng):
     _retype_field(entries[int(rng.integers(len(entries)))], rng)
 
 
-# seeded by case index; each must end in one JSON error line: DataFormatError
-# naming the manifest file, InputError for detections and predictions
+# seeded by case index; each must end in one JSON error line naming the file:
+# DataFormatError for the manifest, InputError for detections and predictions.
+# The last detection is test_00000's, of class 0, which that video lacks (it
+# has class 1 segments); the last prediction record is test_00003's.
 JSON_CORRUPTIONS = {
     "manifest": (
         _last("features", lambda paths: {**paths, "rgb": 7}),
@@ -319,11 +327,22 @@ JSON_CORRUPTIONS = {
         _last("class", lambda label: 1.5),
         _last("class", lambda label: True),
         _json_edit(_retype), _json_edit(_retype), _truncate,
+        # entries that cannot belong to the split
+        _last("t_end", lambda t_end: -0.1),                        # reversed
+        _json_edit(lambda doc, rng: doc[-1].update({"class": 1, "t_end": 0.0})),   # empty
+        _last("video_id", lambda video_id: "source_00_0000"),     # another split's video
+        _last("class", lambda label: 7),
     ),
     "predictions": (
         _last("logits_rgb", lambda logits: "ab"),
         _json_edit(_retype), _json_edit(_retype), _truncate,
         _last("probs_fused", lambda probs: []),
+        # records that cannot belong to the split
+        _last("logits_rgb", lambda logits: logits + [0.0] * 5),
+        _last("logits_flow", lambda logits: logits[:1]),
+        _last("probs_fused", lambda probs: probs + [0.0] * 3),
+        _json_edit(lambda doc, rng: doc.append(dict(doc[-1], video_id="source_00_0000"))),
+        _json_edit(lambda doc, rng: doc.append(dict(doc[0]))),    # a video seen before
     ),
 }
 JSON_CASES = [(what, case) for what, cases in JSON_CORRUPTIONS.items()
@@ -646,7 +665,7 @@ class TestCommandFailures:
     def test_class_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):
         cfg = TrainConfig(attention_hidden=4, classifier_hidden=6)
         flow = init_model(4, 3, Stream.FLOW, "target", cfg, np.random.default_rng(0))
-        save_checkpoint(flow, cfg, 0, tmp_path / "flow3.ckpt")
+        save_checkpoint(flow, tmp_path / "flow3.ckpt")
         rc = cli.main(["detect", "--data", str(pipeline["data"]),
                        "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
                        "--ckpt-flow", str(tmp_path / "flow3.ckpt"),
@@ -663,7 +682,7 @@ class TestCommandFailures:
         rng = np.random.default_rng(0)
         for stream in (Stream.RGB, Stream.FLOW):
             model = init_model(4, 3, stream, "target", cfg, rng)
-            save_checkpoint(model, cfg, 0, tmp_path / f"{stream.value}3.ckpt")
+            save_checkpoint(model, tmp_path / f"{stream.value}3.ckpt")
         rc = cli.main(["detect", "--data", str(pipeline["data"]),
                        "--ckpt-rgb", str(tmp_path / "rgb3.ckpt"),
                        "--ckpt-flow", str(tmp_path / "flow3.ckpt"),
@@ -705,13 +724,24 @@ class TestCommandFailures:
         (lambda h: h["params"][0].update(name="att_w0"), "checkpoint parameters are"),
         (lambda h: h["params"].reverse(), "checkpoint parameters are"),
         (lambda h: h.update(role="teacher"), "unknown checkpoint role 'teacher'"),
-        (lambda h: h.update(attention_mode="mean"), "unknown attention mode 'mean'"),
+        (lambda h: h.update(attention_mode="mean"),
+         "attention_mode is 'mean' but the config gives 'softmax'"),
+        # a header and a config that contradict each other
+        (lambda h: h["config"].update(attention_mode="sigmoid"),
+         "attention_mode is 'softmax' but the config gives 'sigmoid'"),
+        (lambda h: h["config"].update(attention_hidden=99, heads=7),
+         "attention_hidden is 4 but the config gives 99; heads is 1 but the config gives 7"),
+        (lambda h: h.update(attention_enabled=False),
+         "attention_enabled is False but the config gives True"),
+        (lambda h: (h.update(iteration=123), h["config"].update(iterations=5)),
+         "iteration is 123 but the config gives 5"),
         # att_w2 stored (b, r) instead of (r, b): the sizes still add up
         (lambda h: h["params"][1]["shape"].reverse(),
          "inconsistent checkpoint parameter shapes"),
     ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
             "no_role", "no_iteration", "renamed_param", "reordered_params",
-            "unknown_role", "unknown_attention_mode", "transposed_shape"])
+            "unknown_role", "unknown_attention_mode", "config_mode", "config_sizes",
+            "header_attention_off", "header_iteration", "transposed_shape"])
     def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
                                                    mutate, message):
         blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
@@ -970,11 +1000,8 @@ class TestCommandFailures:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
             err = json.loads(lines[0])
-            if what == "manifest":
-                assert err["error"] == "DataFormatError"
-                assert str(paths["manifest"]) in err["message"]
-            else:
-                assert err["error"] == "InputError"
+            assert err["error"] == ("DataFormatError" if what == "manifest" else "InputError")
+            assert str(paths[what]) in err["message"]
             assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("command", ["detect", "eval", "ablate"])
@@ -1118,7 +1145,7 @@ class TestStreamsSideBySide:
             else:
                 source, _, _ = load_checkpoint(pipeline["src"] / f"source_{stream.value}.ckpt")
                 model, rows = train_target(data, stream, cfg, source)
-            save_checkpoint(model, cfg, cfg.iterations, tmp_path / "serial.ckpt")
+            save_checkpoint(model, tmp_path / "serial.ckpt")
             name = f"{role}_{stream.value}"
             assert (out / f"{name}.ckpt").read_bytes() == \
                 (tmp_path / "serial.ckpt").read_bytes()

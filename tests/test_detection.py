@@ -10,7 +10,6 @@ from wtal.dataset import (STREAMS, Dataset, FeatureMatrix, Manifest, Stream, Syn
                           VideoRecord, encode_features, generate_synthetic, load_dataset)
 from wtal.detection import (
     DetectConfig,
-    Proposal,
     detect_split,
     extract_proposals,
     fused_frame_scores,
@@ -46,42 +45,32 @@ class TestDetectConfig:
 
 class TestExtractProposals:
     def test_hand_traced_run(self):
-        # one class, frames [0.1, 0.5, 0.6, 0.1] at 2 fps, threshold 0.2:
-        # frames 1..2 pass, giving [1, 3) -> seconds [0.5, 1.5), mean 0.55
+        # one class, frames [0.1, 0.5, 0.6, 0.1], threshold 0.2: frames
+        # 1..2 pass, giving [1, 3) with mean 0.55
         scores = np.array([[0.1, 0.5, 0.6, 0.1]])
-        props = extract_proposals(scores, fps=2.0, cfg=DetectConfig())
-        assert props == [Proposal(label=0, t_start=0.5, t_end=1.5,
-                                  confidence=0.55, ind_start=1, ind_end=3)]
+        assert extract_proposals(scores, cfg=DetectConfig()) == [(0, 1, 3, 0.55)]
 
     def test_all_background_gives_nothing(self):
-        assert extract_proposals(np.zeros((3, 10)), 25.0, DetectConfig()) == []
+        assert extract_proposals(np.zeros((3, 10)), DetectConfig()) == []
 
     def test_everything_above_gives_whole_video(self):
-        props = extract_proposals(np.full((1, 6), 0.9), 25.0, DetectConfig())
+        props = extract_proposals(np.full((1, 6), 0.9), DetectConfig())
         assert len(props) == 1
-        assert (props[0].ind_start, props[0].ind_end) == (0, 6)
-        np.testing.assert_allclose(props[0].confidence, 0.9, rtol=0, atol=1e-15)
-
-    def test_frame_index_to_seconds(self):
-        track = np.zeros((1, 305))
-        track[0, 300:302] = 0.9
-        props = extract_proposals(track, fps=30.0, cfg=DetectConfig())
-        assert props[0].t_start == 10.0
-        assert props[0].t_end == pytest.approx(302 / 30.0)
+        assert props[0][:3] == (0, 0, 6)
+        np.testing.assert_allclose(props[0][3], 0.9, rtol=0, atol=1e-15)
 
     def test_boundary_frame_at_threshold_included(self):
         scores = np.array([[0.2, 0.19999]])
-        props = extract_proposals(scores, 1.0, DetectConfig(threshold=0.2))
-        assert len(props) == 1
-        assert (props[0].ind_start, props[0].ind_end) == (0, 1)
+        props = extract_proposals(scores, DetectConfig(threshold=0.2))
+        assert [p[:3] for p in props] == [(0, 0, 1)]
 
     def test_multiple_runs_and_classes(self):
         scores = np.array([
             [0.9, 0.0, 0.9, 0.9, 0.0],
             [0.0, 0.9, 0.0, 0.0, 0.9],
         ])
-        props = extract_proposals(scores, 1.0, DetectConfig())
-        runs = [(p.label, p.ind_start, p.ind_end) for p in props]
+        props = extract_proposals(scores, DetectConfig())
+        runs = [p[:3] for p in props]
         assert runs == [(0, 0, 1), (0, 2, 4), (1, 1, 2), (1, 4, 5)]
 
     def test_runs_are_maximal_and_disjoint(self):
@@ -89,21 +78,20 @@ class TestExtractProposals:
         cfg = DetectConfig()
         for _ in range(50):
             scores = rng.uniform(size=(2, int(rng.integers(1, 40))))
-            for c, props in _group_by_class(extract_proposals(scores, 5.0, cfg)).items():
+            for c, props in _group_by_class(extract_proposals(scores, cfg)).items():
                 track = scores[c]
                 prev_end = -1
-                for p in props:
-                    assert p.ind_start > prev_end  # disjoint and ordered
-                    assert np.all(track[p.ind_start:p.ind_end] >= cfg.threshold)
-                    if p.ind_start > 0:
-                        assert track[p.ind_start - 1] < cfg.threshold
-                    if p.ind_end < track.size:
-                        assert track[p.ind_end] < cfg.threshold
-                    np.testing.assert_allclose(
-                        p.confidence, track[p.ind_start:p.ind_end].mean(),
-                        rtol=0, atol=1e-15)
-                    assert 0.0 <= p.t_start < p.t_end <= track.size / 5.0
-                    prev_end = p.ind_end
+                for _, lo, hi, confidence in props:
+                    assert lo > prev_end  # disjoint and ordered
+                    assert 0 <= lo < hi <= track.size
+                    assert np.all(track[lo:hi] >= cfg.threshold)
+                    if lo > 0:
+                        assert track[lo - 1] < cfg.threshold
+                    if hi < track.size:
+                        assert track[hi] < cfg.threshold
+                    np.testing.assert_allclose(confidence, track[lo:hi].mean(),
+                                               rtol=0, atol=1e-15)
+                    prev_end = hi
 
     def test_raising_threshold_shrinks_coverage(self):
         rng = np.random.default_rng(1)
@@ -111,8 +99,8 @@ class TestExtractProposals:
             scores = rng.uniform(size=(1, 30))
             covered = []
             for thr in (0.2, 0.4, 0.6, 0.8):
-                props = extract_proposals(scores, 1.0, DetectConfig(threshold=thr))
-                covered.append(sum(p.ind_end - p.ind_start for p in props))
+                props = extract_proposals(scores, DetectConfig(threshold=thr))
+                covered.append(sum(hi - lo for _, lo, hi, _ in props))
             assert covered == sorted(covered, reverse=True)
 
     def test_matches_per_class_oracle(self):
@@ -131,21 +119,18 @@ class TestExtractProposals:
             elif kind == 4:                     # runs touching both ends
                 scores[:, [0, -1]] = rng.uniform(thr, 1.0, size=(shape[0], 2))
             cfg = DetectConfig(threshold=thr)
-            fps = float(rng.choice([25.0, 7.3]))
-            assert extract_proposals(scores, fps, cfg) == \
-                oracles.extract_proposals_per_class(scores, fps, cfg)
+            assert extract_proposals(scores, cfg) == \
+                oracles.extract_proposals_per_class(scores, cfg)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ShapeError):
-            extract_proposals(np.zeros(5), 25.0, DetectConfig())
-        with pytest.raises(ConfigError):
-            extract_proposals(np.zeros((1, 5)), 0.0, DetectConfig())
+            extract_proposals(np.zeros(5), DetectConfig())
 
 
 def _group_by_class(props):
     out = {}
     for p in props:
-        out.setdefault(p.label, []).append(p)
+        out.setdefault(p[0], []).append(p)
     return out
 
 
@@ -256,11 +241,20 @@ class TestSplitOutputs:
         np.testing.assert_allclose(scores[rec.video_id][0], w_rgb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(scores[rec.video_id][1], w_flow, rtol=0, atol=1e-12)
         fused = fused_frame_scores(w_rgb, w_flow, cfg)
-        manual = [{"video_id": rec.video_id, "class": p.label,
-                   "t_start": p.t_start, "t_end": p.t_end,
-                   "confidence": p.confidence}
-                  for p in extract_proposals(fused, rec.fps, cfg)]
+        manual = [{"video_id": rec.video_id, "class": c, "t_start": lo / rec.fps,
+                   "t_end": hi / rec.fps, "confidence": confidence}
+                  for c, lo, hi, confidence in extract_proposals(fused, cfg)]
         assert [d for d in dets if d["video_id"] == rec.video_id] == manual
+
+    def test_frame_index_to_seconds(self, tmp_path):
+        # frames [300, 302) of a 30 fps video are [10.0, 302 / 30) seconds
+        rec = VideoRecord(video_id="v", split="test", n=305, fps=30.0, labels=(0,),
+                          trimmed=False, feature_paths={s: "x" for s in STREAMS})
+        data = Dataset(tmp_path, Manifest(version=1, class_names=("a", "b"), videos=(rec,)))
+        track = np.zeros((2, 305))
+        track[0, 300:302] = 0.9
+        dets = detect_split(data, "test", {"v": (track, track)}, DetectConfig())
+        assert [(d["class"], d["t_start"], d["t_end"]) for d in dets] == [(0, 10.0, 302 / 30.0)]
 
     def test_prediction_schema_and_fusion(self, trained):
         data, m_rgb, m_flow = trained

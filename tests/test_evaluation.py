@@ -252,12 +252,25 @@ class TestAdapters:
         dets = instances_from_detections([
             {"video_id": "t0", "class": 1, "t_start": 0.0, "t_end": 1.0,
              "confidence": 0.25},
-        ])
+        ], _eval_manifest(), "test")
         assert dets == [Instance("t0", 1, 0.0, 1.0, 0.25)]
 
     def test_detection_parsing_rejects_missing_fields(self):
         with pytest.raises(InputError, match="entry 0"):
-            instances_from_detections([{"video_id": "t0"}])
+            instances_from_detections([{"video_id": "t0"}], _eval_manifest(), "test")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"video_id": "s0"}, "video 's0' is not in split 'test'"),
+        ({"class": 2}, r"class 2 outside \[0, 2\)"),
+        ({"class": -1}, r"class -1 outside \[0, 2\)"),
+        ({"t_start": 1.0}, "t_start 1.0 is not before t_end"),
+        ({"t_start": 0.9, "t_end": 0.5}, "t_start 0.9 is not before t_end"),
+    ], ids=["video_outside_split", "class_too_large", "negative_class", "empty_segment",
+            "reversed_segment"])
+    def test_detection_parsing_rejects_entries_outside_the_split(self, edit, message):
+        good = {"video_id": "t0", "class": 1, "t_start": 0.0, "t_end": 1.0, "confidence": 0.5}
+        with pytest.raises(InputError, match=f"detection entry 1: {message}"):
+            instances_from_detections([good, dict(good, **edit)], _eval_manifest(), "test")
 
     def test_accuracy_from_predictions(self):
         preds = [
@@ -272,6 +285,22 @@ class TestAdapters:
     def test_accuracy_requires_full_coverage(self):
         with pytest.raises(InputError, match="missing"):
             accuracy_from_predictions([], _eval_manifest(), "test")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"logits_rgb": [2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]}, "'logits_rgb' holds 7 scores"),
+        ({"logits_flow": [2.0]}, "'logits_flow' holds 1 scores"),
+        ({"probs_fused": [0.2] * 5}, "'probs_fused' holds 5 scores"),
+        ({"probs_fused": []}, "'probs_fused' holds 0 scores"),
+        ({"video_id": "s0"}, "'s0' is repeated or not in split 'test'"),
+        ({"video_id": "t0"}, "'t0' is repeated or not in split 'test'"),
+    ], ids=["seven_rgb_logits", "one_flow_logit", "five_fused_probs", "no_fused_probs",
+            "unknown_video", "repeated_video"])
+    def test_accuracy_rejects_records_that_cannot_belong_to_the_split(self, edit, message):
+        preds = [{"video_id": video_id, "logits_rgb": [2.0, 0.0], "logits_flow": [0.0, 2.0],
+                  "probs_fused": [0.6, 0.4]} for video_id in ("t0", "t1")]
+        preds[1].update(edit)
+        with pytest.raises(InputError, match=f"prediction record 1: {message}"):
+            accuracy_from_predictions(preds, _eval_manifest(), "test")
 
 
 class TestReportArtifacts:

@@ -30,7 +30,6 @@ from wtal.training import (
     forward_video,
     init_model,
     labeled_subset,
-    learning_rate,
     load_checkpoint,
     loss_weights,
     save_checkpoint,
@@ -60,14 +59,32 @@ def tiny_data(tmp_path_factory):
     return load_dataset(root)
 
 
-def _tiny_model(rng=None, d=3, n_classes=2):
+def _tiny_model(rng=None, d=3, n_classes=2, **cfg_fields):
+    """A model with 2 attention and 3 classifier hidden units, built with
+    those sizes and ``cfg_fields`` in its config."""
     rng = rng or np.random.default_rng(0)
-    cfg = TrainConfig(attention_hidden=2, classifier_hidden=3)
+    cfg = TrainConfig(attention_hidden=2, classifier_hidden=3, **cfg_fields)
     return init_model(d, n_classes, Stream.RGB, "target", cfg, rng)
+
+
+def _with_cfg(model, **cfg_fields):
+    """``model``'s parameters under a config that differs in ``cfg_fields``."""
+    return dataclasses.replace(model, cfg=dataclasses.replace(model.cfg, **cfg_fields))
 
 
 def _ones_grad(model):
     return np.ones_like(model.flat)
+
+
+def _edit_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header and rewrite its length
+    field, so that only the edit is wrong."""
+    blob = path.read_bytes()
+    hlen, = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
 
 
 def _named(model):
@@ -135,7 +152,7 @@ class TestParameterLayout:
     def test_loaded_views_share_the_flat_vector(self, tmp_path):
         model = _tiny_model()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, TrainConfig(), 0, path)
+        save_checkpoint(model, path)
         loaded, _, _ = load_checkpoint(path)
         self._check_views(loaded)
         np.testing.assert_array_equal(loaded.flat, model.flat)
@@ -145,9 +162,8 @@ class TestParameterLayout:
         copy = pickle.loads(pickle.dumps(model))
         self._check_views(copy)
         np.testing.assert_array_equal(copy.flat, model.flat)
-        assert (copy.shapes, copy.stream, copy.role, copy.attention_enabled,
-                copy.attention_mode) == (model.shapes, model.stream, model.role,
-                                         model.attention_enabled, model.attention_mode)
+        assert (copy.shapes, copy.stream, copy.role, copy.cfg) == (
+            model.shapes, model.stream, model.role, model.cfg)
         copy.flat += 1.0
         np.testing.assert_array_equal(copy.attention.w1, model.attention.w1 + 1.0)
         np.testing.assert_array_equal(copy.classifier.fc2_b, model.classifier.fc2_b + 1.0)
@@ -155,46 +171,57 @@ class TestParameterLayout:
 
 class TestOptimizer:
     def test_single_step_without_momentum(self):
-        model = _tiny_model()
+        model = _tiny_model(momentum=0.0, lr_rgb=0.1)
         model.flat[:] = 0.0
-        cfg = TrainConfig(momentum=0.0)
-        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0, 0.1, cfg)
+        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0)
         np.testing.assert_allclose(model.flat, -0.1, rtol=0, atol=1e-15)
 
     def test_step_moves_the_named_views(self):
-        model = _tiny_model()
+        model = _tiny_model(momentum=0.0, lr_rgb=0.1)
         before = model.attention.w1.copy()
-        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0, 0.1,
-                 TrainConfig(momentum=0.0))
+        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0)
         np.testing.assert_allclose(model.attention.w1, before - 0.1, rtol=0, atol=1e-15)
 
-    def test_momentum_accumulates(self):
-        model = _tiny_model()
+    def test_step_takes_the_rate_of_the_model_stream(self):
+        model = dataclasses.replace(_tiny_model(momentum=0.0, lr_rgb=0.1, lr_flow=0.5),
+                                    stream=Stream.FLOW)
         model.flat[:] = 0.0
-        cfg = TrainConfig(momentum=0.9)
+        sgd_step(model, _ones_grad(model), np.zeros_like(model.flat), 0)
+        np.testing.assert_allclose(model.flat, -0.5, rtol=0, atol=1e-15)
+
+    def test_momentum_accumulates(self):
+        model = _tiny_model(momentum=0.9, lr_rgb=0.1)
+        model.flat[:] = 0.0
         velocity = np.zeros_like(model.flat)
-        sgd_step(model, _ones_grad(model), velocity, 0, 0.1, cfg)
+        sgd_step(model, _ones_grad(model), velocity, 0)
         np.testing.assert_allclose(model.flat, -0.1, rtol=0, atol=1e-15)
-        sgd_step(model, _ones_grad(model), velocity, 1, 0.1, cfg)
+        sgd_step(model, _ones_grad(model), velocity, 1)
         # v = 0.9 * (-0.1) - 0.1 = -0.19; p = -0.1 - 0.19 = -0.29
         np.testing.assert_allclose(model.flat, -0.29, rtol=0, atol=1e-15)
 
-    def test_zero_learning_rate_freezes_parameters(self):
+    def test_zero_gradient_from_rest_freezes_parameters(self):
+        # a zero rate is not a valid config, so the rate cannot be what stops the step
         model = _tiny_model()
         before = model.flat.copy()
         velocity = np.zeros_like(model.flat)
         for it in range(5):
-            sgd_step(model, _ones_grad(model), velocity, it, 0.0, TrainConfig())
+            sgd_step(model, np.zeros_like(model.flat), velocity, it)
         np.testing.assert_array_equal(model.flat, before)
+        assert not velocity.any()
 
     def test_schedule_steps_down(self):
-        cfg = TrainConfig(decay_every=5000, decay_factor=10.0)
-        assert learning_rate(1e-4, 0, cfg) == 1e-4
-        assert learning_rate(1e-4, 4999, cfg) == 1e-4
-        np.testing.assert_allclose(learning_rate(1e-4, 5000, cfg), 1e-5,
-                                   rtol=0, atol=1e-20)
-        np.testing.assert_allclose(learning_rate(1e-4, 10000, cfg), 1e-6,
-                                   rtol=0, atol=1e-20)
+        cfg = TrainConfig(lr_rgb=1e-4, decay_every=5000, decay_factor=10.0)
+        assert cfg.lr_for(Stream.RGB, 0) == 1e-4
+        assert cfg.lr_for(Stream.RGB, 4999) == 1e-4
+        np.testing.assert_allclose(cfg.lr_for(Stream.RGB, 5000), 1e-5, rtol=0, atol=1e-20)
+        np.testing.assert_allclose(cfg.lr_for(Stream.RGB, 10000), 1e-6, rtol=0, atol=1e-20)
+
+    def test_step_follows_the_schedule(self):
+        model = _tiny_model(momentum=0.0, lr_rgb=0.1, decay_every=2, decay_factor=10.0)
+        model.flat[:] = 0.0
+        velocity = np.zeros_like(model.flat)
+        sgd_step(model, _ones_grad(model), velocity, 2)
+        np.testing.assert_allclose(model.flat, -0.01, rtol=0, atol=1e-15)
 
 
 class TestTotalLoss:
@@ -210,10 +237,9 @@ class TestTotalLoss:
 
     def test_reduces_to_mean_class_loss(self):
         rng = np.random.default_rng(0)
-        model = _tiny_model(rng)
+        model = _tiny_model(rng, alpha=0.0, beta=0.0, transfer=TransferConfig(enabled=False))
         batch = self._batch(rng, model)
-        cfg = TrainConfig(alpha=0.0, beta=0.0, transfer=TransferConfig(enabled=False))
-        total, terms, _ = total_loss(batch, model, cfg)
+        total, terms, _ = total_loss(batch, model)
         expected = np.mean([class_loss(forward_video(model, x)[1].probs[0], y)
                             for x, y in batch])
         np.testing.assert_allclose(total, expected, rtol=0, atol=1e-15)
@@ -222,13 +248,12 @@ class TestTotalLoss:
 
     def test_matching_activations_zero_transfer_cost(self):
         rng = np.random.default_rng(1)
-        model = _tiny_model(rng)
+        model = _tiny_model(rng, kernel=KernelConfig(sigma=1.0))
         batch = self._batch(rng, model)
         # the step's own chunked forward: identical activations, bit for bit
         _, pooled_m, cls = training.forward_batch(model, [x for x, _ in batch])
         acts = (pooled_m, cls.hidden_clean)
-        cfg = TrainConfig(kernel=KernelConfig(sigma=1.0))
-        _, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
+        _, terms, _ = total_loss(batch, model, source_acts=acts)
         assert terms["fc1"] == 0.0
         assert terms["fc2"] == 0.0
 
@@ -236,10 +261,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(2)
         model = _tiny_model(rng)
         batch = self._batch(rng, model)
-        cfg1 = TrainConfig(alpha=0.0, beta=0.0, transfer=TransferConfig(enabled=False))
-        cfg2 = TrainConfig(alpha=2.0, beta=0.5, transfer=TransferConfig(enabled=False))
-        t1, terms1, _ = total_loss(batch, model, cfg1)
-        t2, terms2, _ = total_loss(batch, model, cfg2)
+        off = TransferConfig(enabled=False)
+        t1, terms1, _ = total_loss(batch, _with_cfg(model, alpha=0.0, beta=0.0, transfer=off))
+        t2, terms2, _ = total_loss(batch, _with_cfg(model, alpha=2.0, beta=0.5, transfer=off))
         assert terms1["smooth"] == terms2["smooth"]  # raw means are weight-free
         np.testing.assert_allclose(
             t2 - t1, 2.0 * terms2["smooth"] + 0.5 * terms2["sparsity"],
@@ -253,32 +277,32 @@ class TestTotalLoss:
         batch = self._batch(rng, model)
         acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
         full = loss_weights(cfg)
-        t_full, _, g_full = total_loss(batch, model, cfg, source_acts=acts)
+        t_full, _, g_full = total_loss(batch, model, source_acts=acts)
         for name in LOSS_TERMS:
-            t_without, _, g_without = total_loss(batch, model, cfg, source_acts=acts,
+            t_without, _, g_without = total_loss(batch, model, source_acts=acts,
                                                  weights=full | {name: 0.0})
-            t_alone, _, g_alone = total_loss(batch, model, cfg, source_acts=acts,
+            t_alone, _, g_alone = total_loss(batch, model, source_acts=acts,
                                              weights={name: full[name]})
             assert t_alone > 0.0 and np.any(g_alone != 0.0), name
             np.testing.assert_allclose(t_full - t_without, t_alone, rtol=0, atol=1e-12)
             np.testing.assert_allclose(g_full - g_without, g_alone, rtol=0, atol=1e-12)
-        t_none, _, g_none = total_loss(batch, model, cfg, source_acts=acts, weights={})
+        t_none, _, g_none = total_loss(batch, model, source_acts=acts, weights={})
         assert t_none == 0.0 and not np.any(g_none)
 
     def test_transfer_switches_are_loss_weights(self):
         rng = np.random.default_rng(6)
-        model = _tiny_model(rng)
+        model = _tiny_model(rng, kernel=KernelConfig(sigma=1.0))
         batch = self._batch(rng, model)
         acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
-        base = TrainConfig(kernel=KernelConfig(sigma=1.0))
-        off = dataclasses.replace(base, transfer=TransferConfig(enabled=False))
-        fc1_only = dataclasses.replace(base, transfer=TransferConfig(fc2_enabled=False))
+        off = dataclasses.replace(model.cfg, transfer=TransferConfig(enabled=False))
+        fc1_only = dataclasses.replace(model.cfg, transfer=TransferConfig(fc2_enabled=False))
         assert loss_weights(off)["fc1"] == loss_weights(off)["fc2"] == 0.0
         assert loss_weights(fc1_only)["fc1"] == 1.0
         assert loss_weights(fc1_only)["fc2"] == 0.0
 
-        t_with, terms_with, g_with = total_loss(batch, model, off, source_acts=acts)
-        t_without, terms_without, g_without = total_loss(batch, model, off)
+        model = dataclasses.replace(model, cfg=off)
+        t_with, terms_with, g_with = total_loss(batch, model, source_acts=acts)
+        t_without, terms_without, g_without = total_loss(batch, model)
         assert t_with == t_without and terms_with == terms_without
         assert np.array_equal(g_with, g_without)
 
@@ -290,7 +314,7 @@ class TestTotalLoss:
         batch = self._batch(rng, model, size=4)
         mask = training._draw_mask(rng, (4, 3), 0.5)
         acts = (rng.normal(size=(4, 6)), rng.normal(size=(4, 3)))
-        reference = total_loss(batch, model, cfg, mask, acts)
+        reference = total_loss(batch, model, mask, acts)
         calls = []
 
         def counted(name):
@@ -303,7 +327,7 @@ class TestTotalLoss:
 
         for name in ("classify", "classifier_grads"):
             monkeypatch.setattr(training, name, counted(name))
-        total, _, grad = total_loss(batch, model, cfg, mask, acts)
+        total, _, grad = total_loss(batch, model, mask, acts)
         assert calls == ["classify", "classifier_grads"]
         assert total == reference[0] and np.array_equal(grad, reference[2])
 
@@ -317,7 +341,7 @@ class TestTotalLoss:
                   label_vector([int(rng.integers(8))], 8)) for _ in range(16)]
         mask = training._draw_mask(rng, (16, cfg.classifier_hidden), cfg.dropout)
         acts = (rng.normal(size=(16, 16)), rng.normal(size=(16, cfg.classifier_hidden)))
-        reference = total_loss(batch, model, cfg, mask, acts)
+        reference = total_loss(batch, model, mask, acts)
         calls, frames = [], []
 
         def counted(name):
@@ -332,7 +356,7 @@ class TestTotalLoss:
 
         for name in ("attend", "attention_grads"):
             monkeypatch.setattr(training, name, counted(name))
-        total, _, grad = total_loss(batch, model, cfg, mask, acts)
+        total, _, grad = total_loss(batch, model, mask, acts)
         assert 1 <= calls.count("attend") == calls.count("attention_grads") <= 2
         assert sum(frames) == sum(x.n for x, _ in batch) and max(frames) <= 256
         assert total == reference[0] and np.array_equal(grad, reference[2])
@@ -340,11 +364,10 @@ class TestTotalLoss:
     def test_rejects_empty_batch_and_unknown_terms(self):
         model = _tiny_model()
         with pytest.raises(InputError):
-            total_loss([], model, TrainConfig())
+            total_loss([], model)
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigError, match="entropy"):
-            total_loss(self._batch(rng, model), model, TrainConfig(),
-                       weights={"class": 1.0, "entropy": 1.0})
+            total_loss(self._batch(rng, model), model, weights={"class": 1.0, "entropy": 1.0})
 
 
 class TestChunkedStep:
@@ -370,9 +393,8 @@ class TestChunkedStep:
         chunks, _, _ = training.forward_batch(model, [x for x, _ in batch])
         assert [att.counts for _, att in chunks] == [(1, 6, 3), (1, 8), (2,), (12,), (4,)]
 
-        total, terms, grad = total_loss(batch, model, cfg, mask, acts)
-        ref_total, ref_terms, ref_grad = oracles.total_loss_per_video(batch, model, cfg,
-                                                                      mask, acts)
+        total, terms, grad = total_loss(batch, model, mask, acts)
+        ref_total, ref_terms, ref_grad = oracles.total_loss_per_video(batch, model, mask, acts)
         np.testing.assert_allclose(total, ref_total, rtol=0, atol=1e-12)
         np.testing.assert_allclose(list(terms.values()), ref_terms, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
@@ -424,7 +446,7 @@ class TestTrainingLoops:
         for run in range(2):
             model, rows = train_source(tiny_data, Stream.RGB, TINY_CFG)
             path = tmp_path / f"run{run}.ckpt"
-            save_checkpoint(model, TINY_CFG, TINY_CFG.iterations, path)
+            save_checkpoint(model, path)
             blobs.append((path.read_bytes(), tuple(rows)))
         assert blobs[0] == blobs[1]
 
@@ -534,40 +556,70 @@ class TestCheckpoints:
     def test_round_trip_values(self, tiny_data, tmp_path):
         model, _ = train_source(tiny_data, Stream.FLOW, TINY_CFG)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, TINY_CFG, 30, path)
+        save_checkpoint(model, path)
         loaded, cfg, it = load_checkpoint(path)
         assert it == 30
-        assert cfg == TINY_CFG
+        assert cfg == loaded.cfg == TINY_CFG
         assert loaded.stream == Stream.FLOW
         assert loaded.role == "source"
         for k, v in _named(model).items():
             np.testing.assert_array_equal(_named(loaded)[k], v)
 
-    def test_save_load_save_is_byte_identical(self, tiny_data, tmp_path):
-        model, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
+    # every combination the writer produces must pass the reader's agreement
+    # check, attention off with mode sigmoid included
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_save_load_save_is_byte_identical(self, tiny_data, tmp_path, enabled, mode, heads):
+        cfg = dataclasses.replace(TINY_CFG, attention_enabled=enabled, attention_mode=mode,
+                                  heads=heads)
+        model, _ = train_source(tiny_data, Stream.RGB, cfg)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(model, TINY_CFG, 1, p1)
-        loaded, cfg, it = load_checkpoint(p1)
-        save_checkpoint(loaded, cfg, it, p2)
+        save_checkpoint(model, p1)
+        loaded, loaded_cfg, it = load_checkpoint(p1)
+        assert (loaded_cfg, it) == (cfg, cfg.iterations)
+        save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_layout(self, tmp_path):
-        model = _tiny_model()
+        model = _tiny_model(attention_enabled=False, attention_mode="sigmoid")
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, TrainConfig(), 0, path)
+        save_checkpoint(model, path)
         blob = path.read_bytes()
         assert blob[:4] == b"TSRC"
-        import struct
         version, hlen = struct.unpack("<II", blob[4:12])
         assert version == 1
-        import json
         header = json.loads(blob[12:12 + hlen])
         assert [p["name"] for p in header["params"]] == list(PARAM_KEYS)
+        # the fields beside the config are copies of its values
+        assert (header["iteration"], header["attention_enabled"], header["attention_mode"]) == (
+            6000, False, "sigmoid")
+        assert header["config"] == dataclasses.asdict(model.cfg)
+
+    @pytest.mark.parametrize("edit, fields", [
+        (lambda h: h["config"].update(attention_mode="sigmoid"),
+         ["attention_mode is 'softmax' but the config gives 'sigmoid'"]),
+        (lambda h: h["config"].update(attention_hidden=99, heads=7),
+         ["attention_hidden is 2 but the config gives 99", "heads is 1 but the config gives 7"]),
+        (lambda h: h.update(attention_enabled=False),
+         ["attention_enabled is False but the config gives True"]),
+        (lambda h: (h.update(iteration=123), h["config"].update(iterations=5)),
+         ["iteration is 123 but the config gives 5"]),
+    ], ids=["config_mode", "config_sizes", "header_attention_off", "header_iteration"])
+    def test_rejects_a_header_that_disagrees_with_its_config(self, tmp_path, edit, fields):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        _edit_header(path, edit)
+        with pytest.raises(DataFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: checkpoint header disagrees with its config")
+        for field in fields:
+            assert field in str(exc.value)
 
     def test_rejects_corruption(self, tmp_path):
         model = _tiny_model()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, TrainConfig(), 0, path)
+        save_checkpoint(model, path)
         blob = path.read_bytes()
 
         bad = tmp_path / "bad.ckpt"
@@ -580,7 +632,6 @@ class TestCheckpoints:
         bad.write_bytes(blob + b"\0" * 8)
         with pytest.raises(DataFormatError, match="trailing"):
             load_checkpoint(bad)
-        import struct
         bad.write_bytes(blob[:4] + struct.pack("<I", 9) + blob[8:])
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(bad)
@@ -590,13 +641,8 @@ class TestCheckpoints:
                                               ("alpha", "x"), ("lr_rgb", float("nan"))])
     def test_rejects_out_of_range_config(self, tmp_path, field, value):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(_tiny_model(), TrainConfig(), 0, path)
-        blob = path.read_bytes()
-        hlen, = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen])
-        header["config"][field] = value
-        text = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        save_checkpoint(_tiny_model(), path)
+        _edit_header(path, lambda header: header["config"].update({field: value}))
         with pytest.raises(DataFormatError, match="bad checkpoint config") as exc:
             load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
@@ -604,7 +650,7 @@ class TestCheckpoints:
     def test_rejects_non_finite_parameters(self, tmp_path):
         model = _tiny_model()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, TrainConfig(), 0, path)
+        save_checkpoint(model, path)
         blob = path.read_bytes()
         payload = len(blob) - 8 * model.flat.size
         n_w1 = model.attention.w1.size

@@ -216,10 +216,10 @@ class TestGramForm:
                   np.eye(5)[int(rng.integers(5))]) for _ in range(cfg.batch_size)]
         acts = (rng.normal(size=(16, 16)), np.maximum(rng.normal(size=(16, 128)), 0.0))
         mask = (rng.random((cfg.batch_size, cfg.classifier_hidden)) < 0.2) / 0.2
-        total, terms, grad = total_loss(batch, model, cfg, mask, acts)
+        total, terms, grad = total_loss(batch, model, mask, acts)
         monkeypatch.setattr(training, "transfer_loss", oracles.broadcast_transfer_loss)
         monkeypatch.setattr(training, "transfer_grads", oracles.broadcast_transfer_grads)
-        want_total, want_terms, want_grad = total_loss(batch, model, cfg, mask, acts)
+        want_total, want_terms, want_grad = total_loss(batch, model, mask, acts)
         assert terms["fc1"] > 0.0 and terms["fc2"] > 0.0
         np.testing.assert_allclose([total, *terms.values()], [want_total, *want_terms.values()],
                                    rtol=0, atol=1e-12)
@@ -227,17 +227,22 @@ class TestGramForm:
 
 
 def fc2_switch_case(seed):
-    """A tiny target model, a batch of three videos, random source (pooled,
-    hidden) activations, and the FC1-only config that switches FC2 off."""
+    """A tiny target model built with the FC1-only config that switches FC2
+    off, a batch of three videos and random source (pooled, hidden)
+    activations."""
     rng = np.random.default_rng(seed)
-    model = init_model(3, 2, Stream.RGB, "target",
-                       TrainConfig(attention_hidden=2, classifier_hidden=3), rng)
+    cfg = TrainConfig(attention_hidden=2, classifier_hidden=3, kernel=KernelConfig(sigma=1.0),
+                      transfer=TransferConfig(fc2_enabled=False))
+    model = init_model(3, 2, Stream.RGB, "target", cfg, rng)
     batch = [(FeatureMatrix(rng.normal(size=(3, int(rng.integers(3, 8))))),
               np.eye(2)[int(rng.integers(2))]) for _ in range(3)]
     acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
-    cfg = TrainConfig(kernel=KernelConfig(sigma=1.0),
-                      transfer=TransferConfig(fc2_enabled=False))
-    return model, batch, acts, cfg
+    return model, batch, acts
+
+
+def with_transfer(model, transfer):
+    """``model``'s parameters under its config with ``transfer`` swapped in."""
+    return dataclasses.replace(model, cfg=dataclasses.replace(model.cfg, transfer=transfer))
 
 
 class TestTransferLoss:
@@ -278,22 +283,22 @@ class TestTransferLoss:
             assert grad_rel_error(analytic, numeric) < 1e-6
 
     def test_fc2_can_be_disabled(self):
-        model, batch, acts, cfg = fc2_switch_case(11)
-        assert loss_weights(cfg)["fc1"] == 1.0 and loss_weights(cfg)["fc2"] == 0.0
-        total, terms, _ = total_loss(batch, model, cfg, source_acts=acts)
-        off = dataclasses.replace(cfg, transfer=TransferConfig(enabled=False))
-        total_off, _, _ = total_loss(batch, model, off, source_acts=acts)
+        model, batch, acts = fc2_switch_case(11)
+        assert loss_weights(model.cfg)["fc1"] == 1.0 and loss_weights(model.cfg)["fc2"] == 0.0
+        total, terms, _ = total_loss(batch, model, source_acts=acts)
+        off = with_transfer(model, TransferConfig(enabled=False))
+        total_off, _, _ = total_loss(batch, off, source_acts=acts)
         assert terms["fc2"] == 0.0 and terms["fc1"] > 0.0
         assert total == total_off + terms["fc1"]
 
     def test_disabled_fc2_grad_is_zero(self):
-        model, batch, acts, cfg = fc2_switch_case(14)
+        model, batch, acts = fc2_switch_case(14)
         # with FC2 off its tap is never computed: any hidden batch gives the same bits
         nan_hidden = (acts[0], np.full_like(acts[1], np.nan))
-        _, terms, grad = total_loss(batch, model, cfg, source_acts=acts)
-        _, terms_nan, grad_nan = total_loss(batch, model, cfg, source_acts=nan_hidden)
+        _, terms, grad = total_loss(batch, model, source_acts=acts)
+        _, terms_nan, grad_nan = total_loss(batch, model, source_acts=nan_hidden)
         assert terms == terms_nan
         np.testing.assert_array_equal(grad, grad_nan)
-        on = dataclasses.replace(cfg, transfer=TransferConfig())
-        _, _, grad_on = total_loss(batch, model, on, source_acts=acts)
+        _, _, grad_on = total_loss(batch, with_transfer(model, TransferConfig()),
+                                   source_acts=acts)
         assert not np.array_equal(grad, grad_on)
