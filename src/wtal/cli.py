@@ -12,11 +12,14 @@ written atomically (temp file + rename) and removed if the command fails
 partway, so a nonzero exit never leaves partial outputs behind.
 
 ``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
-models share nothing until detection fuses them, so ``_fit_streams`` runs
-the RGB fit in this process and the flow fit in one forked child, and the
-command writes its files only after both are back. The results are those
-of fitting one stream after the other, bit for bit; an RGB error is raised
-before a flow error, and no process outlives the command.
+models share nothing until detection fuses them, so ``training.run_streams``
+runs the RGB fit in this process and the flow fit in one forked child, and
+the command writes its files only after both are back. ``detect`` (and the
+scoring in ``ablate``) runs the two streams' forward passes the same way
+once the split holds at least ``detection.FORK_MIN_FRAMES`` frames, and
+one after the other below that. The results are those of running one
+stream after the other, bit for bit; an RGB error is raised before a flow
+error, and no process outlives the command.
 
 Exit codes: 0 ok, 1 runtime error (JSON error object on stderr), 2 usage.
 """
@@ -34,14 +37,14 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, config_value,
-                      field_default, generate_synthetic, is_json, load_dataset,
-                      load_manifest, read_json)
+                      field_default, generate_synthetic, is_json, json_text,
+                      load_dataset, load_manifest, read_json)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
                          ground_truth_instances, instances_from_detections,
                          map_at_iou)
-from .training import (TrainConfig, certify_gradients, load_checkpoint,
+from .training import (TrainConfig, certify_gradients, load_checkpoint, run_streams,
                        save_checkpoint, train_source, train_target)
 from .transfer import KernelConfig, TransferConfig
 
@@ -146,10 +149,6 @@ class _Outputs:
             path.unlink(missing_ok=True)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
-
-
 def _read_json(path: str, what: str, parse: Callable[[list], object]):
     """``parse`` applied to a JSON array file; every InputError names the file."""
     doc = read_json(path, f"{what} file", InputError)
@@ -159,54 +158,6 @@ def _read_json(path: str, what: str, parse: Callable[[list], object]):
         return parse(doc)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _fit_streams(fit: Callable[[Stream], object]) -> dict[Stream, object]:
-    """``{stream: fit(stream)}`` in STREAMS order, the two fits running at once.
-
-    RGB runs in this process and flow in one forked child, which sends back
-    its result or the exception it raised. The RGB error is raised first,
-    then the flow error; a child that exits without sending anything raises
-    ChildProcessError. Whatever happens, the child is stopped and joined
-    before this returns. Fork, not spawn: the child starts from the loaded
-    dataset and models instead of a fresh import.
-    """
-    import multiprocessing  # here, not at the top: it adds ~15 ms to every command
-
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_fit_in_child, args=(fit, Stream.FLOW, writer))
-    child.start()       # flushes stdout first, so nothing buffered is printed twice
-    writer.close()
-    try:
-        rgb = fit(Stream.RGB)
-        try:
-            ok, flow = reader.recv()
-        except EOFError:
-            child.join()
-            raise ChildProcessError(f"the flow stream's training process exited with code "
-                                    f"{child.exitcode} before sending its result") from None
-        if not ok:
-            raise flow
-        return {Stream.RGB: rgb, Stream.FLOW: flow}
-    finally:
-        reader.close()
-        if child.is_alive():
-            child.terminate()
-        child.join()
-
-
-def _fit_in_child(fit: Callable[[Stream], object], stream: Stream, writer) -> None:
-    """The forked child's side of ``_fit_streams``: send ``(True, result)`` or
-    ``(False, exception)``. It prints nothing; the parent reports errors."""
-    try:
-        message = (True, fit(stream))
-    except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
-        message = (False, exc)
-    try:
-        writer.send(message)
-    except BaseException:  # noqa: BLE001 - unsendable or the parent is gone: it sees EOF
-        pass
 
 
 def _require_split(manifest: Manifest, split: str) -> None:
@@ -259,7 +210,7 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
             return train_source(data, stream, cfg)
         return train_target(data, stream, cfg, sources[stream])
 
-    for stream, (model, rows) in _fit_streams(fit).items():
+    for stream, (model, rows) in run_streams(fit).items():
         outputs.write(outdir / f"{args.role}_{stream.value}.ckpt",
                       lambda tmp: save_checkpoint(model, tmp))
         outputs.write(outdir / f"{args.role}_{stream.value}_loss.csv",
@@ -294,9 +245,9 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     predictions, scores = predict_split(data, args.split, model_rgb, model_flow)
     detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
-    outputs.write(out, lambda tmp: tmp.write_text(_json_text(detections)))
+    outputs.write(out, lambda tmp: tmp.write_text(json_text(detections)))
     outputs.write(_predictions_path(out),
-                  lambda tmp: tmp.write_text(_json_text(predictions)))
+                  lambda tmp: tmp.write_text(json_text(predictions)))
     return 0
 
 
@@ -365,7 +316,7 @@ def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
             source_model = train_source(data, stream, arm_cfg)[0] if kt_on else None
             return train_target(data, stream, arm_cfg, source_model)[0]
 
-        models = _fit_streams(fit)
+        models = run_streams(fit)
         predictions, scores = predict_split(data, split, models[Stream.RGB],
                                             models[Stream.FLOW])
         detections = detect_split(data, split, scores, dcfg)

@@ -17,10 +17,12 @@ spec seed, so identical specs produce byte-identical datasets.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -247,6 +249,7 @@ def _record_to_json(rec: VideoRecord) -> dict:
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a finite number",
                bool: "true or false", list: "an array", dict: "an object"}
 _FLOAT_MAX = sys.float_info.max
+_BULK_KINDS = (int, float, str)     # a tuple: an element kind may be an unhashable list
 
 
 def is_json(value, kind) -> bool:
@@ -259,8 +262,14 @@ def is_json(value, kind) -> bool:
         return isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
     if isinstance(kind, type):
         return isinstance(value, kind)
-    if isinstance(kind, list):     # kind * len(value): the element kind once per element
-        return isinstance(value, list) and all(map(is_json, value, kind * len(value)))
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            return False
+        if kind[0] in _BULK_KINDS and set(map(type, value)) <= {kind[0]}:
+            # exact scalars of the element kind, checked in one pass: finite if floats
+            return kind[0] is not float or all(map(_FLOAT_MAX.__ge__, map(abs, value)))
+        # kind * len(value): the element kind once per element
+        return all(map(is_json, value, kind * len(value)))
     return any(is_json(value, k) for k in kind)
 
 
@@ -355,7 +364,7 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
         "classes": list(manifest.class_names),
         "videos": [_record_to_json(v) for v in manifest.videos],
     }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    path.write_text(json_text(doc))
 
 
 def _manifest_from_json(doc) -> Manifest:
@@ -384,6 +393,46 @@ def read_json(path: Path | str, what: str, error: type[Exception]):
         raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True) + "\n"``, byte for byte, for
+    a document of string-keyed objects, arrays, strings, numbers, booleans and
+    nulls. json.dumps runs its pure-Python encoder whenever it indents; this
+    walks the containers the same way, but writes a flat array of finite
+    floats with one join."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, pad: str) -> str:
+    """``obj`` in json.dumps' indent=1 layout; ``pad`` is a newline and the
+    indentation of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if abs(obj) <= _FLOAT_MAX:
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float} and all(map(_FLOAT_MAX.__ge__, map(abs, obj))):
+            items = map(float.__repr__, obj)
+        else:
+            items = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _json_string(k) + ": " + _json_value(v, inner)
+            for k, v in sorted(obj.items())]) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def load_manifest(path: Path) -> Manifest:
     """Parse and validate ``manifest.json``; every error names the file."""
     doc = read_json(path, "manifest", DataFormatError)
@@ -400,6 +449,7 @@ class Dataset:
 
     def __init__(self, root: Path, manifest: Manifest):
         self.root = root
+        self._prefix = os.path.join(root, "")   # a str join per read, not a pathlib one
         self.manifest = manifest
         self._records = {rec.video_id: rec for rec in manifest.videos}
         self._dims: dict[Stream, int] = {}      # feature width per stream, seen so far
@@ -415,9 +465,10 @@ class Dataset:
         """Decode one feature file, checking n against the manifest and d
         against the stream's files read before it."""
         rec = self._records[video_id]
-        fpath = self.root / rec.feature_paths[stream]
+        fpath = self._prefix + rec.feature_paths[stream]
         try:
-            mat = decode_features(fpath.read_bytes())
+            with open(fpath, "rb") as fh:
+                mat = decode_features(fh.read())
             if mat.n != rec.n:
                 raise DataFormatError(f"file has n={mat.n}, manifest says {rec.n}")
             if self._dims.setdefault(stream, mat.d) != mat.d:

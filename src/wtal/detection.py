@@ -8,11 +8,16 @@ proposals with half-open frame intervals [ind_start, ind_end), scored by
 the mean in-run fused score; detect_split converts them to t = ind / fps.
 No suppression is needed: maximal runs are disjoint by construction.
 
-predict_split groups consecutive test videos into chunks with the
-training step's rule (chunk_bounds, within both models' frame budgets)
-and runs each chunk and stream forward once, reading both the video logits
-and the frame score maps off that pass; detect_split only fuses and
-thresholds the maps it returned, one video at a time.
+predict_split scores each stream in one pass over the split: consecutive
+test videos form chunks with the training step's rule (chunk_bounds, within
+both models' frame budgets), and each chunk is decoded and run forward once,
+giving the video logits and the frame score maps off the same pass. The two
+passes share nothing, so on a split of at least FORK_MIN_FRAMES frames they
+run side by side (training.run_streams: RGB here, flow in a forked child),
+and one after the other below that; either way an RGB error is raised
+before a flow error. predict_split then fuses the video logits into the
+prediction records; detect_split only fuses and thresholds the maps it
+returned, one video at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +28,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classifier import classify
-from .dataset import STREAMS, Dataset, FeatureMatrix
+from .dataset import STREAMS, Dataset, FeatureMatrix, Stream, VideoRecord
 from .errors import ConfigError, ShapeError
 from .numerics import sigmoid, stable_softmax
-from .training import Model, chunk_bounds, chunk_budget, forward_video, stack_videos
+from .training import (Model, chunk_bounds, chunk_budget, forward_video, run_streams,
+                       stack_videos)
+
+# The fewest test frames for which predict_split runs the two streams in two
+# processes. Measured on default-shaped models (2 cores, OpenBLAS on one
+# thread) in a process that has already imported multiprocessing, as ablate
+# and a pipeline run in one process have, detect breaks even at 3,000 to
+# 4,000 frames: 2,000 frames ran 3.8 ms slower side by side, 6,000 frames
+# 12 ms faster and 20,000 frames 59 ms faster. A lone detect command pays
+# about 10 ms more for that import, which at about 3 ms saved per 1,000
+# frames moves its break-even to about 7,000.
+FORK_MIN_FRAMES = 8000
 
 
 @dataclass(frozen=True)
@@ -79,35 +95,44 @@ def extract_proposals(scores: np.ndarray, cfg: DetectConfig) -> list[tuple[int, 
                                  edges[1::2].tolist())]
 
 
+def stream_scores(data: Dataset, recs: Sequence[VideoRecord], stream: Stream,
+                  model: Model, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's pass over the videos ``recs``: the (V, C) video logits
+    and their (C, N) frame score maps side by side, in ``recs`` order. Each
+    chunk of at most ``budget`` frames is decoded and runs forward once."""
+    logits, maps = [], []
+    for lo, hi in chunk_bounds([rec.n for rec in recs], budget):
+        z, w = chunk_scores(model, *stack_videos([data.features(rec.video_id, stream)
+                                                  for rec in recs[lo:hi]]))
+        logits.append(z)
+        maps.append(w)
+    return np.vstack(logits), np.hstack(maps)
+
+
 def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
                   ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Classification records for accuracy scoring, and each video's (RGB,
-    flow) frame score maps by id. Consecutive videos form chunks within
-    both models' frame budgets; each chunk and stream runs forward once, and
-    only one chunk's features are decoded at a time."""
+    flow) frame score maps by id, from one stream_scores pass per stream
+    (side by side from FORK_MIN_FRAMES frames on, RGB then flow below)."""
     recs = data.split(split)
     budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
-    records, scores = [], {}
-    for lo, hi in chunk_bounds([rec.n for rec in recs], budget):
-        chunk = recs[lo:hi]
-        # video by video, RGB before flow: the first bad file in manifest
-        # order is the one reported
-        x_rgb, x_flow = zip(*([data.features(rec.video_id, s) for s in STREAMS]
-                              for rec in chunk))
-        z_rgb, w_rgb = chunk_scores(model_rgb, *stack_videos(x_rgb))
-        z_flow, w_flow = chunk_scores(model_flow, *stack_videos(x_flow))
-        probs = stable_softmax((z_rgb + z_flow) / 2.0)
-        cuts = np.cumsum([rec.n for rec in chunk[:-1]])
-        for rec, zr, zf, p, wr, wf in zip(chunk, z_rgb, z_flow, probs,
-                                          np.split(w_rgb, cuts, axis=1),
-                                          np.split(w_flow, cuts, axis=1)):
-            records.append({
-                "video_id": rec.video_id,
-                "logits_rgb": zr.tolist(),
-                "logits_flow": zf.tolist(),
-                "probs_fused": p.tolist(),
-            })
-            scores[rec.video_id] = (wr, wf)
+    models = dict(zip(STREAMS, (model_rgb, model_flow)))
+
+    def one_pass(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+        return stream_scores(data, recs, stream, models[stream], budget)
+
+    if sum(rec.n for rec in recs) >= FORK_MIN_FRAMES:
+        passes = run_streams(one_pass)
+    else:
+        passes = {stream: one_pass(stream) for stream in STREAMS}
+    (z_rgb, w_rgb), (z_flow, w_flow) = passes[Stream.RGB], passes[Stream.FLOW]
+    probs = stable_softmax((z_rgb + z_flow) / 2.0)
+    cuts = np.cumsum([rec.n for rec in recs[:-1]])
+    records = [{"video_id": rec.video_id, "logits_rgb": zr.tolist(),
+                "logits_flow": zf.tolist(), "probs_fused": p.tolist()}
+               for rec, zr, zf, p in zip(recs, z_rgb, z_flow, probs)]
+    scores = dict(zip([rec.video_id for rec in recs],
+                      zip(np.split(w_rgb, cuts, axis=1), np.split(w_flow, cuts, axis=1))))
     return records, scores
 
 

@@ -11,14 +11,13 @@ ground truth are excluded from the mAP mean.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Manifest, check_fields
+from .dataset import Manifest, check_fields, json_text
 from .errors import InputError
 
 
@@ -200,7 +199,7 @@ def report_to_json(report: EvalReport, class_names: Sequence[str]) -> str:
                          for c in report.evaluated_classes},
         "accuracy": {k: report.accuracy.get(k) for k in ("rgb", "flow", "fused")},
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def report_to_csv(report: EvalReport, class_names: Sequence[str]) -> str:

@@ -54,7 +54,7 @@ import struct
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          label_vector)
 from .dataset import (Dataset, FeatureMatrix, Stream, check_fields, config_from_json,
                       is_json)
-from .errors import ConfigError, DataFormatError, DivergenceError, InputError
+from .errors import ConfigError, DataFormatError, DivergenceError, InputError, ShapeError
 from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
 
 CKPT_MAGIC = b"TSRC"
@@ -165,6 +165,10 @@ class Model:
         views = self.views(self.flat)
         self.attention = AttentionParams(*views[:2])
         self.classifier = ClassifierParams(*views[2:])
+        width = self.attention.r * self.attention.d
+        if self.classifier.in_dim != width:
+            raise ShapeError(f"FC1 takes {self.classifier.in_dim} inputs, but the attention "
+                             f"pools {self.attention.r} heads of {self.attention.d} features")
 
     def __reduce__(self):
         # rebuilt from ``flat``, so that the unpickled views share its memory
@@ -450,6 +454,59 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
     elif source_model.stream != stream:
         raise ConfigError("source model belongs to the other stream")
     return _fit(dataset, stream, "target", cfg, records, source_model=source_model)
+
+
+# ---------------------------------------------------------------------------
+# both streams at once
+# ---------------------------------------------------------------------------
+
+
+def run_streams(work: Callable[[Stream], object]) -> dict[Stream, object]:
+    """``{stream: work(stream)}`` in STREAMS order, the two calls running at once.
+
+    RGB runs in this process and flow in one forked child, which sends back
+    its result or the exception it raised. The RGB error is raised first,
+    then the flow error; a child that exits without sending anything raises
+    ChildProcessError. Whatever happens, the child is stopped and joined
+    before this returns. Fork, not spawn: the child starts from the loaded
+    dataset and models instead of a fresh import.
+    """
+    import multiprocessing  # here, not at the top: it adds ~10 ms to every command
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_child, args=(work, Stream.FLOW, writer))
+    child.start()       # flushes stdout first, so nothing buffered is printed twice
+    writer.close()
+    try:
+        rgb = work(Stream.RGB)
+        try:
+            ok, flow = reader.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(f"the flow stream's process exited with code "
+                                    f"{child.exitcode} before sending its result") from None
+        if not ok:
+            raise flow
+        return {Stream.RGB: rgb, Stream.FLOW: flow}
+    finally:
+        reader.close()
+        if child.is_alive():
+            child.terminate()
+        child.join()
+
+
+def _run_in_child(work: Callable[[Stream], object], stream: Stream, writer) -> None:
+    """The forked child's side of ``run_streams``: send ``(True, result)`` or
+    ``(False, exception)``. It prints nothing; the parent reports errors."""
+    try:
+        message = (True, work(stream))
+    except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
+        message = (False, exc)
+    try:
+        writer.send(message)
+    except BaseException:  # noqa: BLE001 - unsendable or the parent is gone: it sees EOF
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,14 @@ class TestPipeline:
         for det in dets:
             assert set(det) == {"video_id", "class", "t_start", "t_end", "confidence"}
 
+    def test_json_files_have_the_json_dumps_layout(self, pipeline):
+        for path in (pipeline["data"] / "manifest.json", pipeline["det"],
+                     pipeline["det"].parent / "detections.predictions.json",
+                     pipeline["report"]):
+            doc = json.loads(path.read_text())
+            expected = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+            assert wtal.dataset.json_text(doc) == expected == path.read_text()
+
     def test_predictions_sidecar(self, pipeline):
         preds = json.loads(
             (pipeline["det"].parent / "detections.predictions.json").read_text())
@@ -1205,10 +1213,39 @@ class TestStreamsSideBySide:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_detect_with_a_killed_child_exits_one(self, pipeline, tmp_path, capfd,
+                                                  monkeypatch):
+        parent, scores = os.getpid(), wtal.detection.chunk_scores
+
+        def killed_in_child(model, x, counts=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scores(model, x, counts)
+
+        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
+        monkeypatch.setattr(wtal.detection, "chunk_scores", killed_in_child)
+        out = tmp_path / "out" / "detections.json"
+        assert cli.main(_detect_argv(pipeline["data"], out, pipeline["tgt"])) == 1
+        err = _one_error(capfd.readouterr().err)
+        assert err["error"] == "ChildProcessError"
+        assert f"exited with code {-signal.SIGKILL}" in err["message"]
+        assert not out.parent.exists() or list(out.parent.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_detect_side_by_side_writes_the_same_files(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
+        out = tmp_path / "detections.json"
+        assert cli.main(_detect_argv(pipeline["data"], out, pipeline["tgt"])) == 0
+        assert out.read_bytes() == pipeline["det"].read_bytes()
+        sidecar = "detections.predictions.json"
+        assert (tmp_path / sidecar).read_bytes() == \
+            (pipeline["det"].parent / sidecar).read_bytes()
+
     def test_import_leaves_multiprocessing_unloaded(self):
-        run = _python("-c", "import sys, wtal.cli; "
-                      "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
-        assert run.returncode == 0 and run.stdout.strip() == "[]", run.stderr
+        for module in ("wtal.cli", "wtal.detection", "wtal.training"):
+            run = _python("-c", f"import sys, {module}; print(sorted(m for m in sys.modules "
+                          "if m.startswith('multiprocessing')))")
+            assert run.returncode == 0 and run.stdout.strip() == "[]", (module, run.stderr)
 
 
 class TestOutputs:

@@ -24,6 +24,7 @@ from wtal.dataset import (
     encode_features,
     generate_synthetic,
     is_json,
+    json_text,
     load_dataset,
     load_manifest,
     save_manifest,
@@ -131,6 +132,15 @@ class TestJsonKinds:
         ("x", [str], False), ([[1.5]], [[float]], True), (True, (bool, str), True),
         ("median", (str, float), True), (2, (str, float), True), (True, (str, float), False),
         ([1.0, -2], (float, [float]), True), ([1.0, None], (float, [float]), False),
+        # arrays of exact scalars take one pass; anything else each element's rule
+        ([1.5, -2.0, 0.0], [float], True), ([1.5, True], [float], False),
+        ([1.5, float("nan")], [float], False), ([float("inf"), 1.5], [float], False),
+        ([1.5, float("-inf")], [float], False), ([1.5, 10 ** 400], [float], False),
+        ([1.5, 10 ** 300], [float], True), ([np.float64(1.5), 2.0], [float], True),
+        ([np.float64("nan")], [float], False), ([True, False], [bool], True),
+        ([1, 2.0], [int], False), (["a", 1], [str], False), ([["a"]], [str], False),
+        ([[1.5], 2.0], [float], False), ([[1.5], [float("nan")]], [[float]], False),
+        ([[1, 2], []], [[int]], True), ([1.5], [(str, float)], True),
     ])
     def test_kinds(self, value, kind, expected):
         assert is_json(value, kind) is expected
@@ -143,6 +153,27 @@ class TestJsonKinds:
             check_fields([], (("a", int),), DataFormatError, "entry 3")
         with pytest.raises(InputError, match="'b' must be a string or a finite number, got None"):
             check_fields({"a": 1}, (("a", int), ("b", (str, float))), InputError, "entry 3")
+
+
+JSON_DOCUMENTS = [
+    [], {}, [[]], {"a": {}}, {"b": [1, [2.5, {"c": None}]], "a": [True, False]},
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 0.1, 1e-7],
+    [1.5, 2, True, None, -0.0], [1, 2, 3], {"x": float("nan")}, [np.float64(2.5), 1.0],
+    ("tuple", (1.5, 2.5)), ["naïve", "日本", "tab\there", "\x00\x1f\x7f", "quote\"\\"],
+    {"ünï": 1, "\n": [0.5]}, "string", 7, 2.5, None, True,
+]
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("doc", JSON_DOCUMENTS, ids=range(len(JSON_DOCUMENTS)))
+    def test_matches_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    def test_raises_type_error_outside_its_documents(self):
+        # json.dumps writes the key 1 as "1"; no document here has such a key
+        for doc in ({1: "int key"}, [object()], {"a": {2.5}}):
+            with pytest.raises(TypeError):
+                json_text(doc)
 
 
 class TestManifest:

@@ -15,7 +15,7 @@ from wtal.detection import (
     fused_frame_scores,
     predict_split,
 )
-from wtal.errors import ConfigError, ShapeError
+from wtal.errors import ConfigError, DataFormatError, ShapeError
 from wtal.training import Model, TrainConfig, forward_video, init_model, train_source
 
 import oracles
@@ -306,24 +306,40 @@ class TestChunkedPrediction:
     ])
     def test_matches_one_video_at_a_time(self, tmp_path, monkeypatch, mode, heads, enabled,
                                          hidden_rgb, hidden_flow):
+        chunks = self._record_chunks(monkeypatch)
+        rng = np.random.default_rng(20)
+        data = self._dataset(tmp_path, rng)
+        m_rgb, m_flow = self._models(rng, mode, heads, enabled, hidden_rgb, hidden_flow)
+        preds, scores = predict_split(data, "test", m_rgb, m_flow)
+        # one pass per chunk and stream, within both models' frame budgets
+        budget = 16384 // max(hidden_rgb, hidden_flow)
+        per_stream = {s: [counts for stream, counts in chunks if stream == s] for s in STREAMS}
+        assert per_stream[Stream.RGB] == per_stream[Stream.FLOW]
+        assert [n for counts in per_stream[Stream.RGB] for n in counts] == list(self.LENGTHS)
+        assert all(sum(counts) <= budget or len(counts) == 1 for _, counts in chunks)
+        self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
+
+    @staticmethod
+    def _record_chunks(monkeypatch) -> list:
+        """(stream, frame counts) of each forward pass this process runs."""
         chunks = []
         forward = detection.forward_video
         monkeypatch.setattr(detection, "forward_video", lambda model, x, counts=None: (
-            chunks.append(tuple(counts or (x.n,))) or forward(model, x, counts)))
-        rng = np.random.default_rng(20)
-        data = self._dataset(tmp_path, rng)
-        m_rgb, m_flow = (
+            chunks.append((model.stream, tuple(counts or (x.n,))))
+            or forward(model, x, counts)))
+        return chunks
+
+    @staticmethod
+    def _models(rng, mode="softmax", heads=2, enabled=True, hidden_rgb=64, hidden_flow=48):
+        return tuple(
             init_model(5, 3, stream, "target",
                        TrainConfig(attention_hidden=hidden, classifier_hidden=7, heads=heads,
                                    attention_mode=mode, attention_enabled=enabled,
                                    init_scale=2.0), rng)
             for stream, hidden in ((Stream.RGB, hidden_rgb), (Stream.FLOW, hidden_flow)))
-        preds, scores = predict_split(data, "test", m_rgb, m_flow)
-        # one pass per chunk and stream, within both models' frame budgets
-        budget = 16384 // max(hidden_rgb, hidden_flow)
-        assert chunks[::2] == chunks[1::2]
-        assert [n for counts in chunks[::2] for n in counts] == list(self.LENGTHS)
-        assert all(sum(counts) <= budget or len(counts) == 1 for counts in chunks)
+
+    @staticmethod
+    def _assert_matches_oracle(data, m_rgb, m_flow, preds, scores):
         ref_preds, ref_scores = oracles.predict_split_per_video(data, "test", m_rgb, m_flow)
         assert [p["video_id"] for p in preds] == [p["video_id"] for p in ref_preds]
         assert list(scores) == list(ref_scores)
@@ -334,3 +350,34 @@ class TestChunkedPrediction:
             for w, ref_w in zip(maps, ref_scores[video_id]):
                 assert w.shape == ref_w.shape
                 np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)
+
+    def test_side_by_side_matches_in_process(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        data = self._dataset(tmp_path, rng)
+        m_rgb, m_flow = self._models(rng)
+        in_process = predict_split(data, "test", m_rgb, m_flow)
+        assert sum(self.LENGTHS) < detection.FORK_MIN_FRAMES
+        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
+        chunks = self._record_chunks(monkeypatch)
+        preds, scores = predict_split(data, "test", m_rgb, m_flow)
+        # the flow pass ran in the forked child, which this process does not see
+        assert {stream for stream, _ in chunks} == {Stream.RGB}
+        assert preds == in_process[0]
+        assert list(scores) == list(in_process[1])
+        for maps, ref_maps in zip(scores.values(), in_process[1].values()):
+            for w, ref_w in zip(maps, ref_maps):
+                np.testing.assert_array_equal(w, ref_w)
+        self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
+
+    @pytest.mark.parametrize("fork_min_frames", [0, None])
+    def test_an_rgb_error_is_reported_before_a_flow_error(self, tmp_path, monkeypatch,
+                                                         fork_min_frames):
+        if fork_min_frames is not None:
+            monkeypatch.setattr(detection, "FORK_MIN_FRAMES", fork_min_frames)
+        rng = np.random.default_rng(22)
+        data = self._dataset(tmp_path, rng)
+        early, late = data.split("test")[1], data.split("test")[-2]
+        (tmp_path / early.feature_paths[Stream.FLOW]).write_bytes(b"TSRF")
+        (tmp_path / late.feature_paths[Stream.RGB]).write_bytes(b"TSRF")
+        with pytest.raises(DataFormatError, match=f"{late.video_id}/rgb"):
+            predict_split(data, "test", *self._models(rng))

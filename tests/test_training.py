@@ -616,6 +616,17 @@ class TestCheckpoints:
         for field in fields:
             assert field in str(exc.value)
 
+    def test_rejects_an_fc1_width_other_than_heads_times_d(self, tmp_path):
+        # W1 (2, 4) and w2 (1, 2) pool 1 head of 4 features; FC1 (3, 5) takes 5
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(_tiny_model(d=4), path)
+        _edit_header(path, lambda header: header["params"][2].update(shape=[3, 5]))
+        path.write_bytes(path.read_bytes() + bytes(8 * 3))
+        with pytest.raises(DataFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: inconsistent checkpoint parameter shapes")
+        assert "FC1 takes 5 inputs" in str(exc.value)
+
     def test_rejects_corruption(self, tmp_path):
         model = _tiny_model()
         path = tmp_path / "m.ckpt"
