@@ -14,10 +14,11 @@ partway, so a nonzero exit never leaves partial outputs behind.
 ``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
 models share nothing until detection fuses them, so ``training.run_streams``
 runs the RGB fit in this process and the flow fit in one forked child, and
-the command writes its files only after both are back. ``detect`` (and the
-scoring in ``ablate``) runs the two streams' forward passes the same way
-once the split holds at least ``detection.FORK_MIN_FRAMES`` frames, and
-one after the other below that. The results are those of running one
+the command writes its files only after both are back. The scoring in
+``ablate`` runs the two streams' forward passes the same way once the split
+holds at least ``detection.FORK_MIN_FRAMES`` frames, and one after the other
+below that; a lone ``detect`` command, which has not loaded multiprocessing,
+always runs them one after the other. The results are those of running one
 stream after the other, bit for bit; an RGB error is raised before a flow
 error, and no process outlives the command.
 

@@ -249,7 +249,11 @@ def _record_to_json(rec: VideoRecord) -> dict:
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a finite number",
                bool: "true or false", list: "an array", dict: "an object"}
 _FLOAT_MAX = sys.float_info.max
-_BULK_KINDS = (int, float, str)     # a tuple: an element kind may be an unhashable list
+
+
+def _finite_floats(values) -> bool:
+    """Whether every element of ``values`` is an exact float and finite."""
+    return set(map(type, values)) <= {float} and all(map(_FLOAT_MAX.__ge__, map(abs, values)))
 
 
 def is_json(value, kind) -> bool:
@@ -265,9 +269,12 @@ def is_json(value, kind) -> bool:
     if isinstance(kind, list):
         if not isinstance(value, list):
             return False
-        if kind[0] in _BULK_KINDS and set(map(type, value)) <= {kind[0]}:
-            # exact scalars of the element kind, checked in one pass: finite if floats
-            return kind[0] is not float or all(map(_FLOAT_MAX.__ge__, map(abs, value)))
+        # exact scalars of the element kind are checked in one pass (a tuple,
+        # not a set, for `in`: the element kind may be an unhashable list)
+        if kind[0] is float and _finite_floats(value):
+            return True
+        if kind[0] in (int, str) and set(map(type, value)) <= {kind[0]}:
+            return True
         # kind * len(value): the element kind once per element
         return all(map(is_json, value, kind * len(value)))
     return any(is_json(value, k) for k in kind)
@@ -419,7 +426,7 @@ def _json_value(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {float} and all(map(_FLOAT_MAX.__ge__, map(abs, obj))):
+        if _finite_floats(obj):
             items = map(float.__repr__, obj)
         else:
             items = [_json_value(v, inner) for v in obj]
@@ -449,7 +456,7 @@ class Dataset:
 
     def __init__(self, root: Path, manifest: Manifest):
         self.root = root
-        self._prefix = os.path.join(root, "")   # a str join per read, not a pathlib one
+        self._dir = os.fspath(root)     # joined as a str per read, not as a pathlib path
         self.manifest = manifest
         self._records = {rec.video_id: rec for rec in manifest.videos}
         self._dims: dict[Stream, int] = {}      # feature width per stream, seen so far
@@ -465,7 +472,7 @@ class Dataset:
         """Decode one feature file, checking n against the manifest and d
         against the stream's files read before it."""
         rec = self._records[video_id]
-        fpath = self._prefix + rec.feature_paths[stream]
+        fpath = os.path.join(self._dir, rec.feature_paths[stream])
         try:
             with open(fpath, "rb") as fh:
                 mat = decode_features(fh.read())

@@ -12,16 +12,19 @@ predict_split scores each stream in one pass over the split: consecutive
 test videos form chunks with the training step's rule (chunk_bounds, within
 both models' frame budgets), and each chunk is decoded and run forward once,
 giving the video logits and the frame score maps off the same pass. The two
-passes share nothing, so on a split of at least FORK_MIN_FRAMES frames they
-run side by side (training.run_streams: RGB here, flow in a forked child),
-and one after the other below that; either way an RGB error is raised
-before a flow error. predict_split then fuses the video logits into the
-prediction records; detect_split only fuses and thresholds the maps it
-returned, one video at a time.
+passes share nothing, so in a process that has already loaded
+multiprocessing (one that ran train or ablate), on a split of at least
+FORK_MIN_FRAMES frames, they run side by side (training.run_streams: RGB
+here, flow in a forked child); otherwise, and so in a lone detect command,
+one after the other. Either way an RGB error is raised before a flow
+error. predict_split then fuses the video logits into the prediction
+records; detect_split only fuses and thresholds the maps it returned, one
+video at a time.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,14 +38,14 @@ from .training import (Model, chunk_bounds, chunk_budget, forward_video, run_str
                        stack_videos)
 
 # The fewest test frames for which predict_split runs the two streams in two
-# processes. Measured on default-shaped models (2 cores, OpenBLAS on one
-# thread) in a process that has already imported multiprocessing, as ablate
-# and a pipeline run in one process have, detect breaks even at 3,000 to
-# 4,000 frames: 2,000 frames ran 3.8 ms slower side by side, 6,000 frames
-# 12 ms faster and 20,000 frames 59 ms faster. A lone detect command pays
-# about 10 ms more for that import, which at about 3 ms saved per 1,000
-# frames moves its break-even to about 7,000.
-FORK_MIN_FRAMES = 8000
+# processes, and only in a process that has already loaded multiprocessing.
+# Measured on default-shaped models (2 cores, OpenBLAS on one thread), in one
+# process that ran train before detect, in-process -> side by side, median
+# detect time: 2,000 frames 55.9 -> 59.8 ms, 3,000 69.2 -> 66.3 ms, 4,000
+# 85.7 -> 82.2 ms, 6,000 118.2 -> 106.4 ms, 20,000 322.6 -> 263.2 ms. A lone
+# detect command, which would import multiprocessing for the fork, measured
+# no gain at 20,000 frames (-0.3 ms median over 21 pairs), so it does not fork.
+FORK_MIN_FRAMES = 4000
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,18 @@ def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
                   ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Classification records for accuracy scoring, and each video's (RGB,
     flow) frame score maps by id, from one stream_scores pass per stream
-    (side by side from FORK_MIN_FRAMES frames on, RGB then flow below)."""
+    (side by side where the module docstring says, RGB then flow otherwise)."""
     recs = data.split(split)
+    if not recs:
+        return [], {}
     budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
     models = dict(zip(STREAMS, (model_rgb, model_flow)))
 
     def one_pass(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
         return stream_scores(data, recs, stream, models[stream], budget)
 
-    if sum(rec.n for rec in recs) >= FORK_MIN_FRAMES:
+    if ("multiprocessing" in sys.modules
+            and sum(rec.n for rec in recs) >= FORK_MIN_FRAMES):
         passes = run_streams(one_pass)
     else:
         passes = {stream: one_pass(stream) for stream in STREAMS}

@@ -1241,6 +1241,16 @@ class TestStreamsSideBySide:
         assert (tmp_path / sidecar).read_bytes() == \
             (pipeline["det"].parent / sidecar).read_bytes()
 
+    def test_a_lone_detect_runs_both_passes_in_process(self, pipeline, tmp_path):
+        out = tmp_path / "detections.json"
+        argv = _detect_argv(pipeline["data"], out, pipeline["tgt"])
+        run = _python("-c", "import sys; from wtal import cli, detection; "
+                      f"detection.FORK_MIN_FRAMES = 0; rc = cli.main({argv!r}); "
+                      "print(rc, 'multiprocessing' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False"
+        assert out.read_bytes() == pipeline["det"].read_bytes()
+
     def test_import_leaves_multiprocessing_unloaded(self):
         for module in ("wtal.cli", "wtal.detection", "wtal.training"):
             run = _python("-c", f"import sys, {module}; print(sorted(m for m in sys.modules "

@@ -455,6 +455,21 @@ class TestLoadDataset:
             list(data.iter_split("test", Stream.FLOW))
         assert len(calls) == 2 * TINY_SPEC.target_test
 
+    def test_feature_paths_join_the_dataset_root_like_pathlib(self, tmp_path):
+        # an absolute path is read as given, a path with ".." climbs out of the root
+        rec = generate_synthetic(TINY_SPEC, tmp_path / "ds").videos[0]
+        rgb, flow = (tmp_path / "ds" / rec.feature_paths[s] for s in STREAMS)
+        rgb.rename(tmp_path / "rgb.tsrf")
+        flow.rename(tmp_path / "flow.tsrf")
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        entry = next(v for v in doc["videos"] if v["id"] == rec.video_id)
+        entry["features"] = {"rgb": str(tmp_path / "rgb.tsrf"), "flow": "../flow.tsrf"}
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(doc))
+        data = load_dataset(tmp_path / "ds")
+        for stream, path in zip(STREAMS, (tmp_path / "rgb.tsrf", tmp_path / "flow.tsrf")):
+            np.testing.assert_array_equal(data.features(rec.video_id, stream).values,
+                                          decode_features(path.read_bytes()).values)
+
     def test_missing_feature_file(self, tmp_path):
         rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
         (tmp_path / rec.feature_paths[Stream.RGB]).unlink()

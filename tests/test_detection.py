@@ -1,6 +1,7 @@
 """Tests for frame scoring, stream fusion, and proposal extraction."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ class TestChunkedPrediction:
         m_rgb, m_flow = self._models(rng)
         in_process = predict_split(data, "test", m_rgb, m_flow)
         assert sum(self.LENGTHS) < detection.FORK_MIN_FRAMES
-        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
+        self._side_by_side(monkeypatch)
         chunks = self._record_chunks(monkeypatch)
         preds, scores = predict_split(data, "test", m_rgb, m_flow)
         # the flow pass ran in the forked child, which this process does not see
@@ -369,11 +370,43 @@ class TestChunkedPrediction:
                 np.testing.assert_array_equal(w, ref_w)
         self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
 
-    @pytest.mark.parametrize("fork_min_frames", [0, None])
+    @staticmethod
+    def _side_by_side(monkeypatch):
+        """Make predict_split fork on any split: no frame cutoff, and
+        multiprocessing loaded, as in a process that has run train."""
+        import multiprocessing  # noqa: F401 - loaded, as train loads it
+        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
+
+    def test_a_process_without_multiprocessing_does_not_fork(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        data = self._dataset(tmp_path, rng)
+        m_rgb, m_flow = self._models(rng)
+        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
+        monkeypatch.delitem(sys.modules, "multiprocessing", raising=False)
+        chunks = self._record_chunks(monkeypatch)
+        preds, scores = predict_split(data, "test", m_rgb, m_flow)
+        # both passes ran here, RGB first, and nothing imported multiprocessing
+        streams = [stream for stream, _ in chunks]
+        assert streams == sorted(streams, key=STREAMS.index) and set(streams) == set(STREAMS)
+        assert "multiprocessing" not in sys.modules
+        self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
+
+    @pytest.mark.parametrize("side_by_side", [True, False])
+    def test_an_empty_split_predicts_nothing(self, tmp_path, monkeypatch, side_by_side):
+        if side_by_side:
+            self._side_by_side(monkeypatch)
+        rng = np.random.default_rng(24)
+        data = self._dataset(tmp_path, rng)
+        assert data.split("train") == ()
+        scores = predict_split(data, "train", *self._models(rng))
+        assert scores == ([], {})
+        assert detect_split(data, "train", scores[1], DetectConfig()) == []
+
+    @pytest.mark.parametrize("side_by_side", [True, False])
     def test_an_rgb_error_is_reported_before_a_flow_error(self, tmp_path, monkeypatch,
-                                                         fork_min_frames):
-        if fork_min_frames is not None:
-            monkeypatch.setattr(detection, "FORK_MIN_FRAMES", fork_min_frames)
+                                                         side_by_side):
+        if side_by_side:
+            self._side_by_side(monkeypatch)
         rng = np.random.default_rng(22)
         data = self._dataset(tmp_path, rng)
         early, late = data.split("test")[1], data.split("test")[-2]
