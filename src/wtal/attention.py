@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,22 +30,11 @@ from .numerics import sigmoid
 MODES = ("softmax", "sigmoid")
 
 
-@dataclass
-class AttentionParams:
-    """Learned attention parameters: W1 (b x d), w2 (r x b)."""
+class AttentionParams(NamedTuple):
+    """W1 (b x d) and w2 (r x b), or their gradients; ``training.Model`` checks the shapes."""
 
     w1: np.ndarray
     w2: np.ndarray
-
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ShapeError("attention parameters must be 2-D")
-        if self.w2.shape[1] != self.w1.shape[0]:
-            raise ShapeError(
-                f"w2 columns ({self.w2.shape[1]}) must match W1 rows ({self.w1.shape[0]})"
-            )
 
     @property
     def d(self) -> int:
@@ -146,9 +135,9 @@ def uniform_attention(x: FeatureMatrix, r: int = 1,
 def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
                     g_m: np.ndarray | None = None,
                     g_a: np.ndarray | None = None,
-                    g_scores: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    g_scores: np.ndarray | None = None) -> AttentionParams:
     """Backpropagate upstream gradients on (m, a, scores) of one chunk to
-    (W1, w2), summed over its videos.
+    the gradients on (W1, w2), summed over its videos.
 
     g_m is (B, r*d) like ``out.m``; g_a and g_scores are (r, N) like
     ``out.a``. g_scores is only meaningful in sigmoid mode, where the
@@ -156,7 +145,7 @@ def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
     """
     d, n, r, b = p.d, x.n, p.r, len(out.counts)
     if out.mode == "uniform":
-        return np.zeros_like(p.w1), np.zeros_like(p.w2)
+        return AttentionParams(np.zeros_like(p.w1), np.zeros_like(p.w2))
     if g_scores is not None and out.mode != "sigmoid":
         raise ShapeError("score gradients only exist in sigmoid mode")
     if g_m is not None and g_m.shape != (b, r * d):
@@ -179,8 +168,7 @@ def attention_grads(x: FeatureMatrix, p: AttentionParams, out: AttentionOutput,
     g_pre = out.hidden * out.hidden                 # through the tanh, in place
     np.subtract(1.0, g_pre, out=g_pre)
     g_pre *= np.dot(p.w2.T, g_logits)   # np.dot: matmul is ~3x slower on a 1-head outer product
-    g_w1 = g_pre @ x.values.T
-    return g_w1, g_w2
+    return AttentionParams(g_pre @ x.values.T, g_w2)
 
 
 # ---------------------------------------------------------------------------

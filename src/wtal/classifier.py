@@ -11,6 +11,7 @@ returned too because the knowledge-transfer loss taps them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,26 +21,14 @@ from .numerics import stable_softmax
 LOG_EPS = 1e-12
 
 
-@dataclass
-class ClassifierParams:
-    """FC1 (h x rd) + bias, FC2 (C x h) + bias."""
+class ClassifierParams(NamedTuple):
+    """FC1 (h x rd) + bias, FC2 (C x h) + bias, or their gradients; ``training.Model``
+    checks the shapes."""
 
     fc1_w: np.ndarray
     fc1_b: np.ndarray
     fc2_w: np.ndarray
     fc2_b: np.ndarray
-
-    def __post_init__(self):
-        self.fc1_w = np.asarray(self.fc1_w, dtype=np.float64)
-        self.fc1_b = np.asarray(self.fc1_b, dtype=np.float64)
-        self.fc2_w = np.asarray(self.fc2_w, dtype=np.float64)
-        self.fc2_b = np.asarray(self.fc2_b, dtype=np.float64)
-        h, _ = self.fc1_w.shape
-        c, h2 = self.fc2_w.shape
-        if self.fc1_b.shape != (h,) or self.fc2_b.shape != (c,) or h2 != h:
-            raise ShapeError("classifier parameter shapes are inconsistent")
-        if c < 2:
-            raise ShapeError("classifier needs at least 2 classes")
 
     @property
     def in_dim(self) -> int:
@@ -54,7 +43,6 @@ class ClassifierParams:
 class ClassifierOutput:
     """hidden_clean is pre-dropout (the transfer tap); hidden feeds FC2."""
 
-    pre1: np.ndarray
     hidden_clean: np.ndarray
     hidden: np.ndarray
     logits: np.ndarray
@@ -74,8 +62,7 @@ def classify(m: np.ndarray, p: ClassifierParams,
     if m.ndim not in (1, 2) or m.shape[-1] != p.in_dim:
         raise ShapeError(f"pooled input has shape {m.shape}, classifier expects "
                          f"({p.in_dim},) or (B, {p.in_dim})")
-    pre1 = m @ p.fc1_w.T + p.fc1_b
-    hidden_clean = np.maximum(pre1, 0.0)
+    hidden_clean = np.maximum(m @ p.fc1_w.T + p.fc1_b, 0.0)
     if dropout_mask is not None:
         if dropout_mask.shape != hidden_clean.shape:
             raise ShapeError("dropout mask must match the hidden layer")
@@ -83,8 +70,7 @@ def classify(m: np.ndarray, p: ClassifierParams,
     else:
         hidden = hidden_clean
     logits = hidden @ p.fc2_w.T + p.fc2_b
-    return ClassifierOutput(pre1=pre1, hidden_clean=hidden_clean, hidden=hidden,
-                            logits=logits)
+    return ClassifierOutput(hidden_clean=hidden_clean, hidden=hidden, logits=logits)
 
 
 def label_vector(labels, n_classes: int) -> np.ndarray:
@@ -117,31 +103,22 @@ def class_loss_grad_logits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return probs * (g_p - np.sum(g_p * probs, axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class ClassifierGrads:
-    """Parameter gradients summed over the rows; ``m`` keeps one row per row."""
-
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-    m: np.ndarray
-
-
 def classifier_grads(m: np.ndarray, p: ClassifierParams, out: ClassifierOutput,
                      g_logits: np.ndarray,
                      dropout_mask: np.ndarray | None = None,
-                     g_hidden_clean: np.ndarray | None = None) -> ClassifierGrads:
-    """Backward pass of ``classify``, for one row or a row batch shaped as in
-    the forward. g_hidden_clean injects the transfer tap's gradient."""
+                     g_hidden_clean: np.ndarray | None = None
+                     ) -> tuple[ClassifierParams, np.ndarray]:
+    """Backward pass of ``classify`` on rows shaped as in the forward: the parameter
+    gradients summed over the rows, and the gradient on ``m``, shaped like it.
+    g_hidden_clean injects the transfer tap's gradient."""
     m = np.asarray(m, dtype=np.float64)
-    x, hidden, pre1, g_logits = (np.atleast_2d(a) for a in (m, out.hidden, out.pre1, g_logits))
+    x, hidden, g_logits = (np.atleast_2d(a) for a in (m, out.hidden, g_logits))
     g_hidden = g_logits @ p.fc2_w
     if dropout_mask is not None:
         g_hidden = g_hidden * dropout_mask
     if g_hidden_clean is not None:
         g_hidden = g_hidden + g_hidden_clean
-    g_pre1 = g_hidden * (pre1 > 0.0)
-    return ClassifierGrads(fc1_w=g_pre1.T @ x, fc1_b=g_pre1.sum(axis=0),
-                           fc2_w=g_logits.T @ hidden, fc2_b=g_logits.sum(axis=0),
-                           m=(g_pre1 @ p.fc1_w).reshape(m.shape))
+    g_pre1 = g_hidden * (out.hidden_clean > 0.0)     # relu(x) > 0 exactly where x > 0
+    grads = ClassifierParams(fc1_w=g_pre1.T @ x, fc1_b=g_pre1.sum(axis=0),
+                             fc2_w=g_logits.T @ hidden, fc2_b=g_logits.sum(axis=0))
+    return grads, (g_pre1 @ p.fc1_w).reshape(m.shape)

@@ -176,6 +176,9 @@ def _require_split(manifest: Manifest, split: str) -> None:
 
 def _cmd_synth(args, run_cfg: RunConfig, _outputs: _Outputs) -> int:
     out = Path(args.out)
+    if out.exists() and not (out / "manifest.json").exists() and any(out.iterdir()):
+        raise ConfigError(f"--out {out} holds files but no manifest.json; synth replaces "
+                          f"only an empty directory or a previous dataset")
     partial = out.parent / (out.name + ".partial")
     if partial.exists():
         shutil.rmtree(partial)

@@ -269,11 +269,8 @@ def is_json(value, kind) -> bool:
     if isinstance(kind, list):
         if not isinstance(value, list):
             return False
-        # exact scalars of the element kind are checked in one pass (a tuple,
-        # not a set, for `in`: the element kind may be an unhashable list)
+        # a prediction file's scores: exact finite floats, checked in one pass
         if kind[0] is float and _finite_floats(value):
-            return True
-        if kind[0] in (int, str) and set(map(type, value)) <= {kind[0]}:
             return True
         # kind * len(value): the element kind once per element
         return all(map(is_json, value, kind * len(value)))

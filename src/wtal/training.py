@@ -36,10 +36,10 @@ one (B, h) dropout mask, and the transfer taps read M and its hidden layer.
 cache and detection's ``predict_split`` all chunk with it.
 
 A model's parameters live in one contiguous float64 vector, ``Model.flat``,
-laid out in PARAM_KEYS order; the attention and classifier parameters are
-reshaped views of it. Gradients and the momentum velocity share that
-layout, so an SGD step is one vector update and a checkpoint payload is
-the vector's bytes.
+in PARAM_KEYS order with the shapes ``param_shapes`` states, which every
+``Model`` is checked against; ``AttentionParams`` and ``ClassifierParams``
+are views of it. Gradients and the momentum velocity share that layout, so
+an SGD step is one vector update and a checkpoint payload is its bytes.
 
 Everything is bit-deterministic given (dataset, config, seed): batches,
 dropout masks, and initialization all come from PCG64 generators seeded
@@ -144,13 +144,22 @@ class TrainConfig:
         return lr0 * self.decay_factor ** (-(iteration // self.decay_every))
 
 
+def param_shapes(d: int, n_classes: int, cfg: TrainConfig) -> tuple[tuple[int, ...], ...]:
+    """The parameter shapes, in PARAM_KEYS order, of a model over d-dimensional
+    features and n_classes classes: the one place that states them."""
+    b, r, h = cfg.attention_hidden, cfg.heads, cfg.classifier_hidden
+    return (b, d), (r, b), (h, r * d), (h,), (n_classes, h), (n_classes,)
+
+
 @dataclass
 class Model:
     """One stream's trainable state plus the config it was built with.
 
     ``flat`` holds every parameter, in PARAM_KEYS order with the per-key
     ``shapes``; ``attention`` and ``classifier`` are views of it, so
-    updating ``flat`` in place updates them both.
+    updating ``flat`` in place updates them both. ``shapes`` must be
+    ``param_shapes`` of ``cfg`` for the d and n_classes that att_w1 and fc2_b
+    declare, with d >= 1 and n_classes >= 2.
     """
 
     flat: np.ndarray
@@ -162,13 +171,14 @@ class Model:
     classifier: ClassifierParams = field(init=False, repr=False)
 
     def __post_init__(self):
+        d, n_classes = (self.shapes[0] or (0,))[-1], (self.shapes[-1] or (0,))[0]  # () reads as 0
+        expected = param_shapes(d, n_classes, self.cfg)
+        if d < 1 or n_classes < 2 or self.shapes != expected:
+            raise ShapeError(f"parameter shapes {self.shapes} must be {expected}, the config's "
+                             f"for d={d} >= 1 features and {n_classes} >= 2 classes")
         views = self.views(self.flat)
         self.attention = AttentionParams(*views[:2])
         self.classifier = ClassifierParams(*views[2:])
-        width = self.attention.r * self.attention.d
-        if self.classifier.in_dim != width:
-            raise ShapeError(f"FC1 takes {self.classifier.in_dim} inputs, but the attention "
-                             f"pools {self.attention.r} heads of {self.attention.d} features")
 
     def __reduce__(self):
         # rebuilt from ``flat``, so that the unpickled views share its memory
@@ -186,18 +196,16 @@ class Model:
 
 def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConfig,
                rng: np.random.Generator) -> Model:
-    b, r, h = cfg.attention_hidden, cfg.heads, cfg.classifier_hidden
+    """Weights ~ N(0, init_scale^2 / fan_in), twice that for FC1 (a ReLU follows); biases 0."""
+    shapes = param_shapes(d, n_classes, cfg)
+    model = Model(np.zeros(sum(map(math.prod, shapes))), shapes, stream, role, cfg)
     s = cfg.init_scale
-    arrays = [
-        rng.normal(0.0, s / np.sqrt(d), (b, d)),
-        rng.normal(0.0, s / np.sqrt(b), (r, b)),
-        rng.normal(0.0, s * np.sqrt(2.0 / (r * d)), (h, r * d)),
-        np.zeros(h),
-        rng.normal(0.0, s / np.sqrt(h), (n_classes, h)),
-        np.zeros(n_classes),
-    ]
-    return Model(flat=np.concatenate([a.ravel() for a in arrays]),
-                 shapes=tuple(a.shape for a in arrays), stream=stream, role=role, cfg=cfg)
+    for key, view in zip(PARAM_KEYS, model.views(model.flat)):
+        if view.ndim == 2:
+            fan_in = view.shape[1]
+            view[:] = rng.normal(0.0, s * np.sqrt(2.0 / fan_in) if key == "fc1_w"
+                                 else s / np.sqrt(fan_in), view.shape)
+    return model
 
 
 def _pool(model: Model, x: FeatureMatrix,
@@ -309,12 +317,12 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
     total = sum((w[k] * terms[k] for k in LOSS_TERMS if w[k]), 0.0)
 
     g_logits = w["class"] * (class_loss_grad_logits(probs, labels) / len(batch))
-    cg = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
-                          g_hidden_clean=kt_grads.get("fc2"))
-    g_m = cg.m + kt_grads["fc1"] if "fc1" in kt_grads else cg.m
+    g_cls, g_m = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
+                                  g_hidden_clean=kt_grads.get("fc2"))
+    g_m = g_m + kt_grads["fc1"] if "fc1" in kt_grads else g_m
     grad = np.zeros_like(model.flat)
     views = model.views(grad)
-    for acc, g in zip(views[2:], (cg.fc1_w, cg.fc1_b, cg.fc2_w, cg.fc2_b)):
+    for acc, g in zip(views[2:], g_cls):
         acc += g
     lo = 0
     for x, att in chunks:
@@ -596,12 +604,11 @@ def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
     try:
         model = Model(flat=flat, shapes=shapes, stream=Stream(header["stream"]),
                       role=header["role"], cfg=cfg)
-    except ValueError as exc:
+    except ShapeError as exc:
         raise DataFormatError(f"inconsistent checkpoint parameter shapes: {exc}") from exc
-    sizes = dict(zip(("attention_hidden", "heads", "classifier_hidden"), (s[0] for s in shapes)))
-    expected = _header(model) | {k: getattr(cfg, k) for k in sizes}
+    expected = _header(model)
     wrong = [f"{k} is {v!r} but the config gives {expected[k]!r}"
-             for k, v in (header | sizes).items() if k in expected and v != expected[k]]
+             for k, v in header.items() if k in expected and v != expected[k]]
     if wrong:
         raise DataFormatError(f"checkpoint header disagrees with its config: {'; '.join(wrong)}")
     return model, cfg, cfg.iterations

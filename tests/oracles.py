@@ -237,9 +237,9 @@ def total_loss_per_video(batch, model, dropout_mask=None, source_acts=None, weig
     total = sum(w[k] * terms[k] for k in LOSS_TERMS)
 
     g_logits = w["class"] * class_loss_grad_logits(cls.probs, labels) / len(batch)
-    cg = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
-                          g_hidden_clean=kt_grads.get("fc2"))
-    g_m = cg.m + kt_grads.get("fc1", 0.0)
+    g_cls, g_m = classifier_grads(pooled_m, model.classifier, cls, g_logits, dropout_mask,
+                                  g_hidden_clean=kt_grads.get("fc2"))
+    g_m = g_m + kt_grads.get("fc1", 0.0)
     g_w1, g_w2 = np.zeros_like(p.w1), np.zeros_like(p.w2)
     for i, ((x, _), att) in enumerate(zip(batch, pooled)):
         g_a = w["smooth"] / n_reg * smooth_reg_grad(att.a)
@@ -250,8 +250,7 @@ def total_loss_per_video(batch, model, dropout_mask=None, source_acts=None, weig
                                  g_scores=g_sparse if sigmoid else None)
         g_w1 += g1
         g_w2 += g2
-    grad = np.concatenate([g.ravel() for g in (g_w1, g_w2, cg.fc1_w, cg.fc1_b,
-                                               cg.fc2_w, cg.fc2_b)])
+    grad = np.concatenate([g.ravel() for g in (g_w1, g_w2, *g_cls)])
     return total, [terms[k] for k in LOSS_TERMS], grad
 
 

@@ -1,5 +1,7 @@
 """Tests for attention pooling, its gradients, and the two regularizers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from wtal.attention import (
     sparsity_reg_grad,
     uniform_attention,
 )
-from wtal.dataset import FeatureMatrix
+from wtal.dataset import FeatureMatrix, Stream
 from wtal.errors import ConfigError, ShapeError
 from wtal.numerics import finite_diff_grad, grad_rel_error, stable_softmax
+from wtal.training import Model, TrainConfig
 
 import oracles
 
@@ -104,8 +107,11 @@ class TestAttend:
         p = AttentionParams(np.zeros((2, 5)), np.zeros((1, 2)))
         with pytest.raises(ShapeError):
             attend(x, p)
-        with pytest.raises(ShapeError, match="2-D"):
-            AttentionParams(np.zeros((2, 5)), np.zeros(2))
+        # a 1-D w2 is rejected where the parameters live, in training.Model
+        cfg = TrainConfig(attention_hidden=2, classifier_hidden=3)
+        shapes = ((2, 5), (2,), (3, 5), (3,), (2, 3), (2,))
+        with pytest.raises(ShapeError, match="must be"):
+            Model(np.zeros(sum(map(math.prod, shapes))), shapes, Stream.RGB, "target", cfg)
 
 
 class TestUniformAttention:

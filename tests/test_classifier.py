@@ -14,8 +14,10 @@ from wtal.classifier import (
     classify,
     label_vector,
 )
+from wtal.dataset import Stream
 from wtal.errors import InputError, ShapeError
 from wtal.numerics import finite_diff_grad, grad_rel_error, sigmoid, stable_softmax
+from wtal.training import Model, TrainConfig, init_model
 
 import oracles
 
@@ -78,10 +80,10 @@ class TestClassify:
         for dropout in (None, mask):
             out = classify(batch, p, dropout_mask=dropout)
             assert out.logits.shape == out.probs.shape == (6, 2)
-            assert out.pre1.shape == out.hidden.shape == out.hidden_clean.shape == (6, 3)
+            assert out.hidden.shape == out.hidden_clean.shape == (6, 3)
             for i, m in enumerate(batch):
                 row = classify(m, p, None if dropout is None else dropout[i])
-                for name in ("pre1", "hidden_clean", "hidden", "logits", "probs"):
+                for name in ("hidden_clean", "hidden", "logits", "probs"):
                     np.testing.assert_allclose(getattr(out, name)[i], getattr(row, name),
                                                rtol=0, atol=1e-12)
         out = classify(batch, p)
@@ -104,13 +106,17 @@ class TestClassify:
         with pytest.raises(ShapeError):
             classify(np.zeros((2, 4)), p, dropout_mask=np.zeros(3))
 
+    # the head's shapes are checked where its parameters live, in training.Model
     def test_rejects_single_class_head(self):
-        with pytest.raises(ShapeError):
-            ClassifierParams(np.zeros((3, 4)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
+        with pytest.raises(ShapeError, match="1 >= 2 classes"):
+            init_model(4, 1, Stream.RGB, "target", TrainConfig(), np.random.default_rng(0))
 
     def test_rejects_inconsistent_parameter_shapes(self):
-        with pytest.raises(ShapeError, match="inconsistent"):
-            ClassifierParams(np.zeros((3, 4)), np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        # FC2 (2 x 4) after a 3-unit FC1
+        cfg = TrainConfig(attention_hidden=2, classifier_hidden=3)
+        shapes = ((2, 4), (1, 2), (3, 4), (3,), (2, 4), (2,))
+        with pytest.raises(ShapeError, match="must be"):
+            Model(np.zeros(sum(map(math.prod, shapes))), shapes, Stream.RGB, "target", cfg)
 
 
 class TestLabelsAndLoss:
@@ -186,7 +192,7 @@ class TestClassifierGrads:
 
             out = classify(m, p, dropout_mask=mask)
             g_logits = class_loss_grad_logits(out.probs, y)
-            grads = classifier_grads(m, p, out, g_logits, dropout_mask=mask)
+            grads, g_m = classifier_grads(m, p, out, g_logits, dropout_mask=mask)
 
             for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
                 ref = getattr(p, name)
@@ -201,7 +207,7 @@ class TestClassifierGrads:
 
             numeric_m = finite_diff_grad(
                 lambda v: class_loss(classify(v, p, dropout_mask=mask).probs, y), m)
-            assert grad_rel_error(grads.m, numeric_m) < 1e-6
+            assert grad_rel_error(g_m, numeric_m) < 1e-6
 
     def test_transfer_tap_gradient_injection(self):
         rng = np.random.default_rng(7)
@@ -215,12 +221,12 @@ class TestClassifierGrads:
             return float(out2.hidden_clean @ g_hc)
 
         out = classify(m, p)
-        grads = classifier_grads(m, p, out, np.zeros(2), g_hidden_clean=g_hc)
+        grads, _ = classifier_grads(m, p, out, np.zeros(2), g_hidden_clean=g_hc)
         numeric = finite_diff_grad(loss, p.fc1_w)
         assert grad_rel_error(grads.fc1_w, numeric) < 1e-6
         # the tap sits before dropout, so a zero mask must not block it
-        grads0 = classifier_grads(m, p, out, np.zeros(2),
-                                  dropout_mask=np.zeros(3), g_hidden_clean=g_hc)
+        grads0, _ = classifier_grads(m, p, out, np.zeros(2),
+                                     dropout_mask=np.zeros(3), g_hidden_clean=g_hc)
         np.testing.assert_array_equal(grads0.fc1_w, grads.fc1_w)
 
 
@@ -232,18 +238,18 @@ class TestClassifierGrads:
         g_logits = rng.normal(size=(5, 2))
         g_hc = rng.normal(size=(5, 3))
         out = classify(batch, p, dropout_mask=mask)
-        grads = classifier_grads(batch, p, out, g_logits, dropout_mask=mask,
-                                 g_hidden_clean=g_hc)
+        grads, g_m = classifier_grads(batch, p, out, g_logits, dropout_mask=mask,
+                                      g_hidden_clean=g_hc)
         rows = [classifier_grads(m, p, classify(m, p, dropout_mask=mask[i]), g_logits[i],
                                  dropout_mask=mask[i], g_hidden_clean=g_hc[i])
                 for i, m in enumerate(batch)]
         for name in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"):
             np.testing.assert_allclose(getattr(grads, name),
-                                       sum(getattr(g, name) for g in rows),
+                                       sum(getattr(g, name) for g, _ in rows),
                                        rtol=0, atol=1e-12)
-        assert grads.m.shape == batch.shape
-        for got, row in zip(grads.m, rows):
-            np.testing.assert_allclose(got, row.m, rtol=0, atol=1e-12)
+        assert g_m.shape == batch.shape
+        for got, (_, row) in zip(g_m, rows):
+            np.testing.assert_allclose(got, row, rtol=0, atol=1e-12)
 
 
 class TestFusion:

@@ -738,7 +738,7 @@ class TestCommandFailures:
         (lambda h: h["config"].update(attention_mode="sigmoid"),
          "attention_mode is 'softmax' but the config gives 'sigmoid'"),
         (lambda h: h["config"].update(attention_hidden=99, heads=7),
-         "attention_hidden is 4 but the config gives 99; heads is 1 but the config gives 7"),
+         "must be ((99, 4), (7, 99), (6, 28), (6,), (2, 6), (2,))"),
         (lambda h: h.update(attention_enabled=False),
          "attention_enabled is False but the config gives True"),
         (lambda h: (h.update(iteration=123), h["config"].update(iterations=5)),
@@ -746,10 +746,18 @@ class TestCommandFailures:
         # att_w2 stored (b, r) instead of (r, b): the sizes still add up
         (lambda h: h["params"][1]["shape"].reverse(),
          "inconsistent checkpoint parameter shapes"),
+        # shapes that agree with each other but not with the rule; the payload
+        # is sized to match them
+        (lambda h: (h["params"][0].update(shape=[4, 0]), h["params"][2].update(shape=[6, 0])),
+         "d=0 >= 1 features"),
+        (lambda h: (h["params"][4].update(shape=[1, 6]), h["params"][5].update(shape=[1])),
+         "1 >= 2 classes"),
+        (lambda h: h["params"][5].update(shape=[2, 1]), "(2, 1)) must be"),
     ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
             "no_role", "no_iteration", "renamed_param", "reordered_params",
             "unknown_role", "unknown_attention_mode", "config_mode", "config_sizes",
-            "header_attention_off", "header_iteration", "transposed_shape"])
+            "header_attention_off", "header_iteration", "transposed_shape",
+            "zero_feature_width", "one_class_head", "rank_2_fc2_b"])
     def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
                                                    mutate, message):
         blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
@@ -757,8 +765,12 @@ class TestCommandFailures:
         header = json.loads(blob[12:12 + hlen])
         mutate(header)
         text = json.dumps(header).encode()
+        payload = blob[12 + hlen:]
+        if "params" in header:      # as many values as the edited header declares
+            size = 8 * sum(math.prod(spec["shape"]) for spec in header["params"])
+            payload = payload[:size].ljust(size, b"\0")
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + payload)
         rc = cli.main(["detect", "--data", str(pipeline["data"]),
                        "--ckpt-rgb", str(bad),
                        "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
@@ -1095,12 +1107,27 @@ class TestCommandFailures:
         for stale in (out, tmp_path / "data.partial"):
             stale.mkdir()
             (stale / "stale.txt").write_text("left over")
+        (out / "manifest.json").write_text("{}")    # an earlier dataset
         assert cli.main(["synth", "--out", str(out)] + SYNTH_FLAGS) == 0
         assert not (tmp_path / "data.partial").exists()
         assert sorted(p.relative_to(out) for p in out.rglob("*")) == sorted(
             p.relative_to(pipeline["data"]) for p in pipeline["data"].rglob("*"))
         assert ((out / "manifest.json").read_bytes()
                 == (pipeline["data"] / "manifest.json").read_bytes())
+
+    def test_synth_replaces_only_an_empty_directory_or_a_dataset(self, tmp_path, capsys):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        assert cli.main(["synth", "--out", str(out)] + SYNTH_FLAGS) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and str(out) in err["message"]
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli.main(["synth", "--out", str(empty)] + SYNTH_FLAGS) == 0
+        assert (empty / "manifest.json").is_file()
 
     def test_failed_synth_keeps_the_existing_output(self, tmp_path, capsys, monkeypatch):
         def fail_halfway(spec, out_dir):

@@ -3,6 +3,7 @@ and the finite-difference gradient certifier."""
 
 import dataclasses
 import json
+import math
 import pickle
 import struct
 
@@ -20,7 +21,7 @@ from wtal.dataset import (
     generate_synthetic,
     load_dataset,
 )
-from wtal.errors import ConfigError, DataFormatError, InputError
+from wtal.errors import ConfigError, DataFormatError, InputError, ShapeError
 from wtal.training import (
     CSV_HEADER,
     LOSS_TERMS,
@@ -156,6 +157,27 @@ class TestParameterLayout:
         loaded, _, _ = load_checkpoint(path)
         self._check_views(loaded)
         np.testing.assert_array_equal(loaded.flat, model.flat)
+
+    def test_rejects_shapes_of_another_config(self):
+        # attention_hidden 5 under a config of 4, every shape consistent otherwise
+        shapes = training.param_shapes(3, 2, TrainConfig(attention_hidden=5))
+        flat = np.zeros(sum(map(math.prod, shapes)))
+        with pytest.raises(ShapeError, match=r"must be \(\(4, 3\), \(1, 4\)"):
+            training.Model(flat, shapes, Stream.RGB, "target", TrainConfig(attention_hidden=4))
+        assert training.Model(flat, shapes, Stream.RGB, "target",
+                              TrainConfig(attention_hidden=5)).attention.w1.shape == (5, 3)
+
+    @pytest.mark.parametrize("d, n_classes", [(0, 2), (3, 1), (3, 0)])
+    def test_rejects_no_features_or_fewer_than_two_classes(self, d, n_classes):
+        with pytest.raises(ShapeError, match=f"d={d} >= 1 features and {n_classes} >= 2"):
+            init_model(d, n_classes, Stream.RGB, "target", TrainConfig(),
+                       np.random.default_rng(0))
+
+    def test_init_model_draws_the_param_shapes(self):
+        cfg = TrainConfig(attention_hidden=5, heads=2, classifier_hidden=7)
+        model = init_model(3, 4, Stream.RGB, "target", cfg, np.random.default_rng(0))
+        assert model.shapes == training.param_shapes(3, 4, cfg) == (
+            (5, 3), (2, 5), (7, 6), (7,), (4, 7), (4,))
 
     def test_unpickled_views_follow_the_flat_vector(self):
         model = _tiny_model()
@@ -598,13 +620,19 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit, fields", [
         (lambda h: h["config"].update(attention_mode="sigmoid"),
-         ["attention_mode is 'softmax' but the config gives 'sigmoid'"]),
+         ["checkpoint header disagrees with its config",
+          "attention_mode is 'softmax' but the config gives 'sigmoid'"]),
+        # shapes of 2 attention units and 1 head under a config of 99 and 7:
+        # the model's shape rule rejects them
         (lambda h: h["config"].update(attention_hidden=99, heads=7),
-         ["attention_hidden is 2 but the config gives 99", "heads is 1 but the config gives 7"]),
+         ["inconsistent checkpoint parameter shapes",
+          "must be ((99, 3), (7, 99), (3, 21), (3,), (2, 3), (2,))"]),
         (lambda h: h.update(attention_enabled=False),
-         ["attention_enabled is False but the config gives True"]),
+         ["checkpoint header disagrees with its config",
+          "attention_enabled is False but the config gives True"]),
         (lambda h: (h.update(iteration=123), h["config"].update(iterations=5)),
-         ["iteration is 123 but the config gives 5"]),
+         ["checkpoint header disagrees with its config",
+          "iteration is 123 but the config gives 5"]),
     ], ids=["config_mode", "config_sizes", "header_attention_off", "header_iteration"])
     def test_rejects_a_header_that_disagrees_with_its_config(self, tmp_path, edit, fields):
         path = tmp_path / "m.ckpt"
@@ -612,8 +640,8 @@ class TestCheckpoints:
         _edit_header(path, edit)
         with pytest.raises(DataFormatError) as exc:
             load_checkpoint(path)
-        assert str(exc.value).startswith(f"{path}: checkpoint header disagrees with its config")
-        for field in fields:
+        assert str(exc.value).startswith(f"{path}: {fields[0]}")
+        for field in fields[1:]:
             assert field in str(exc.value)
 
     def test_rejects_an_fc1_width_other_than_heads_times_d(self, tmp_path):
@@ -625,7 +653,7 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError) as exc:
             load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: inconsistent checkpoint parameter shapes")
-        assert "FC1 takes 5 inputs" in str(exc.value)
+        assert "(3, 5), (3,), (2, 3), (2,)) must be ((2, 4), (1, 2), (3, 4)," in str(exc.value)
 
     def test_rejects_corruption(self, tmp_path):
         model = _tiny_model()
