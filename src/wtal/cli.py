@@ -350,7 +350,10 @@ def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """The --config and --<section>.<key> flags, as a parent parser that
+    every command but gradcheck takes."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="JSON config file (sections: %s)"
                         % ", ".join(_SECTION_CLASSES))
@@ -360,6 +363,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=flag[2:], metavar="V", default=None,
                                 help=f"override {section}.{name} "
                                      f"(default {field_default(f)!r})")
+    return parser
 
 
 def _overrides(args) -> dict[str, str]:
@@ -371,13 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wtal",
         description="Weakly-supervised temporal action localization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = _config_flags()
+    # each command's own flags go on a parent parser of their own, so that
+    # they come before the config flags in its usage line
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--out", required=True, metavar="DIR")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_synth)
+    sub.add_parser("synth", parents=[p, config], help="generate a synthetic dataset")
 
-    p = sub.add_parser("train", help="train source or target models")
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--role", required=True, choices=("source", "target"))
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR",
@@ -385,24 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-rgb", metavar="CKPT", default=None,
                    help="source checkpoint for transfer (target role)")
     p.add_argument("--source-flow", metavar="CKPT", default=None)
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
+    sub.add_parser("train", parents=[p, config], help="train source or target models")
 
     p = sub.add_parser("gradcheck",
                        help="certify analytic gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("detect", help="extract temporal proposals")
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--ckpt-rgb", required=True, metavar="CKPT")
     p.add_argument("--ckpt-flow", required=True, metavar="CKPT")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True, metavar="detections.json")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_detect)
+    sub.add_parser("detect", parents=[p, config], help="extract temporal proposals")
 
-    p = sub.add_parser("eval", help="score detections against ground truth")
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--detections", required=True, metavar="JSON")
     p.add_argument("--predictions", default=None, metavar="JSON",
                    help="classification records for accuracy (detect emits them)")
@@ -411,17 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default="0.1:0.9:0.1",
                    help="start:stop:step grid or comma list")
     p.add_argument("--out", required=True, metavar="report.json")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_eval)
+    sub.add_parser("eval", parents=[p, config], help="score detections against ground truth")
 
-    p = sub.add_parser("ablate",
-                       help="train and score the four attention/transfer arms")
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--split", default="test")
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--out", required=True, metavar="CSV")
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_ablate)
+    sub.add_parser("ablate", parents=[p, config],
+                   help="train and score the four attention/transfer arms")
 
     return parser
 

@@ -17,14 +17,17 @@ spec seed, so identical specs produce byte-identical datasets.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import eq
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +70,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Ground-truth action interval in seconds; end is exclusive."""
 
     label: int
@@ -84,8 +86,7 @@ class Segment:
             raise InputError(f"segment label {self.label} outside [0, {n_classes})")
 
 
-@dataclass(frozen=True)
-class VideoRecord:
+class VideoRecord(NamedTuple):
     """One video's metadata; features live in per-stream files.
 
     ``feature_paths`` maps each stream to a path relative to the dataset
@@ -251,11 +252,6 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a finite number",
 _FLOAT_MAX = sys.float_info.max
 
 
-def _finite_floats(values) -> bool:
-    """Whether every element of ``values`` is an exact float and finite."""
-    return set(map(type, values)) <= {float} and all(map(_FLOAT_MAX.__ge__, map(abs, values)))
-
-
 def is_json(value, kind) -> bool:
     """Whether ``value`` has JSON kind ``kind``: a type, ``[kind]`` for an
     array of that kind, or a tuple of alternative kinds. An integer is also
@@ -267,14 +263,35 @@ def is_json(value, kind) -> bool:
     if isinstance(kind, type):
         return isinstance(value, kind)
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            return False
-        # a prediction file's scores: exact finite floats, checked in one pass
-        if kind[0] is float and _finite_floats(value):
-            return True
-        # kind * len(value): the element kind once per element
-        return all(map(is_json, value, kind * len(value)))
+        return isinstance(value, list) and is_json_column(value, kind[0])
     return any(is_json(value, k) for k in kind)
+
+
+def is_json_column(values, kind) -> bool:
+    """``all(is_json(v, kind) for v in values)``. A column of exact JSON
+    types is checked in C-speed passes over the whole column, an array kind
+    through the column of all the arrays' elements; any other column takes
+    ``is_json`` value by value."""
+    types = set(map(type, values))
+    if kind is float and types <= {float, int}:
+        # a finite sum of floats has no NaN or infinity among its terms
+        return (types <= {float} and math.isfinite(sum(values))
+                or all(map(_FLOAT_MAX.__ge__, map(abs, values))))
+    if isinstance(kind, list) and types <= {list}:
+        return is_json_column(list(chain.from_iterable(values)), kind[0])
+    if isinstance(kind, type) and kind is not float and types <= {kind}:
+        return True
+    return all(map(is_json, values, repeat(kind)))
+
+
+def json_columns(objs, table) -> list[list] | None:
+    """The values of each key of ``table`` across ``objs``, one list per
+    key, if every one of ``objs`` passes ``check_fields(obj, table, ...)``;
+    otherwise None, and ``check_fields`` on each in turn words the fault."""
+    if not is_json_column(objs, dict):
+        return None
+    columns = [list(map(dict.get, objs, repeat(key))) for key, _ in table]
+    return columns if all(map(is_json_column, columns, [k for _, k in table])) else None
 
 
 def _kind_name(kind) -> str:
@@ -332,34 +349,54 @@ def config_from_json(cls: type, obj, where: str):
 _RECORD_FIELDS = (("id", str), ("split", str), ("n", int), ("fps", float),
                   ("labels", [int]), ("trimmed", bool), ("features", dict))
 _MANIFEST_FIELDS = (("version", int), ("classes", [str]), ("videos", list))
-_STREAM_NAMES = sorted(s.value for s in STREAMS)
+_STREAM_KEYS = tuple((s, s.value) for s in STREAMS)
+_STREAM_NAMES = {key for _, key in _STREAM_KEYS}
 
 
-def _record_from_json(obj, where: str) -> VideoRecord:
+def _features_ok(features) -> bool:
+    """Whether each of ``features`` maps exactly the stream names to path strings."""
+    return (all(map(eq, map(dict.keys, features), repeat(_STREAM_NAMES)))
+            and is_json_column(list(chain.from_iterable(map(dict.values, features))), str))
+
+
+def _segments_ok(segments) -> bool:
+    """Whether each of ``segments`` is an array of [label, t_start, t_end] arrays."""
+    if not is_json_column(segments, [list]):
+        return False
+    flat = list(chain.from_iterable(segments))
+    values = list(chain.from_iterable(flat))    # label, t_start, t_end, label, ...
+    return (set(map(len, flat)) <= {3} and is_json_column(values[0::3], int)
+            and is_json_column(values[1::3] + values[2::3], float))
+
+
+def _check_record(obj, where: str) -> None:
+    """Raise DataFormatError naming ``where`` unless ``obj`` is a record object."""
     check_fields(obj, _RECORD_FIELDS, DataFormatError, where)
-    paths = obj["features"]
-    if sorted(paths) != _STREAM_NAMES or not all(is_json(p, str) for p in paths.values()):
-        raise DataFormatError(f"{where}: 'features' must map {_STREAM_NAMES} to path "
-                              f"strings, got {paths!r}")
-    segments = None
-    if "segments" in obj:
-        segments = obj["segments"]
-        if not (is_json(segments, list) and all(
-                is_json(seg, list) and len(seg) == 3 and is_json(seg[0], int)
-                and is_json(seg[1], float) and is_json(seg[2], float) for seg in segments)):
-            raise DataFormatError(f"{where}: 'segments' must be [label, t_start, t_end] "
-                                  f"arrays, got {segments!r}")
-        segments = tuple(Segment(c, float(a), float(b)) for c, a, b in segments)
-    return VideoRecord(
-        video_id=obj["id"],
-        split=obj["split"],
-        n=obj["n"],
-        fps=float(obj["fps"]),
-        labels=tuple(obj["labels"]),
-        trimmed=obj["trimmed"],
-        feature_paths={s: paths[s.value] for s in STREAMS},
-        segments=segments,
-    )
+    if not _features_ok([obj["features"]]):
+        raise DataFormatError(f"{where}: 'features' must map {sorted(_STREAM_NAMES)} to path "
+                              f"strings, got {obj['features']!r}")
+    if "segments" in obj and not _segments_ok([obj["segments"]]):
+        raise DataFormatError(f"{where}: 'segments' must be [label, t_start, t_end] "
+                              f"arrays, got {obj['segments']!r}")
+
+
+def _records_ok(objs) -> bool:
+    """Whether every record passes ``_check_record`` and no id repeats, each
+    rule checked once on the column of all records' values."""
+    columns = json_columns(objs, _RECORD_FIELDS)
+    return (columns is not None and len(set(columns[0])) == len(objs)   # the ids
+            and _features_ok(columns[-1])
+            and _segments_ok([obj["segments"] for obj in objs if "segments" in obj]))
+
+
+def _record_from_json(obj) -> VideoRecord:
+    """The VideoRecord of a record object that passes ``_check_record``."""
+    paths, segments = obj["features"], obj.get("segments")
+    if segments is not None:
+        segments = tuple([Segment(c, float(a), float(b)) for c, a, b in segments])
+    return VideoRecord(obj["id"], obj["split"], obj["n"], float(obj["fps"]),
+                       tuple(obj["labels"]), obj["trimmed"],
+                       {s: paths[key] for s, key in _STREAM_KEYS}, segments)
 
 
 def save_manifest(manifest: Manifest, path: Path) -> None:
@@ -375,14 +412,16 @@ def _manifest_from_json(doc) -> Manifest:
     check_fields(doc, _MANIFEST_FIELDS, DataFormatError, "manifest")
     if doc["version"] != 1:
         raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
-    videos: dict[str, VideoRecord] = {}
-    for i, obj in enumerate(doc["videos"]):
-        rec = _record_from_json(obj, f"manifest record {i}")
-        if rec.video_id in videos:
-            raise DataFormatError(f"duplicate video id {rec.video_id!r}")
-        videos[rec.video_id] = rec
+    objs = doc["videos"]
+    if not _records_ok(objs):
+        seen = set()    # word the first fault in record order
+        for i, obj in enumerate(objs):
+            _check_record(obj, f"manifest record {i}")
+            if obj["id"] in seen:
+                raise DataFormatError(f"duplicate video id {obj['id']!r}")
+            seen.add(obj["id"])
     manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
-                        videos=tuple(videos.values()))
+                        videos=tuple(map(_record_from_json, objs)))
     for rec in manifest.videos:
         rec.validate(manifest.n_classes)
     return manifest
@@ -423,7 +462,7 @@ def _json_value(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _finite_floats(obj):
+        if set(map(type, obj)) <= {float} and is_json_column(obj, float):
             items = map(float.__repr__, obj)
         else:
             items = [_json_value(v, inner) for v in obj]

@@ -12,12 +12,13 @@ ground truth are excluded from the mAP mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Manifest, check_fields, json_text
+from .dataset import Manifest, check_fields, json_columns, json_text
 from .errors import InputError
 
 
@@ -146,43 +147,55 @@ _PREDICTION_FIELDS = (("video_id", str), ("logits_rgb", [float]), ("logits_flow"
 def instances_from_detections(detections: Sequence[Mapping], manifest: Manifest,
                               split: str) -> list[Instance]:
     """Parse the detect command's output-schema dicts: a video id of the split,
-    a class in [0, n_classes), finite t_start < t_end and a finite confidence."""
+    a class in [0, n_classes), finite t_start < t_end and a finite confidence.
+    Each rule is checked on the column of all entries' values; only a fault
+    is looked for entry by entry, to name the first entry that has one."""
     videos = {rec.video_id for rec in manifest.split(split)}
-    out = []
-    for i, det in enumerate(detections):
-        where = f"detection entry {i}"
-        check_fields(det, _DETECTION_FIELDS, InputError, where)
-        if det["video_id"] not in videos:
-            raise InputError(f"{where}: video {det['video_id']!r} is not in split {split!r}")
-        if not 0 <= det["class"] < manifest.n_classes:
-            raise InputError(f"{where}: class {det['class']} outside [0, {manifest.n_classes})")
-        if not det["t_start"] < det["t_end"]:
-            raise InputError(f"{where}: t_start {det['t_start']} is not before t_end")
-        out.append(Instance(det["video_id"], det["class"], float(det["t_start"]),
-                            float(det["t_end"]), float(det["confidence"])))
-    return out
+    columns = json_columns(detections, _DETECTION_FIELDS)
+    if not (columns and videos.issuperset(columns[0])
+            and set(columns[1]).issubset(range(manifest.n_classes))
+            and all(map(lt, columns[2], columns[3]))):
+        for i, det in enumerate(detections):
+            where = f"detection entry {i}"
+            check_fields(det, _DETECTION_FIELDS, InputError, where)
+            if det["video_id"] not in videos:
+                raise InputError(f"{where}: video {det['video_id']!r} is not in split {split!r}")
+            if not 0 <= det["class"] < manifest.n_classes:
+                raise InputError(f"{where}: class {det['class']} outside "
+                                 f"[0, {manifest.n_classes})")
+            if not det["t_start"] < det["t_end"]:
+                raise InputError(f"{where}: t_start {det['t_start']} is not before t_end")
+    video_ids, classes, *times = columns
+    return list(map(Instance, video_ids, classes, *(map(float, col) for col in times)))
 
 
 def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest,
                               split: str) -> dict[str, float]:
     """Per-stream and fused accuracy from the detect command's predictions:
-    one record per video of the split, each array holding n_classes scores."""
+    one record per video of the split, each array holding n_classes scores.
+    Checked as ``instances_from_detections`` checks its entries."""
     label_sets = {rec.video_id: set(rec.labels) for rec in manifest.split(split)}
     fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
-    predicted: dict[str, dict[str, int]] = {key: {} for key in fields}
-    for i, p in enumerate(predictions):
-        check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
-        if p["video_id"] not in label_sets or p["video_id"] in predicted["rgb"]:
-            raise InputError(f"prediction record {i}: {p['video_id']!r} is repeated or not "
-                             f"in split {split!r}")
-        for key, field_name in fields.items():
-            scores = p[field_name]
-            if len(scores) != manifest.n_classes:
-                raise InputError(f"prediction record {i}: {field_name!r} holds "
-                                 f"{len(scores)} scores for {manifest.n_classes} classes")
-            # the first index of the largest, as np.argmax, without the array
-            predicted[key][p["video_id"]] = max(range(len(scores)), key=scores.__getitem__)
-    return {key: accuracy(predicted[key], label_sets) for key in fields}
+    columns = json_columns(predictions, _PREDICTION_FIELDS)
+    if not (columns and len(set(columns[0])) == len(predictions)
+            and label_sets.keys() >= set(columns[0])
+            and all(set(map(len, col)) <= {manifest.n_classes} for col in columns[1:])):
+        seen = set()
+        for i, p in enumerate(predictions):
+            check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
+            if p["video_id"] not in label_sets or p["video_id"] in seen:
+                raise InputError(f"prediction record {i}: {p['video_id']!r} is repeated or "
+                                 f"not in split {split!r}")
+            seen.add(p["video_id"])
+            for field_name in fields.values():
+                if len(p[field_name]) != manifest.n_classes:
+                    raise InputError(f"prediction record {i}: {field_name!r} holds "
+                                     f"{len(p[field_name])} scores for "
+                                     f"{manifest.n_classes} classes")
+    video_ids = columns[0]
+    # the first index of the largest score, as np.argmax, without the array
+    return {key: accuracy(dict(zip(video_ids, (s.index(max(s)) for s in col))), label_sets)
+            for key, col in zip(fields, columns[1:])}
 
 
 # ---------------------------------------------------------------------------

@@ -555,11 +555,14 @@ def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
     names = [spec.get("name") if is_json(spec, dict) else None for spec in specs]
     if names != list(PARAM_KEYS):
         raise DataFormatError(f"checkpoint parameters are {names}, expected {list(PARAM_KEYS)}")
-    shapes = tuple(spec.get("shape") for spec in specs)
-    for name, shape in zip(names, shapes):
+    for name, spec in zip(names, specs):
+        unknown = sorted(set(spec) - {"name", "shape"})
+        if unknown:
+            raise DataFormatError(f"checkpoint parameter {name} has unknown keys {unknown}")
+        shape = spec.get("shape")
         if not (is_json(shape, [int]) and all(n >= 0 for n in shape)):
             raise DataFormatError(f"checkpoint parameter {name} has bad shape {shape!r}")
-    return tuple(tuple(shape) for shape in shapes)
+    return tuple(tuple(spec["shape"]) for spec in specs)
 
 
 def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:

@@ -11,6 +11,7 @@ chunk scoring on a chunk of one video.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,20 @@ def softmax_exact(v):
     e = [math.exp(x - m) for x in v]
     s = sum(e)
     return [x / s for x in e]
+
+
+def json_kind_by_hand(value, kind):
+    """Whether ``value`` has JSON kind ``kind`` (a type, ``[kind]`` or a tuple
+    of kinds), one value at a time; an integer is a number, a bool is not."""
+    if isinstance(kind, tuple):
+        return any(json_kind_by_hand(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(json_kind_by_hand(v, kind[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def pool_by_summation(x, a):

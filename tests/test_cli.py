@@ -753,11 +753,13 @@ class TestCommandFailures:
         (lambda h: (h["params"][4].update(shape=[1, 6]), h["params"][5].update(shape=[1])),
          "1 >= 2 classes"),
         (lambda h: h["params"][5].update(shape=[2, 1]), "(2, 1)) must be"),
+        (lambda h: h["params"][0].update(note=1),
+         "checkpoint parameter att_w1 has unknown keys ['note']"),
     ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
             "no_role", "no_iteration", "renamed_param", "reordered_params",
             "unknown_role", "unknown_attention_mode", "config_mode", "config_sizes",
             "header_attention_off", "header_iteration", "transposed_shape",
-            "zero_feature_width", "one_class_head", "rank_2_fc2_b"])
+            "zero_feature_width", "one_class_head", "rank_2_fc2_b", "unknown_param_key"])
     def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
                                                    mutate, message):
         blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
@@ -1156,11 +1158,38 @@ class TestCommandFailures:
         assert err["error"] == "ConfigError" and "--iou" in err["message"]
         assert calls == [] and not out.exists()
 
-    def test_help_exits_zero(self):
+    # the required flags of each command that takes the config flags
+    CONFIG_COMMANDS = {
+        "synth": ["--out", "o"],
+        "train": ["--role", "source", "--data", "d", "--out", "o"],
+        "detect": ["--ckpt-rgb", "a", "--ckpt-flow", "b", "--data", "d", "--out", "o"],
+        "eval": ["--detections", "a", "--data", "d", "--out", "o"],
+        "ablate": ["--data", "d", "--out", "o"],
+    }
+
+    def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["train", "--help"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 0
+        # every config command lists --config and every --<section>.<key> flag,
+        # after its own flags, and rejects a key no section has
+        doc = cli.resolve_config(None, {})[1]
+        flags = {f"--{section}.{key}" for section, body in doc.items() for key in body}
+        capsys.readouterr()
+        for command, required in self.CONFIG_COMMANDS.items():
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert "--config FILE" in out
+            assert set(re.findall(r"--\w+\.\w+", out)) == flags, command
+            assert all(out.index(flag) < out.index("--config")
+                       for flag in required if flag.startswith("--"))
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *required, "--train.nope", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --train.nope 1" in capsys.readouterr().err
 
 
 class TestStreamsSideBySide:

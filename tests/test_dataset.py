@@ -24,12 +24,14 @@ from wtal.dataset import (
     encode_features,
     generate_synthetic,
     is_json,
+    is_json_column,
     json_text,
     load_dataset,
     load_manifest,
     save_manifest,
 )
 from wtal.errors import ConfigError, DataFormatError, InputError
+from wtal.evaluation import _DETECTION_FIELDS, _PREDICTION_FIELDS
 
 import oracles
 
@@ -124,24 +126,27 @@ class TestFeatureFormat:
             FeatureMatrix(np.zeros((0, 4)))
 
 
+JSON_KIND_CASES = [
+    (True, bool, True), (True, int, False), (True, float, False), (1, float, True),
+    (1.5, int, False), (float("inf"), float, False), (float("nan"), float, False),
+    ([1, 2], [int], True), ([1, True], [int], False), ([], [str], True),
+    ("x", [str], False), ([[1.5]], [[float]], True), (True, (bool, str), True),
+    ("median", (str, float), True), (2, (str, float), True), (True, (str, float), False),
+    ([1.0, -2], (float, [float]), True), ([1.0, None], (float, [float]), False),
+    # arrays of exact scalars take one pass; anything else each element's rule
+    ([1.5, -2.0, 0.0], [float], True), ([1.5, True], [float], False),
+    ([1.5, float("nan")], [float], False), ([float("inf"), 1.5], [float], False),
+    ([1.5, float("-inf")], [float], False), ([1.5, 10 ** 400], [float], False),
+    ([1.5, 10 ** 300], [float], True), ([np.float64(1.5), 2.0], [float], True),
+    ([np.float64("nan")], [float], False), ([True, False], [bool], True),
+    ([1, 2.0], [int], False), (["a", 1], [str], False), ([["a"]], [str], False),
+    ([[1.5], 2.0], [float], False), ([[1.5], [float("nan")]], [[float]], False),
+    ([[1, 2], []], [[int]], True), ([1.5], [(str, float)], True),
+]
+
+
 class TestJsonKinds:
-    @pytest.mark.parametrize("value, kind, expected", [
-        (True, bool, True), (True, int, False), (True, float, False), (1, float, True),
-        (1.5, int, False), (float("inf"), float, False), (float("nan"), float, False),
-        ([1, 2], [int], True), ([1, True], [int], False), ([], [str], True),
-        ("x", [str], False), ([[1.5]], [[float]], True), (True, (bool, str), True),
-        ("median", (str, float), True), (2, (str, float), True), (True, (str, float), False),
-        ([1.0, -2], (float, [float]), True), ([1.0, None], (float, [float]), False),
-        # arrays of exact scalars take one pass; anything else each element's rule
-        ([1.5, -2.0, 0.0], [float], True), ([1.5, True], [float], False),
-        ([1.5, float("nan")], [float], False), ([float("inf"), 1.5], [float], False),
-        ([1.5, float("-inf")], [float], False), ([1.5, 10 ** 400], [float], False),
-        ([1.5, 10 ** 300], [float], True), ([np.float64(1.5), 2.0], [float], True),
-        ([np.float64("nan")], [float], False), ([True, False], [bool], True),
-        ([1, 2.0], [int], False), (["a", 1], [str], False), ([["a"]], [str], False),
-        ([[1.5], 2.0], [float], False), ([[1.5], [float("nan")]], [[float]], False),
-        ([[1, 2], []], [[int]], True), ([1.5], [(str, float)], True),
-    ])
+    @pytest.mark.parametrize("value, kind, expected", JSON_KIND_CASES)
     def test_kinds(self, value, kind, expected):
         assert is_json(value, kind) is expected
 
@@ -153,6 +158,32 @@ class TestJsonKinds:
             check_fields([], (("a", int),), DataFormatError, "entry 3")
         with pytest.raises(InputError, match="'b' must be a string or a finite number, got None"):
             check_fields({"a": 1}, (("a", int), ("b", (str, float))), InputError, "entry 3")
+
+
+# every value of JSON_KIND_CASES, and values that sit at the edges of the
+# column rule's fast passes: floats whose sum overflows, huge integers,
+# negative zero, numpy scalars, tuples and empty containers
+COLUMN_VALUES = [value for value, _, _ in JSON_KIND_CASES] + [
+    0, -3, 1.7e308, -1.7e308, 10 ** 400, -0.0, np.float64(2.5), np.int64(3), None, "",
+    {}, {"a": 1}, [], [[]], [1.5, 2], [[1.5, 2.0], [3]], [["a"], [1]], [[True]], (1, 2),
+    [(1.5,)]]
+# each field kind of a manifest record, a detection and a prediction, and
+# the nested and alternative kinds the rule also takes
+COLUMN_KINDS = list({repr(kind): kind for _, kind in (
+    wtal.dataset._RECORD_FIELDS + _DETECTION_FIELDS + _PREDICTION_FIELDS)}.values()) + [
+    list, [list], [[float]], [[int]], (str, float), (float, [float]), [(str, float)]]
+
+
+class TestJsonColumns:
+    @pytest.mark.parametrize("kind", COLUMN_KINDS, ids=repr)
+    def test_column_rule_agrees_with_the_value_rule(self, kind):
+        columns = [[]] + [[v] for v in COLUMN_VALUES]
+        columns += [[a, b] for a in COLUMN_VALUES for b in COLUMN_VALUES]
+        columns += [[1.5] * 40 + [v] for v in COLUMN_VALUES]
+        for column in columns:
+            expected = all(oracles.json_kind_by_hand(v, kind) for v in column)
+            assert all(is_json(v, kind) for v in column) is expected, column
+            assert is_json_column(column, kind) is expected, column
 
 
 JSON_DOCUMENTS = [
@@ -204,6 +235,57 @@ class TestManifest:
         with pytest.raises(DataFormatError):
             load_manifest(path)
 
+    @staticmethod
+    def _manifest_doc(tmp_path, n_videos: int) -> dict:
+        """The JSON document of a valid manifest of ``n_videos`` test videos."""
+        videos = tuple(VideoRecord(
+            video_id=f"v{i}", split="test", n=10, fps=25.0, labels=(i % 2,), trimmed=False,
+            feature_paths={Stream.RGB: f"v{i}.rgb.tsrf", Stream.FLOW: f"v{i}.flow.tsrf"},
+            segments=(Segment(i % 2, 0.0, 0.2), Segment(i % 2, 0.24, 0.4)))
+            for i in range(n_videos))
+        save_manifest(Manifest(version=1, class_names=("a", "b"), videos=videos),
+                      tmp_path / "valid.json")
+        return json.loads((tmp_path / "valid.json").read_text())
+
+    @pytest.mark.parametrize("faults, message", [
+        ({3: ("n", "x"), 5: ("fps", None)},
+         "manifest record 3: 'n' must be an integer, got 'x'"),
+        ({3: ("segments", [[0, 0.0]]), 5: ("labels", [True])},
+         "manifest record 3: 'segments' must be [label, t_start, t_end] arrays, got [[0, 0.0]]"),
+        ({3: ("features", {"rgb": "a"}), 5: ("id", 5)},
+         "manifest record 3: 'features' must map ['flow', 'rgb'] to path strings, "
+         "got {'rgb': 'a'}"),
+        ({2: ("id", "v0"), 6: ("trimmed", 1)}, "duplicate video id 'v0'"),
+        ({2: ("id", "v0"), 6: ("n", 0)}, "duplicate video id 'v0'"),
+        ({3: ("n", 0), 5: ("split", 1)}, "manifest record 5: 'split' must be a string, got 1"),
+        ({3: ("labels", [4]), 5: ("labels", [])}, "v3: label 4 outside [0, 2)"),
+    ], ids=["types", "segments", "features", "duplicate_then_type", "duplicate_then_value",
+            "type_after_value", "values"])
+    def test_names_the_first_fault_in_record_order(self, tmp_path, faults, message):
+        # type faults and duplicates are found record by record, values after them
+        doc = self._manifest_doc(tmp_path, 8)
+        for i, (key, value) in faults.items():
+            doc["videos"][i][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises((DataFormatError, InputError)) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_checks_a_valid_manifest_a_field_at_a_time(self, tmp_path, monkeypatch):
+        calls = []
+        check = wtal.dataset.check_fields
+        monkeypatch.setattr(wtal.dataset, "check_fields",
+                            lambda *args: calls.append(args[-1]) or check(*args))
+        counts = []
+        for n_videos in (7, 700):
+            path = tmp_path / f"{n_videos}.json"
+            path.write_text(json.dumps(self._manifest_doc(tmp_path, n_videos)))
+            calls.clear()
+            assert len(load_manifest(path).videos) == n_videos
+            counts.append(len(calls))
+        assert counts[0] == counts[1], calls
+
     def test_rejects_trimmed_multi_label(self):
         rec = VideoRecord(
             video_id="v", split="source", n=5, fps=25.0, labels=(0, 1),
@@ -230,7 +312,7 @@ class TestManifest:
         rec = VideoRecord(video_id="v", split="test", n=5, fps=25.0, labels=(0,),
                           trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"})
         with pytest.raises(InputError, match=message):
-            dataclasses.replace(rec, **changes).validate(n_classes=2)
+            rec._replace(**changes).validate(n_classes=2)
 
     def test_segment_bounds_checked(self):
         with pytest.raises(InputError):

@@ -302,6 +302,49 @@ class TestAdapters:
         with pytest.raises(InputError, match=f"prediction record 1: {message}"):
             accuracy_from_predictions(preds, _eval_manifest(), "test")
 
+    @staticmethod
+    def _six_videos():
+        return Manifest(version=1, class_names=("a", "b"), videos=tuple(
+            VideoRecord(video_id=f"t{i}", split="test", n=50, fps=25.0, labels=(i % 2,),
+                        trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"},
+                        segments=(Segment(i % 2, 0.2, 1.0),)) for i in range(6)))
+
+    @pytest.mark.parametrize("faults, message", [
+        ({1: {"logits_rgb": [float("nan"), 1.0]}, 4: {"video_id": 4}},
+         "prediction record 1: 'logits_rgb' must be an array, each a finite number, "
+         "got [nan, 1.0]"),
+        ({1: {"probs_fused": [0.5]}, 4: {"logits_flow": None}},
+         "prediction record 1: 'probs_fused' holds 1 scores for 2 classes"),
+        ({1: {"video_id": "t0"}, 4: {"logits_rgb": [True, 1.0]}},
+         "prediction record 1: 't0' is repeated or not in split 'test'"),
+        ({1: {"logits_flow": [1.0, 2.0, 3.0]}, 4: {"video_id": "t9"}},
+         "prediction record 1: 'logits_flow' holds 3 scores for 2 classes"),
+    ], ids=["type", "length", "repeated", "length_before_unknown"])
+    def test_predictions_name_the_first_faulty_record(self, faults, message):
+        preds = [{"video_id": f"t{i}", "logits_rgb": [2.0, 0.0], "logits_flow": [0.0, 2.0],
+                  "probs_fused": [0.6, 0.4]} for i in range(6)]
+        for i, edit in faults.items():
+            preds[i].update(edit)
+        with pytest.raises(InputError) as exc:
+            accuracy_from_predictions(preds, self._six_videos(), "test")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("faults, message", [
+        ({1: {"confidence": float("inf")}, 4: {"class": 9}},
+         "detection entry 1: 'confidence' must be a finite number, got inf"),
+        ({1: {"class": 2}, 4: {"t_start": "0"}}, "detection entry 1: class 2 outside [0, 2)"),
+        ({1: {"t_end": 0.1}, 4: {"video_id": "s0"}},
+         "detection entry 1: t_start 0.2 is not before t_end"),
+    ], ids=["type", "class", "empty_segment"])
+    def test_detections_name_the_first_faulty_entry(self, faults, message):
+        dets = [{"video_id": f"t{i}", "class": 1, "t_start": 0.2, "t_end": 1.0,
+                 "confidence": 0.5} for i in range(6)]
+        for i, edit in faults.items():
+            dets[i].update(edit)
+        with pytest.raises(InputError) as exc:
+            instances_from_detections(dets, self._six_videos(), "test")
+        assert str(exc.value) == message
+
 
 class TestReportArtifacts:
     def _report(self):
