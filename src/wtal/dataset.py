@@ -106,6 +106,8 @@ class VideoRecord(NamedTuple):
     def validate(self, n_classes: int) -> None:
         if self.n < 1 or self.fps <= 0:
             raise InputError(f"{self.video_id}: need n >= 1 and fps > 0")
+        if self.n > _FLOAT_MAX:     # segments are checked against n / fps
+            raise InputError(f"{self.video_id}: n is too large for a float")
         if not self.labels:
             raise InputError(f"{self.video_id}: empty label set")
         for c in self.labels:
@@ -284,16 +286,6 @@ def is_json_column(values, kind) -> bool:
     return all(map(is_json, values, repeat(kind)))
 
 
-def json_columns(objs, table) -> list[list] | None:
-    """The values of each key of ``table`` across ``objs``, one list per
-    key, if every one of ``objs`` passes ``check_fields(obj, table, ...)``;
-    otherwise None, and ``check_fields`` on each in turn words the fault."""
-    if not is_json_column(objs, dict):
-        return None
-    columns = [list(map(dict.get, objs, repeat(key))) for key, _ in table]
-    return columns if all(map(is_json_column, columns, [k for _, k in table])) else None
-
-
 def _kind_name(kind) -> str:
     if isinstance(kind, tuple):
         return " or ".join(map(_kind_name, kind))
@@ -310,6 +302,37 @@ def check_fields(obj, table, error: type[Exception], where: str) -> None:
             raise error(f"{where}: {key!r} must be {_kind_name(kind)}, got {obj.get(key)!r}")
 
 
+def check_entries(entries, table, rules, error: type[Exception], where: str) -> list[list]:
+    """The values of each key of ``table`` across the JSON array ``entries``,
+    one list per key, once every entry passes ``check_fields(entry, table,
+    ...)`` and every rule holds. A rule is a pair ``(test, message)``:
+    ``test(columns, entries)`` says whether it holds on all of them, and
+    ``message(at, entry)`` words its breach by one entry. Otherwise raises
+    ``error`` for the first faulty entry, at ``f"{where} {i}"``, worded by
+    ``check_fields`` or the first rule it breaks. Each rule must hold on
+    every prefix of the entries it holds on: the entry is found by bisection."""
+    def columns(objs, rules=rules) -> list[list] | None:
+        """``objs``' columns if each has its kinds and ``rules`` hold, else None."""
+        if is_json_column(objs, dict):
+            cols = [list(map(dict.get, objs, repeat(key))) for key, _ in table]
+            if (all(map(is_json_column, cols, [kind for _, kind in table]))
+                    and all(test(cols, objs) for test, _ in rules)):
+                return cols
+        return None
+
+    valid = columns(entries)
+    if valid is not None:
+        return valid
+    lo, hi = 0, len(entries)        # entries[:lo] pass, entries[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if columns(entries[:mid]) is None else (mid, hi)
+    at = f"{where} {lo}"
+    check_fields(entries[lo], table, error, at)
+    broken = next(j for j in range(len(rules)) if columns(entries[:hi], rules[:j + 1]) is None)
+    raise error(rules[broken][1](at, entries[lo]))
+
+
 def field_default(f: Field):
     """The default value of dataclass field ``f``."""
     return f.default_factory() if f.default is MISSING else f.default
@@ -318,10 +341,11 @@ def field_default(f: Field):
 def config_value(f: Field, value, where: str):
     """``value`` for field ``f`` of a config class, which raises ConfigError
     naming ``where`` unless it has the JSON kind of the field's default (or
-    ``f.metadata["kind"]``, for a field that takes more), brought to the
-    field's type: an array becomes a tuple of the default's length and an
-    integer a float where the default is one. A config-valued field builds
-    its class from a nested object, through ``config_from_json``."""
+    ``f.metadata["kind"]``, for a field that takes more) and every integer
+    of an integer field fits in 64 bits, brought to the field's type: an
+    array becomes a tuple of the default's length and an integer a float
+    where the default is one. A config-valued field builds its class from a
+    nested object, through ``config_from_json``."""
     default = field_default(f)
     if is_dataclass(default):
         return config_from_json(type(default), value, f"{where}.{f.name}")
@@ -330,6 +354,9 @@ def config_value(f: Field, value, where: str):
     check_fields({f.name: value}, [(f.name, kind)], ConfigError, where)
     if isinstance(default, tuple) and len(value) != len(default):
         raise ConfigError(f"{where}: {f.name!r} must hold {len(default)} values, got {value!r}")
+    ints = value if kind == [int] else [value] if kind is int else ()
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in ints):     # numpy's sizes and seeds
+        raise ConfigError(f"{where}: {f.name!r} holds an integer outside 64 bits, got {value!r}")
     if is_json(value, list):
         return tuple(value)
     return float(value) if kind is float else value
@@ -369,28 +396,21 @@ def _segments_ok(segments) -> bool:
             and is_json_column(values[1::3] + values[2::3], float))
 
 
-def _check_record(obj, where: str) -> None:
-    """Raise DataFormatError naming ``where`` unless ``obj`` is a record object."""
-    check_fields(obj, _RECORD_FIELDS, DataFormatError, where)
-    if not _features_ok([obj["features"]]):
-        raise DataFormatError(f"{where}: 'features' must map {sorted(_STREAM_NAMES)} to path "
-                              f"strings, got {obj['features']!r}")
-    if "segments" in obj and not _segments_ok([obj["segments"]]):
-        raise DataFormatError(f"{where}: 'segments' must be [label, t_start, t_end] "
-                              f"arrays, got {obj['segments']!r}")
-
-
-def _records_ok(objs) -> bool:
-    """Whether every record passes ``_check_record`` and no id repeats, each
-    rule checked once on the column of all records' values."""
-    columns = json_columns(objs, _RECORD_FIELDS)
-    return (columns is not None and len(set(columns[0])) == len(objs)   # the ids
-            and _features_ok(columns[-1])
-            and _segments_ok([obj["segments"] for obj in objs if "segments" in obj]))
+# each rule on the records beyond their kinds: (test, wording of a breach)
+_RECORD_RULES = (
+    (lambda columns, objs: _features_ok(columns[-1]),
+     lambda at, obj: f"{at}: 'features' must map {sorted(_STREAM_NAMES)} to path strings, "
+                     f"got {obj['features']!r}"),
+    (lambda columns, objs: _segments_ok([obj["segments"] for obj in objs if "segments" in obj]),
+     lambda at, obj: f"{at}: 'segments' must be [label, t_start, t_end] arrays, "
+                     f"got {obj['segments']!r}"),
+    (lambda columns, objs: len(set(columns[0])) == len(objs),      # the ids
+     lambda at, obj: f"duplicate video id {obj['id']!r}"),
+)
 
 
 def _record_from_json(obj) -> VideoRecord:
-    """The VideoRecord of a record object that passes ``_check_record``."""
+    """The VideoRecord of a record object that passes ``check_entries``."""
     paths, segments = obj["features"], obj.get("segments")
     if segments is not None:
         segments = tuple([Segment(c, float(a), float(b)) for c, a, b in segments])
@@ -413,13 +433,7 @@ def _manifest_from_json(doc) -> Manifest:
     if doc["version"] != 1:
         raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
     objs = doc["videos"]
-    if not _records_ok(objs):
-        seen = set()    # word the first fault in record order
-        for i, obj in enumerate(objs):
-            _check_record(obj, f"manifest record {i}")
-            if obj["id"] in seen:
-                raise DataFormatError(f"duplicate video id {obj['id']!r}")
-            seen.add(obj["id"])
+    check_entries(objs, _RECORD_FIELDS, _RECORD_RULES, DataFormatError, "manifest record")
     manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
                         videos=tuple(map(_record_from_json, objs)))
     for rec in manifest.videos:

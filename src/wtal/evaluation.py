@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Manifest, check_fields, json_columns, json_text
+from .dataset import Manifest, check_entries, json_text
 from .errors import InputError
 
 
@@ -148,24 +148,19 @@ def instances_from_detections(detections: Sequence[Mapping], manifest: Manifest,
                               split: str) -> list[Instance]:
     """Parse the detect command's output-schema dicts: a video id of the split,
     a class in [0, n_classes), finite t_start < t_end and a finite confidence.
-    Each rule is checked on the column of all entries' values; only a fault
-    is looked for entry by entry, to name the first entry that has one."""
+    ``check_entries`` checks each rule once on its column and names the first
+    entry that breaks one."""
     videos = {rec.video_id for rec in manifest.split(split)}
-    columns = json_columns(detections, _DETECTION_FIELDS)
-    if not (columns and videos.issuperset(columns[0])
-            and set(columns[1]).issubset(range(manifest.n_classes))
-            and all(map(lt, columns[2], columns[3]))):
-        for i, det in enumerate(detections):
-            where = f"detection entry {i}"
-            check_fields(det, _DETECTION_FIELDS, InputError, where)
-            if det["video_id"] not in videos:
-                raise InputError(f"{where}: video {det['video_id']!r} is not in split {split!r}")
-            if not 0 <= det["class"] < manifest.n_classes:
-                raise InputError(f"{where}: class {det['class']} outside "
-                                 f"[0, {manifest.n_classes})")
-            if not det["t_start"] < det["t_end"]:
-                raise InputError(f"{where}: t_start {det['t_start']} is not before t_end")
-    video_ids, classes, *times = columns
+    rules = (
+        (lambda columns, _: videos.issuperset(columns[0]),
+         lambda at, det: f"{at}: video {det['video_id']!r} is not in split {split!r}"),
+        (lambda columns, _: set(columns[1]).issubset(range(manifest.n_classes)),
+         lambda at, det: f"{at}: class {det['class']} outside [0, {manifest.n_classes})"),
+        (lambda columns, _: all(map(lt, columns[2], columns[3])),
+         lambda at, det: f"{at}: t_start {det['t_start']} is not before t_end"),
+    )
+    video_ids, classes, *times = check_entries(detections, _DETECTION_FIELDS, rules,
+                                               InputError, "detection entry")
     return list(map(Instance, video_ids, classes, *(map(float, col) for col in times)))
 
 
@@ -173,29 +168,22 @@ def accuracy_from_predictions(predictions: Sequence[Mapping], manifest: Manifest
                               split: str) -> dict[str, float]:
     """Per-stream and fused accuracy from the detect command's predictions:
     one record per video of the split, each array holding n_classes scores.
-    Checked as ``instances_from_detections`` checks its entries."""
+    Checked through ``check_entries`` as ``instances_from_detections`` is."""
     label_sets = {rec.video_id: set(rec.labels) for rec in manifest.split(split)}
     fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
-    columns = json_columns(predictions, _PREDICTION_FIELDS)
-    if not (columns and len(set(columns[0])) == len(predictions)
-            and label_sets.keys() >= set(columns[0])
-            and all(set(map(len, col)) <= {manifest.n_classes} for col in columns[1:])):
-        seen = set()
-        for i, p in enumerate(predictions):
-            check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
-            if p["video_id"] not in label_sets or p["video_id"] in seen:
-                raise InputError(f"prediction record {i}: {p['video_id']!r} is repeated or "
-                                 f"not in split {split!r}")
-            seen.add(p["video_id"])
-            for field_name in fields.values():
-                if len(p[field_name]) != manifest.n_classes:
-                    raise InputError(f"prediction record {i}: {field_name!r} holds "
-                                     f"{len(p[field_name])} scores for "
-                                     f"{manifest.n_classes} classes")
-    video_ids = columns[0]
+    n = manifest.n_classes
+    rules = [(lambda columns, objs: (len(set(columns[0])) == len(objs)
+                                     and label_sets.keys() >= set(columns[0])),
+              lambda at, p: f"{at}: {p['video_id']!r} is repeated or not in split {split!r}")]
+    rules += [(lambda columns, _, k=k: set(map(len, columns[k])) <= {n},
+               lambda at, p, name=name: f"{at}: {name!r} holds {len(p[name])} scores for "
+                                        f"{n} classes")
+              for k, name in enumerate(fields.values(), 1)]
+    video_ids, *columns = check_entries(predictions, _PREDICTION_FIELDS, rules, InputError,
+                                        "prediction record")
     # the first index of the largest score, as np.argmax, without the array
     return {key: accuracy(dict(zip(video_ids, (s.index(max(s)) for s in col))), label_sets)
-            for key, col in zip(fields, columns[1:])}
+            for key, col in zip(fields, columns)}
 
 
 # ---------------------------------------------------------------------------

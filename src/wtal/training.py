@@ -548,6 +548,9 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
 def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
     """Check the header's schema; returns the parameter shapes it declares."""
     check_fields(header, _HEADER_TYPES.items(), DataFormatError, "checkpoint header")
+    unknown = sorted(set(header) - set(_HEADER_TYPES))
+    if unknown:
+        raise DataFormatError(f"checkpoint header has unknown keys {unknown}")
     for key, known in (("role", _ROLE_CODE), ("stream", [s.value for s in Stream])):
         if header[key] not in known:
             raise DataFormatError(f"unknown checkpoint {key} {header[key]!r}")

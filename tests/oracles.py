@@ -7,7 +7,10 @@ reuse library kernels so that they differ from the library in one respect
 only: ``transfer_fit_per_step`` in when the source model runs, and
 ``total_loss_per_video`` and ``predict_split_per_video`` in running the
 attention layer one video at a time. ``video_scores`` is the library's
-chunk scoring on a chunk of one video.
+chunk scoring on a chunk of one video. ``manifest_by_hand``,
+``instances_by_hand`` and ``accuracy_by_hand`` check a JSON array one
+entry at a time, where the library checks it a column at a time; they word
+a kind fault with the library's ``check_fields``.
 """
 
 import math
@@ -36,6 +39,84 @@ def json_kind_by_hand(value, kind):
     if kind is float:
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
+
+
+def manifest_by_hand(doc):
+    """``dataset._manifest_from_json`` with its records checked one at a time,
+    in record order: each record's kinds, shapes and id before the next."""
+    from wtal.dataset import (_MANIFEST_FIELDS, _RECORD_FIELDS, Manifest, _record_from_json,
+                              check_fields)
+    from wtal.errors import DataFormatError
+    check_fields(doc, _MANIFEST_FIELDS, DataFormatError, "manifest")
+    if doc["version"] != 1:
+        raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
+    seen = set()
+    for i, obj in enumerate(doc["videos"]):
+        where = f"manifest record {i}"
+        check_fields(obj, _RECORD_FIELDS, DataFormatError, where)
+        paths = obj["features"]
+        if not (set(paths) == {"rgb", "flow"} and all(isinstance(p, str) for p in paths.values())):
+            raise DataFormatError(f"{where}: 'features' must map ['flow', 'rgb'] to path "
+                                  f"strings, got {paths!r}")
+        segments = obj.get("segments", [])
+        if not (isinstance(segments, list) and all(
+                isinstance(s, list) and len(s) == 3 and json_kind_by_hand(s[0], int)
+                and json_kind_by_hand(s[1], float) and json_kind_by_hand(s[2], float)
+                for s in segments)):
+            raise DataFormatError(f"{where}: 'segments' must be [label, t_start, t_end] "
+                                  f"arrays, got {segments!r}")
+        if obj["id"] in seen:
+            raise DataFormatError(f"duplicate video id {obj['id']!r}")
+        seen.add(obj["id"])
+    manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
+                        videos=tuple(map(_record_from_json, doc["videos"])))
+    for rec in manifest.videos:
+        rec.validate(manifest.n_classes)
+    return manifest
+
+
+def instances_by_hand(detections, manifest, split):
+    """``evaluation.instances_from_detections`` checking one entry at a time."""
+    from wtal.dataset import check_fields
+    from wtal.errors import InputError
+    from wtal.evaluation import _DETECTION_FIELDS, Instance
+    videos = {rec.video_id for rec in manifest.split(split)}
+    out = []
+    for i, det in enumerate(detections):
+        where = f"detection entry {i}"
+        check_fields(det, _DETECTION_FIELDS, InputError, where)
+        if det["video_id"] not in videos:
+            raise InputError(f"{where}: video {det['video_id']!r} is not in split {split!r}")
+        if not 0 <= det["class"] < manifest.n_classes:
+            raise InputError(f"{where}: class {det['class']} outside [0, {manifest.n_classes})")
+        if not det["t_start"] < det["t_end"]:
+            raise InputError(f"{where}: t_start {det['t_start']} is not before t_end")
+        out.append(Instance(det["video_id"], det["class"], float(det["t_start"]),
+                            float(det["t_end"]), float(det["confidence"])))
+    return out
+
+
+def accuracy_by_hand(predictions, manifest, split):
+    """``evaluation.accuracy_from_predictions`` checking one record at a time."""
+    from wtal.dataset import check_fields
+    from wtal.errors import InputError
+    from wtal.evaluation import _PREDICTION_FIELDS, accuracy
+    label_sets = {rec.video_id: set(rec.labels) for rec in manifest.split(split)}
+    fields = {"rgb": "logits_rgb", "flow": "logits_flow", "fused": "probs_fused"}
+    seen = set()
+    for i, p in enumerate(predictions):
+        check_fields(p, _PREDICTION_FIELDS, InputError, f"prediction record {i}")
+        if p["video_id"] not in label_sets or p["video_id"] in seen:
+            raise InputError(f"prediction record {i}: {p['video_id']!r} is repeated or "
+                             f"not in split {split!r}")
+        seen.add(p["video_id"])
+        for name in fields.values():
+            if len(p[name]) != manifest.n_classes:
+                raise InputError(f"prediction record {i}: {name!r} holds {len(p[name])} "
+                                 f"scores for {manifest.n_classes} classes")
+    return {stream: accuracy({p["video_id"]: int(np.argmax(p[name])) for p in predictions},
+                             label_sets)
+            for stream, name in fields.items()}
 
 
 def pool_by_summation(x, a):

@@ -45,6 +45,10 @@ BAD_CONFIG_VALUES = [
     ("synth.action_fraction", '["a",0.2]'), ("synth.shift", '["x"]'),
     ("train.alpha", "[1]"), ("kernel.sigma", "[1]"), ("kernel.sigma", "true"),
     ("kernel.sigma", "Infinity"),
+    # integers beyond 64 bits, which numpy cannot take as a size or a seed
+    ("train.batch_size", str(10 ** 20)), ("train.attention_hidden", str(10 ** 20)),
+    ("synth.d", str(10 ** 20)), ("synth.frames", f"[7,{10 ** 20}]"),
+    ("synth.seed", str(2 ** 63)), ("train.iterations", str(-2 ** 63 - 1)),
 ]
 
 
@@ -280,6 +284,7 @@ TSRC_CORRUPTIONS = (
     _ckpt_header_edit(lambda header, rng: header["config"].update(batch_size=2.5)),
     _ckpt_header_edit(lambda header, rng: header["config"]["kernel"].update(sigma=True)),
     _ckpt_header_edit(lambda header, rng: header["config"]["transfer"].update(enabled=1)),
+    _ckpt_header_edit(lambda header, rng: header["config"].update(batch_size=2 ** 63)),
 )
 
 
@@ -755,11 +760,14 @@ class TestCommandFailures:
         (lambda h: h["params"][5].update(shape=[2, 1]), "(2, 1)) must be"),
         (lambda h: h["params"][0].update(note=1),
          "checkpoint parameter att_w1 has unknown keys ['note']"),
+        (lambda h: h.update(note=1, extra=[]), "checkpoint header has unknown keys "
+                                               "['extra', 'note']"),
     ], ids=["unknown_stream", "no_config", "no_params", "unknown_config_key",
             "no_role", "no_iteration", "renamed_param", "reordered_params",
             "unknown_role", "unknown_attention_mode", "config_mode", "config_sizes",
             "header_attention_off", "header_iteration", "transposed_shape",
-            "zero_feature_width", "one_class_head", "rank_2_fc2_b", "unknown_param_key"])
+            "zero_feature_width", "one_class_head", "rank_2_fc2_b", "unknown_param_key",
+            "unknown_header_key"])
     def test_malformed_checkpoint_header_exits_one(self, pipeline, tmp_path, capsys,
                                                    mutate, message):
         blob = (pipeline["tgt"] / "target_rgb.ckpt").read_bytes()
@@ -1025,6 +1033,24 @@ class TestCommandFailures:
             assert err["error"] == ("DataFormatError" if what == "manifest" else "InputError")
             assert str(paths[what]) in err["message"]
             assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_frame_count_beyond_a_float_exits_one(self, pipeline, tmp_path, capsys, command):
+        # a JSON integer that n / fps cannot convert
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = json.loads((pipeline["data"] / "manifest.json").read_text())
+        doc["videos"][0]["n"] = 10 ** 400
+        (data / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"detect": _detect_argv(data, out / "det.json", pipeline["tgt"]),
+                "eval": ["eval", "--data", str(data), "--detections", str(pipeline["det"]),
+                         "--out", str(out / "r.json")]}[command]
+        assert cli.main(argv) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err == {"error": "InputError", "message": f"{data / 'manifest.json'}: "
+                       f"{doc['videos'][0]['id']}: n is too large for a float"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["detect", "eval", "ablate"])
     def test_split_without_videos_exits_one(self, pipeline, tmp_path, capsys, command):

@@ -31,7 +31,9 @@ from wtal.dataset import (
     save_manifest,
 )
 from wtal.errors import ConfigError, DataFormatError, InputError
-from wtal.evaluation import _DETECTION_FIELDS, _PREDICTION_FIELDS
+import wtal.evaluation
+from wtal.evaluation import (_DETECTION_FIELDS, _PREDICTION_FIELDS,
+                             accuracy_from_predictions, instances_from_detections)
 
 import oracles
 
@@ -327,6 +329,138 @@ class TestManifest:
         assert [v.video_id for v in manifest.split("source")] == ["v0"]
         assert [v.video_id for v in manifest.split("test")] == ["v1"]
         assert manifest.split("train") == ()
+
+
+# values a fault writes in place of a key's value, an array element or a
+# whole entry: each JSON kind, the non-finite floats, integers beyond a
+# float, and integers on both sides of the class and label ranges
+FAULT_VALUES = [None, True, "x", 1.5, 7, -1, 0, [], {}, [1.5], ["x"], [[0, 1.5]],
+                math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _paths(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _add_fault(entries, rng, id_key, ids):
+    """One seeded fault in one seeded entry: a repeated or foreign id, or a
+    value anywhere in the entry (the entry itself included) replaced,
+    deleted or, in an array, repeated."""
+    i = int(rng.integers(len(entries)))
+    if rng.random() < 0.15 and isinstance(entries[i], dict):
+        entries[i][id_key] = ids[int(rng.integers(len(ids)))]
+        return
+    paths = list(_paths(entries[i]))
+    path = (i,) + paths[int(rng.integers(len(paths)))]
+    parent = entries
+    for key in path[:-1]:
+        parent = parent[key]
+    key, action = path[-1], int(rng.integers(4))
+    if action == 0:                             # a missing key, a shorter array
+        del parent[key]
+    elif action == 1 and isinstance(parent, list):      # a longer array
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = FAULT_VALUES[int(rng.integers(len(FAULT_VALUES)))]
+
+
+def _arrays():
+    """A valid manifest document, detections and predictions for its test split."""
+    videos = [{"id": f"v{i}", "split": "train" if i % 4 == 0 else "test", "n": 10 + i,
+               "fps": 25.0 if i % 2 else 25, "labels": [i % 3] if i % 5 else [0, 2],
+               "trimmed": False, "features": {"rgb": f"v{i}.rgb", "flow": f"v{i}.flow"},
+               "segments": [[i % 3, 0.0, 0.2], [i % 3, 0.24, 0.4]][:i % 3]}
+              for i in range(12)]
+    del videos[5]["segments"]
+    doc = {"version": 1, "classes": ["a", "b", "c"], "videos": videos}
+    test = [v["id"] for v in videos if v["split"] == "test"]
+    detections = [{"video_id": test[i % len(test)], "class": i % 3, "t_start": 0.05 * i,
+                   "t_end": 0.05 * i + 0.1 + (i % 2), "confidence": 1 / (i + 1)}
+                  for i in range(12)]
+    predictions = [{"video_id": v, "logits_rgb": [0.5, -1.0, i], "logits_flow": [1, 2.5, 0.0],
+                    "probs_fused": [0.2, 0.3, 0.5]} for i, v in enumerate(test)]
+    return {"manifest": doc, "detections": detections, "predictions": predictions}
+
+
+class TestCheckEntries:
+    """``check_entries`` against the per-entry loops of ``oracles`` on seeded
+    faults, and the prefix closure its bisection relies on."""
+
+    READERS = {
+        "manifest": (wtal.dataset._manifest_from_json, oracles.manifest_by_hand, "id"),
+        "detections": (lambda dets, m: instances_from_detections(dets, m, "test"),
+                       lambda dets, m: oracles.instances_by_hand(dets, m, "test"), "video_id"),
+        "predictions": (lambda preds, m: accuracy_from_predictions(preds, m, "test"),
+                        lambda preds, m: oracles.accuracy_by_hand(preds, m, "test"),
+                        "video_id"),
+    }
+    # a fragment of each message the faults must reach
+    MESSAGES = {
+        "manifest": ["is not a JSON object", "must be an integer", "must be a finite number",
+                     "'features' must map", "'segments' must be", "duplicate video id",
+                     "outside [0, 3)", "n is too large for a float"],
+        "detections": ["is not a JSON object", "must be a string", "must be a finite number",
+                       "is not in split", "outside [0, 3)", "is not before t_end"],
+        "predictions": ["is not a JSON object", "must be an array, each a finite number",
+                        "is repeated or not in split", "holds 2 scores", "holds 4 scores"],
+    }
+
+    @staticmethod
+    def _outcome(read, *args):
+        try:
+            return read(*args)
+        except (DataFormatError, InputError) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def _assert_prefix_closed(entries, table, rules):
+        """Each rule, on the prefixes whose entries all have their kinds, holds
+        up to some length and on none longer."""
+        kinds_hold = [isinstance(e, dict) and all(
+            oracles.json_kind_by_hand(e.get(key), kind) for key, kind in table)
+            for e in entries] + [False]
+        prefixes = [entries[:k] for k in range(kinds_hold.index(False) + 1)]
+        for test, _ in rules:
+            holds = [test([[e.get(key) for e in prefix] for key, _ in table], prefix)
+                     for prefix in prefixes]
+            assert holds == sorted(holds, reverse=True), (holds, entries)
+
+    @pytest.mark.parametrize("what", ["manifest", "detections", "predictions"])
+    def test_faults_give_the_oracles_error(self, what, monkeypatch):
+        calls = []
+        check = wtal.dataset.check_entries
+        spy = lambda entries, table, rules, *rest: (calls.append((entries, table, rules))
+                                                    or check(entries, table, rules, *rest))
+        monkeypatch.setattr(wtal.dataset, "check_entries", spy)
+        monkeypatch.setattr(wtal.evaluation, "check_entries", spy)
+        read, oracle, id_key = self.READERS[what]
+        valid = _arrays()
+        manifest = wtal.dataset._manifest_from_json(valid["manifest"])
+        ids = [v["id"] for v in valid["manifest"]["videos"]] + ["nope"]
+        outcomes = []
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            doc = _arrays()[what]
+            entries = doc["videos"] if what == "manifest" else doc
+            for _ in range(int(rng.integers(2, 4))):
+                _add_fault(entries, rng, id_key, ids)
+            args = (doc,) if what == "manifest" else (doc, manifest)
+            calls.clear()
+            outcome = self._outcome(read, *args)
+            assert outcome == self._outcome(oracle, *args), case
+            outcomes.append(outcome)
+            assert len(calls) == 1, case
+            self._assert_prefix_closed(*calls[0])
+        messages = " ".join(message for outcome in outcomes if isinstance(outcome, tuple)
+                            for message in outcome[1:])
+        assert [m for m in self.MESSAGES[what] if m not in messages] == []
 
 
 class TestFrameLabels:
