@@ -13,14 +13,14 @@ partway, so a nonzero exit never leaves partial outputs behind.
 
 ``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
 models share nothing until detection fuses them, so ``training.run_streams``
-runs the RGB fit in this process and the flow fit in one forked child, and
-the command writes its files only after both are back. The scoring in
-``ablate`` runs the two streams' forward passes the same way once the split
-holds at least ``detection.FORK_MIN_FRAMES`` frames, and one after the other
-below that; a lone ``detect`` command, which has not loaded multiprocessing,
-always runs them one after the other. The results are those of running one
-stream after the other, bit for bit; an RGB error is raised before a flow
-error, and no process outlives the command.
+runs the RGB fits in this process and the flow fits (in ``ablate``, every
+arm's) in one forked child; the command writes its files only after both are
+back. Scoring each ``ablate`` arm runs the two streams' forward passes the
+same way once the split holds at least ``detection.FORK_MIN_FRAMES`` frames,
+and one after the other below that; a lone ``detect`` command, which has not
+loaded multiprocessing, always runs them one after the other. The results are
+those of running one stream after the other, bit for bit; an RGB error is
+raised before a flow error, and no process outlives the command.
 
 Exit codes: 0 ok, 1 runtime error (JSON error object on stderr), 2 usage.
 """
@@ -33,7 +33,7 @@ import json
 import shutil
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def resolve_config(config_path: str | None,
         section, key = dotted.split(".", 1)
         try:    # as JSON, so that booleans, numbers and lists work; a bare word stays a string
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:      # also an integer too long to convert, kept as text
             value = raw
         doc[section][key] = config_value(_section_fields(section)[key], value, section)
 
@@ -250,13 +250,9 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
     outputs.write(out, lambda tmp: tmp.write_text(json_text(detections)))
-    outputs.write(_predictions_path(out),
+    outputs.write(out.parent / (out.stem + ".predictions.json"),
                   lambda tmp: tmp.write_text(json_text(predictions)))
     return 0
-
-
-def _predictions_path(detections_path: Path) -> Path:
-    return detections_path.parent / (detections_path.stem + ".predictions.json")
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
@@ -307,22 +303,19 @@ ABLATION_ARMS = (
 )
 
 
-def run_ablation(data, cfg: TrainConfig, dcfg: DetectConfig,
+def run_ablation(data, arms: Sequence[tuple[str, TrainConfig]], dcfg: DetectConfig,
                  iou_thr: float = 0.5, split: str = "test") -> list[dict]:
-    """Train and score the four arms (attention/transfer on/off) once."""
+    """Train the ``(name, config)`` arms, then score each by fused accuracy and
+    mAP at ``iou_thr`` on ``split``. One ``run_streams`` call fits every arm of a
+    stream in turn, a transfer arm after a source model from its own config."""
+    def fit(stream: Stream):
+        return [train_target(data, stream, cfg, train_source(data, stream, cfg)[0]
+                             if cfg.transfer.enabled else None)[0] for _, cfg in arms]
+
+    models = run_streams(fit)
     rows = []
-    for name, att_on, kt_on in ABLATION_ARMS:
-        arm_cfg = dataclasses.replace(
-            cfg, attention_enabled=att_on,
-            transfer=dataclasses.replace(cfg.transfer, enabled=kt_on))
-
-        def fit(stream: Stream):
-            source_model = train_source(data, stream, arm_cfg)[0] if kt_on else None
-            return train_target(data, stream, arm_cfg, source_model)[0]
-
-        models = run_streams(fit)
-        predictions, scores = predict_split(data, split, models[Stream.RGB],
-                                            models[Stream.FLOW])
+    for (name, _), model_rgb, model_flow in zip(arms, models[Stream.RGB], models[Stream.FLOW]):
+        predictions, scores = predict_split(data, split, model_rgb, model_flow)
         detections = detect_split(data, split, scores, dcfg)
         acc = accuracy_from_predictions(predictions, data.manifest, split)
         report = map_at_iou(instances_from_detections(detections, data.manifest, split),
@@ -338,7 +331,11 @@ def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
         raise ConfigError(f"--iou must lie in (0, 1], got {args.iou!r}")
     data = load_dataset(args.data)
     _require_split(data.manifest, args.split)
-    rows = run_ablation(data, run_cfg.train, run_cfg.detect, args.iou, args.split)
+    cfg = run_cfg.train
+    arms = [(name, dataclasses.replace(cfg, attention_enabled=att_on,
+                                       transfer=dataclasses.replace(cfg.transfer, enabled=kt_on)))
+            for name, att_on, kt_on in ABLATION_ARMS]
+    rows = run_ablation(data, arms, run_cfg.detect, args.iou, args.split)
     lines = ["arm,accuracy,mAP@" + repr(args.iou)]
     lines += [f"{r['arm']},{r['accuracy']!r},{r['map']!r}" for r in rows]
     outputs.write(Path(args.out), lambda tmp: tmp.write_text("\n".join(lines) + "\n"))

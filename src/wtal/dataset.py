@@ -115,9 +115,11 @@ class VideoRecord(NamedTuple):
                 raise InputError(f"{self.video_id}: label {c} outside [0, {n_classes})")
         if self.trimmed and len(self.labels) != 1:
             raise InputError(f"{self.video_id}: trimmed video must carry exactly one label")
-        if self.segments is not None:
-            for seg in self.segments:
+        for seg in self.segments or ():
+            try:
                 seg.validate(self.n, self.fps, n_classes)
+            except InputError as exc:
+                raise InputError(f"{self.video_id}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -446,7 +448,7 @@ def read_json(path: Path | str, what: str, error: type[Exception]):
     names the file and ``what`` it should hold."""
     try:
         return json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # bad UTF-8 or JSON, or an integer too long to convert
         raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
 
 

@@ -587,7 +587,7 @@ def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
         raise DataFormatError(f"checkpoint header length {hlen} runs past the end of the file")
     try:
         header = json.loads(data[12:12 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # bad UTF-8 or JSON, or an integer too long to convert
         raise DataFormatError(f"corrupt checkpoint header: {exc}") from exc
     shapes = _header_shapes(header)
     try:

@@ -6,7 +6,6 @@ re-implementations, not imports from the package under test.
 """
 
 import dataclasses
-import json
 import time
 
 import numpy as np
@@ -21,25 +20,11 @@ from wtal.attention import (
     sparsity_reg,
     sparsity_reg_grad,
 )
-from wtal.dataset import (
-    FeatureMatrix,
-    Stream,
-    STREAMS,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-)
-from wtal.detection import DetectConfig, detect_split, predict_split
-from wtal.evaluation import (
-    Instance,
-    accuracy_from_predictions,
-    average_precision,
-    ground_truth_instances,
-    instances_from_detections,
-    map_at_iou,
-)
+from wtal.dataset import FeatureMatrix, Stream, SyntheticSpec, generate_synthetic, load_dataset
+from wtal.detection import DetectConfig
+from wtal.evaluation import Instance, average_precision
 from wtal.numerics import stable_softmax
-from wtal.training import TrainConfig, certify_gradients, train_source, train_target
+from wtal.training import TrainConfig, certify_gradients
 from wtal.transfer import TransferConfig, mmd2
 
 import oracles
@@ -50,17 +35,6 @@ def _verdict(num, name, ok, detail=""):
     line = record(num, name, ok, detail)
     print(line, flush=True)
     assert ok, line
-
-
-def _score_models(data, models, iou_thr=0.5):
-    """Fused test accuracy and mAP at one IoU threshold."""
-    preds, scores = predict_split(data, "test", models[Stream.RGB], models[Stream.FLOW])
-    dets = detect_split(data, "test", scores, DetectConfig())
-    acc = accuracy_from_predictions(preds, data.manifest, "test")
-    report = map_at_iou(instances_from_detections(dets, data.manifest, "test"),
-                        ground_truth_instances(data.manifest, "test"),
-                        (iou_thr,), acc)
-    return acc["fused"], report.map_per_threshold[0]
 
 
 def test_criterion_1_gradient_certification():
@@ -193,12 +167,8 @@ def test_criterion_5_end_to_end_benchmark(tmp_path):
     probe = _probe_accuracy(data)
     assert probe >= 0.99, f"generator not linearly separable: probe {probe:.4f}"
 
-    cfg = TrainConfig()
-    models = {}
-    for stream in STREAMS:
-        src, _ = train_source(data, stream, cfg)
-        models[stream], _ = train_target(data, stream, cfg, src)
-    acc, map50 = _score_models(data, models)
+    (row,) = cli.run_ablation(data, [("default", TrainConfig())], DetectConfig())
+    acc, map50 = row["accuracy"], row["map"]
     elapsed = time.monotonic() - start
     ok = acc >= 0.90 and map50 >= 0.50 and elapsed < 300.0
     _verdict(5, "end-to-end synthetic benchmark", ok,
@@ -218,41 +188,21 @@ def _study_seed(root, seed):
                          target_train=60, target_test=50,
                          separation=4.0, noise=0.8, shift=3.0, seed=seed)
     generate_synthetic(spec, root)
-    data = load_dataset(root)
     base = TrainConfig(iterations=1200, seed=seed, label_fraction=0.25)
-
-    # attention-on source models are shared by both transfer arms: source
-    # training strips the transfer config, so they would be identical anyway
-    sources = {}
-    for stream in STREAMS:
-        sources[stream], _ = train_source(data, stream, base)
-
-    out = {}
-    for arm in STUDY_ARMS:
-        att_on = arm != "baseline"
-        kt_on = arm in ("sa_kt", "fc1only")
-        cfg = dataclasses.replace(
-            base, attention_enabled=att_on,
-            transfer=TransferConfig(enabled=kt_on,
-                                    fc2_enabled=arm != "fc1only"))
-        models = {}
-        for stream in STREAMS:
-            models[stream], _ = train_target(
-                data, stream, cfg, sources[stream] if kt_on else None)
-        out[arm] = _score_models(data, models)
-    return out
+    no_kt = TransferConfig(enabled=False)      # base transfers through both taps
+    arms = [("baseline", dataclasses.replace(base, attention_enabled=False, transfer=no_kt)),
+            ("sa", dataclasses.replace(base, transfer=no_kt)),
+            ("sa_kt", base),
+            ("fc1only", dataclasses.replace(base, transfer=TransferConfig(fc2_enabled=False)))]
+    rows = cli.run_ablation(load_dataset(root), arms, DetectConfig())
+    return {row["arm"]: (row["accuracy"], row["map"]) for row in rows}
 
 
 @pytest.fixture(scope="module")
 def trend_study(tmp_path_factory):
-    results = {arm: [] for arm in STUDY_ARMS}
-    for seed in range(5):
-        root = tmp_path_factory.mktemp(f"trend{seed}")
-        per_arm = _study_seed(root, seed)
-        for arm, scores in per_arm.items():
-            results[arm].append(scores)
-    return {arm: (float(np.median([s[0] for s in results[arm]])),
-                  float(np.median([s[1] for s in results[arm]])))
+    """Each arm's median (accuracy, mAP@0.5) over seeds 0-4."""
+    per_seed = [_study_seed(tmp_path_factory.mktemp(f"trend{seed}"), seed) for seed in range(5)]
+    return {arm: tuple(np.median([scores[arm] for scores in per_seed], axis=0).tolist())
             for arm in STUDY_ARMS}
 
 

@@ -1052,6 +1052,47 @@ class TestCommandFailures:
                        f"{doc['videos'][0]['id']}: n is too large for a float"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, error", [
+        ("flag", "ConfigError"), ("config", "ConfigError"), ("manifest", "DataFormatError"),
+        ("detections", "InputError"), ("predictions", "InputError"),
+        ("checkpoint", "DataFormatError")])
+    def test_integer_too_long_to_convert_exits_one(self, pipeline, tmp_path, capsys, where,
+                                                   error):
+        # json.loads raises a plain ValueError on an integer of more than 4,300
+        # digits; a flag value that does not parse is kept as text
+        huge = "9" * 5000
+        message = ("synth: 'seed' must be an integer, got '9999" if where == "flag"
+                   else "Exceeds the limit (4300 digits)")
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(pipeline["data"], data)
+        ckpts = tmp_path / "ckpts"
+        shutil.copytree(pipeline["tgt"], ckpts)
+        paths = {"config": tmp_path / "cfg.json", "manifest": data / "manifest.json",
+                 "detections": tmp_path / "detections.json",
+                 "predictions": tmp_path / "predictions.json"}
+        shutil.copy(pipeline["det"], paths["detections"])
+        shutil.copy(pipeline["det"].parent / "detections.predictions.json", paths["predictions"])
+        argv = ["eval", "--data", str(data), "--detections", str(paths["detections"]),
+                "--predictions", str(paths["predictions"]), "--out", str(out / "report.json")]
+        if where == "flag":
+            argv = ["synth", "--out", str(out), "--synth.seed", huge]
+        elif where == "config":
+            paths["config"].write_text(f'{{"train": {{"seed": {huge}}}}}')
+            argv = ["synth", "--out", str(out), "--config", str(paths["config"])]
+        elif where == "checkpoint":
+            blob = (ckpts / "target_rgb.ckpt").read_bytes()
+            hlen, = struct.unpack("<I", blob[8:12])
+            header = b'{"iteration": ' + huge.encode() + b"}"
+            (ckpts / "target_rgb.ckpt").write_bytes(
+                blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + hlen:])
+            argv = _detect_argv(data, out / "detections.json", ckpts)
+        else:
+            paths[where].write_text(f"[{huge}]")
+        assert cli.main(argv) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == error and message in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["detect", "eval", "ablate"])
     def test_split_without_videos_exits_one(self, pipeline, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -1375,6 +1416,12 @@ class TestAblateCommand:
             _, acc, m = ln.split(",")
             assert 0.0 <= float(acc) <= 1.0
             assert 0.0 <= float(m) <= 1.0
+
+    def test_one_run_streams_call_fits_every_arm(self, pipeline, tmp_path, monkeypatch):
+        calls, run_streams = [], cli.run_streams
+        monkeypatch.setattr(cli, "run_streams", lambda fit: calls.append(fit) or run_streams(fit))
+        assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
+        assert len(calls) == 1
 
     def test_one_forward_per_test_video_and_stream_per_arm(self, pipeline, tmp_path,
                                                             forward_calls):

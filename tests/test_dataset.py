@@ -11,7 +11,6 @@ import pytest
 
 import wtal.dataset
 from wtal.dataset import (
-    Dataset,
     FeatureMatrix,
     Manifest,
     Segment,
@@ -261,8 +260,11 @@ class TestManifest:
         ({2: ("id", "v0"), 6: ("n", 0)}, "duplicate video id 'v0'"),
         ({3: ("n", 0), 5: ("split", 1)}, "manifest record 5: 'split' must be a string, got 1"),
         ({3: ("labels", [4]), 5: ("labels", [])}, "v3: label 4 outside [0, 2)"),
+        # a segment's own checks name the video that holds it
+        ({5: ("segments", [[0, 0.0, 9.0]])}, "v5: segment [0.0, 9.0] outside [0, 0.4]"),
+        ({6: ("segments", [[0, 0.0, 0.2], [3, 0.2, 0.3]])}, "v6: segment label 3 outside [0, 2)"),
     ], ids=["types", "segments", "features", "duplicate_then_type", "duplicate_then_value",
-            "type_after_value", "values"])
+            "type_after_value", "values", "segment_bounds", "segment_label"])
     def test_names_the_first_fault_in_record_order(self, tmp_path, faults, message):
         # type faults and duplicates are found record by record, values after them
         doc = self._manifest_doc(tmp_path, 8)

@@ -1,6 +1,5 @@
 """Tests for frame scoring, stream fusion, and proposal extraction."""
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -17,7 +16,7 @@ from wtal.detection import (
     predict_split,
 )
 from wtal.errors import ConfigError, DataFormatError, ShapeError
-from wtal.training import Model, TrainConfig, forward_video, init_model, train_source
+from wtal.training import TrainConfig, forward_video, init_model, train_source
 
 import oracles
 from oracles import video_scores
