@@ -1065,10 +1065,7 @@ class TestCommandFailures:
                    else "Exceeds the limit (4300 digits)")
         data, out = tmp_path / "data", tmp_path / "out"
         shutil.copytree(pipeline["data"], data)
-        ckpts = tmp_path / "ckpts"
-        shutil.copytree(pipeline["tgt"], ckpts)
-        paths = {"config": tmp_path / "cfg.json", "manifest": data / "manifest.json",
-                 "detections": tmp_path / "detections.json",
+        paths = {"manifest": data / "manifest.json", "detections": tmp_path / "detections.json",
                  "predictions": tmp_path / "predictions.json"}
         shutil.copy(pipeline["det"], paths["detections"])
         shutil.copy(pipeline["det"].parent / "detections.predictions.json", paths["predictions"])
@@ -1077,9 +1074,11 @@ class TestCommandFailures:
         if where == "flag":
             argv = ["synth", "--out", str(out), "--synth.seed", huge]
         elif where == "config":
-            paths["config"].write_text(f'{{"train": {{"seed": {huge}}}}}')
-            argv = ["synth", "--out", str(out), "--config", str(paths["config"])]
+            (tmp_path / "cfg.json").write_text(f'{{"train": {{"seed": {huge}}}}}')
+            argv = ["synth", "--out", str(out), "--config", str(tmp_path / "cfg.json")]
         elif where == "checkpoint":
+            ckpts = tmp_path / "ckpts"
+            shutil.copytree(pipeline["tgt"], ckpts)
             blob = (ckpts / "target_rgb.ckpt").read_bytes()
             hlen, = struct.unpack("<I", blob[8:12])
             header = b'{"iteration": ' + huge.encode() + b"}"
