@@ -6,10 +6,11 @@ Configuration is a JSON document with sections synth / train / transfer /
 kernel / detect; every key has a CLI override flag named --<section>.<key>
 (the mapping is one-to-one), and unknown sections or keys are rejected.
 Every command builds, and so checks, every section, also those it does
-not use.
-Each run prints its fully-resolved configuration to stdout. Artifacts are
-written atomically (temp file + rename) and removed if the command fails
-partway, so a nonzero exit never leaves partial outputs behind.
+not use, and prints the resolved configuration to stdout. Each input file
+goes through dataset.read_file, so its errors name it; a --split without
+videos fails before any feature, detections or predictions file is read or
+any model trains. Artifacts are written atomically (temp file + rename) and
+removed if the command fails partway, so a nonzero exit leaves none behind.
 
 ``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
 models share nothing until detection fuses them, so ``training.run_streams``
@@ -37,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import (STREAMS, Manifest, Stream, SyntheticSpec, config_value,
-                      field_default, generate_synthetic, is_json, json_text,
-                      load_dataset, load_manifest, read_json)
+from .dataset import (STREAMS, Stream, SyntheticSpec, config_value, field_default,
+                      generate_synthetic, is_json, json_text, load_dataset,
+                      load_manifest, parse_json, read_file)
 from .detection import DetectConfig, detect_split, predict_split
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
@@ -81,10 +82,11 @@ def resolve_config(config_path: str | None,
     the fully-resolved document for logging."""
     doc = {section: {name: field_default(f) for name, f in _section_fields(section).items()}
            for section in _SECTION_CLASSES}
-    if config_path is not None:
-        loaded = read_json(config_path, "config file", ConfigError)
+
+    def merge_file(data: bytes) -> None:
+        loaded = parse_json(data, "config file", ConfigError)
         if not is_json(loaded, dict):
-            raise ConfigError(f"{config_path}: config file must be a JSON object of sections")
+            raise ConfigError("config file must be a JSON object of sections")
         for section, body in loaded.items():
             if section not in _SECTION_CLASSES:
                 raise ConfigError(f"unknown config section {section!r}")
@@ -95,12 +97,17 @@ def resolve_config(config_path: str | None,
                 if key not in fields:
                     raise ConfigError(f"unknown config key {section}.{key}")
                 doc[section][key] = config_value(fields[key], value, section)
+
+    if config_path is not None:
+        read_file(config_path, merge_file)
     for dotted, raw in overrides.items():
         section, key = dotted.split(".", 1)
-        try:    # as JSON, so that booleans, numbers and lists work; a bare word stays a string
+        try:    # as JSON, so that booleans, numbers and lists work
             value = json.loads(raw)
-        except ValueError:      # also an integer too long to convert, kept as text
+        except json.JSONDecodeError:    # a bare word stays a string
             value = raw
+        except ValueError as exc:       # an integer too long to convert
+            raise ConfigError(f"--{dotted} is not valid JSON: {exc}") from exc
         doc[section][key] = config_value(_section_fields(section)[key], value, section)
 
     synth = SyntheticSpec(**doc["synth"])
@@ -150,24 +157,6 @@ class _Outputs:
             path.unlink(missing_ok=True)
 
 
-def _read_json(path: str, what: str, parse: Callable[[list], object]):
-    """``parse`` applied to a JSON array file; every InputError names the file."""
-    doc = read_json(path, f"{what} file", InputError)
-    try:
-        if not is_json(doc, list):
-            raise InputError(f"{what} file must be a JSON array")
-        return parse(doc)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _require_split(manifest: Manifest, split: str) -> None:
-    """A split without videos is a misspelling: scoring it would report zeros."""
-    if not manifest.split(split):
-        names = ", ".join(sorted({rec.split for rec in manifest.videos}))
-        raise InputError(f"split {split!r} has no videos; the manifest's splits are {names}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each is handler(args, run_cfg, outputs), with the resolved
 # config (None for gradcheck) and the command's _Outputs
@@ -202,10 +191,12 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
         if None in paths.values():
             raise ConfigError("transfer is enabled: pass --source-rgb and --source-flow")
         for stream, path in paths.items():
-            sources[stream], _, _ = load_checkpoint(path)
-            if sources[stream].stream != stream:
-                raise ConfigError(f"--source-{stream.value} holds a source model "
-                                  f"of the other stream ({sources[stream].stream.value})")
+            model = sources[stream] = load_checkpoint(path)[0]
+            if (model.role, model.stream) != ("source", stream):
+                side = "same" if model.stream == stream else "other"
+                raise ConfigError(f"--source-{stream.value} holds a {model.role} model of the "
+                                  f"{side} stream ({model.stream.value}); transfer needs a "
+                                  f"source {stream.value} model")
     data = load_dataset(args.data)
     outdir = Path(args.out)
 
@@ -245,7 +236,6 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     data = load_dataset(args.data)
     if n_rgb != data.n_classes:
         raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has {data.n_classes}")
-    _require_split(data.manifest, args.split)
     predictions, scores = predict_split(data, args.split, model_rgb, model_flow)
     detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
@@ -280,15 +270,15 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
 def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
     # scoring needs the annotations only, not the feature files
     manifest = load_manifest(Path(args.data) / "manifest.json")
-    _require_split(manifest, args.split)
-    instances = _read_json(args.detections, "detections", lambda doc: instances_from_detections(
-        doc, manifest, args.split))
+    manifest.split(args.split)      # a misspelt split fails before any file is read
+    instances = read_file(args.detections, lambda data: instances_from_detections(
+        parse_json(data, "detections file", InputError), manifest, args.split))
     gt = ground_truth_instances(manifest, args.split)
     thresholds = parse_thresholds(args.thresholds)
     acc = None
     if args.predictions is not None:
-        acc = _read_json(args.predictions, "predictions", lambda doc: accuracy_from_predictions(
-            doc, manifest, args.split))
+        acc = read_file(args.predictions, lambda data: accuracy_from_predictions(
+            parse_json(data, "predictions file", InputError), manifest, args.split))
     report = map_at_iou(instances, gt, thresholds, acc)
     emit_report(report, manifest.class_names, Path(args.out), outputs.write)
     return 0
@@ -330,7 +320,7 @@ def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     if not (0.0 < args.iou <= 1.0):
         raise ConfigError(f"--iou must lie in (0, 1], got {args.iou!r}")
     data = load_dataset(args.data)
-    _require_split(data.manifest, args.split)
+    data.split(args.split)      # a misspelt split fails before any arm trains
     cfg = run_cfg.train
     arms = [(name, dataclasses.replace(cfg, attention_enabled=att_on,
                                        transfer=dataclasses.replace(cfg.transfer, enabled=kt_on)))

@@ -27,11 +27,11 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import eq
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InputError
+from .errors import ConfigError, DataFormatError, InputError, WtalError
 
 MAGIC = b"TSRF"
 FORMAT_VERSION = 1
@@ -133,7 +133,12 @@ class Manifest:
         return len(self.class_names)
 
     def split(self, name: str) -> tuple[VideoRecord, ...]:
-        return tuple(v for v in self.videos if v.split == name)
+        """The split's videos; one without any is a misspelling, whose scores would read 0."""
+        recs = tuple(v for v in self.videos if v.split == name)
+        if not recs:
+            names = ", ".join(sorted({rec.split for rec in self.videos}))
+            raise InputError(f"split {name!r} has no videos; the manifest's splits are {names}")
+        return recs
 
 
 @dataclass(frozen=True)
@@ -310,9 +315,13 @@ def check_entries(entries, table, rules, error: type[Exception], where: str) -> 
     ...)`` and every rule holds. A rule is a pair ``(test, message)``:
     ``test(columns, entries)`` says whether it holds on all of them, and
     ``message(at, entry)`` words its breach by one entry. Otherwise raises
-    ``error`` for the first faulty entry, at ``f"{where} {i}"``, worded by
-    ``check_fields`` or the first rule it breaks. Each rule must hold on
-    every prefix of the entries it holds on: the entry is found by bisection."""
+    ``error``, for ``entries`` that are not an array or for the first faulty
+    entry, at ``f"{where} {i}"``, worded by ``check_fields`` or the first
+    rule it breaks. Each rule must hold on every prefix of the entries it
+    holds on: the entry is found by bisection."""
+    if not is_json(entries, list):
+        raise error(f"expected a JSON array of objects, one per {where}")
+
     def columns(objs, rules=rules) -> list[list] | None:
         """``objs``' columns if each has its kinds and ``rules`` hold, else None."""
         if is_json_column(objs, dict):
@@ -443,13 +452,21 @@ def _manifest_from_json(doc) -> Manifest:
     return manifest
 
 
-def read_json(path: Path | str, what: str, error: type[Exception]):
-    """The JSON document in file ``path``; a parse error is ``error`` and
-    names the file and ``what`` it should hold."""
+def parse_json(data: bytes, what: str, error: type[Exception]):
+    """The JSON document in the UTF-8 bytes ``data``, which hold ``what``; bad
+    UTF-8, bad JSON and an integer too long to convert are all ``error``."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:   # bad UTF-8 or JSON, or an integer too long to convert
-        raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
+        return json.loads(data.decode())
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_file(path: Path | str, parse: Callable[[bytes], object]):
+    """``parse`` applied to the bytes of file ``path``; every WtalError it raises names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except WtalError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def json_text(obj) -> str:
@@ -494,11 +511,8 @@ def _json_value(obj, pad: str) -> str:
 
 def load_manifest(path: Path) -> Manifest:
     """Parse and validate ``manifest.json``; every error names the file."""
-    doc = read_json(path, "manifest", DataFormatError)
-    try:
-        return _manifest_from_json(doc)
-    except (DataFormatError, InputError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return read_file(path, lambda data: _manifest_from_json(
+        parse_json(data, "manifest", DataFormatError)))
 
 
 class Dataset:

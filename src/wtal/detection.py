@@ -8,18 +8,18 @@ proposals with half-open frame intervals [ind_start, ind_end), scored by
 the mean in-run fused score; detect_split converts them to t = ind / fps.
 No suppression is needed: maximal runs are disjoint by construction.
 
-predict_split scores each stream in one pass over the split: consecutive
-test videos form chunks with the training step's rule (chunk_bounds, within
-both models' frame budgets), and each chunk is decoded and run forward once,
-giving the video logits and the frame score maps off the same pass. The two
-passes share nothing, so in a process that has already loaded
-multiprocessing (one that ran train or ablate), on a split of at least
-FORK_MIN_FRAMES frames, they run side by side (training.run_streams: RGB
-here, flow in a forked child); otherwise, and so in a lone detect command,
-one after the other. Either way an RGB error is raised before a flow
-error. predict_split then fuses the video logits into the prediction
-records; detect_split only fuses and thresholds the maps it returned, one
-video at a time.
+predict_split scores each stream in one pass over the split, which must
+hold videos (Manifest.split): consecutive test videos form chunks with the
+training step's rule (chunk_bounds, within both models' frame budgets), and
+each chunk is decoded and run forward once, giving the video logits and the
+frame score maps off the same pass. The two passes share nothing, so in a
+process that has already loaded multiprocessing (one that ran train or
+ablate), on a split of at least FORK_MIN_FRAMES frames, they run side by
+side (training.run_streams: RGB here, flow in a forked child); otherwise,
+and so in a lone detect command, one after the other. Either way an RGB
+error is raised before a flow error. predict_split then fuses the video
+logits into the prediction records; detect_split only fuses and thresholds
+the maps it returned, one video at a time.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .training import (Model, chunk_bounds, chunk_budget, forward_video, run_str
 # process that ran train before detect, in-process -> side by side, median
 # detect time: 2,000 frames 55.9 -> 59.8 ms, 3,000 69.2 -> 66.3 ms, 4,000
 # 85.7 -> 82.2 ms, 6,000 118.2 -> 106.4 ms, 20,000 322.6 -> 263.2 ms. A lone
-# detect command, which would import multiprocessing for the fork, measured
-# no gain at 20,000 frames (-0.3 ms median over 21 pairs), so it does not fork.
+# detect, forking by size alone, was slower (medians of 21 alternating pairs):
+# 4,127 frames 333.3 -> 357.6 ms, 20,164 472.2 -> 499.6 ms; so it does not fork.
 FORK_MIN_FRAMES = 4000
 
 
@@ -118,8 +118,6 @@ def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
     flow) frame score maps by id, from one stream_scores pass per stream
     (side by side where the module docstring says, RGB then flow otherwise)."""
     recs = data.split(split)
-    if not recs:
-        return [], {}
     budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
     models = dict(zip(STREAMS, (model_rgb, model_flow)))
 

@@ -65,7 +65,7 @@ from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          class_loss_grad_logits, classifier_grads, classify,
                          label_vector)
 from .dataset import (Dataset, FeatureMatrix, Stream, check_fields, config_from_json,
-                      is_json)
+                      is_json, parse_json, read_file)
 from .errors import ConfigError, DataFormatError, DivergenceError, InputError, ShapeError
 from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
 
@@ -401,8 +401,6 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
             raise ConfigError(f"source/target shape mismatch: "
                               f"{source_model.shapes} vs {model.shapes}")
         source_records = list(dataset.iter_split("source", stream))
-        if not source_records:
-            raise InputError("knowledge transfer needs a source split")
         h, width = model.classifier.fc1_w.shape
         src_m = np.empty((len(source_records), width))
         src_hidden = np.empty((len(source_records), h))
@@ -438,8 +436,6 @@ def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
                  ) -> tuple[Model, list[str]]:
     """Train one stream's source model on the trimmed split, class loss only."""
     records = list(dataset.iter_split("source", stream))
-    if not records:
-        raise InputError("source split is empty")
     for rec, _ in records:
         if not rec.trimmed:
             raise InputError(f"{rec.video_id}: source training needs trimmed videos")
@@ -450,8 +446,6 @@ def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
                  source_model: Model | None = None) -> tuple[Model, list[str]]:
     """Train one stream's target model on the untrimmed train split."""
     records = list(dataset.iter_split("train", stream))
-    if not records:
-        raise InputError("train split is empty")
     if cfg.label_fraction < 1.0:
         keep = labeled_subset(len(records), cfg.label_fraction, cfg.seed)
         records = [records[i] for i in keep]
@@ -570,11 +564,8 @@ def _header_shapes(header) -> tuple[tuple[int, ...], ...]:
 
 def load_checkpoint(path: Path | str) -> tuple[Model, TrainConfig, int]:
     """Read a checkpoint written by save_checkpoint: the model, its config
-    and its iteration count; every DataFormatError names the file."""
-    try:
-        return _parse_checkpoint(Path(path).read_bytes())
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    and its iteration count; every error names the file."""
+    return read_file(path, _parse_checkpoint)
 
 
 def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
@@ -585,10 +576,7 @@ def _parse_checkpoint(data: bytes) -> tuple[Model, TrainConfig, int]:
         raise DataFormatError(f"unsupported checkpoint version {version}")
     if 12 + hlen > len(data):
         raise DataFormatError(f"checkpoint header length {hlen} runs past the end of the file")
-    try:
-        header = json.loads(data[12:12 + hlen].decode())
-    except ValueError as exc:   # bad UTF-8 or JSON, or an integer too long to convert
-        raise DataFormatError(f"corrupt checkpoint header: {exc}") from exc
+    header = parse_json(data[12:12 + hlen], "checkpoint header", DataFormatError)
     shapes = _header_shapes(header)
     try:
         cfg = config_from_json(TrainConfig, header["config"], "config")

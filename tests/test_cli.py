@@ -831,6 +831,21 @@ class TestCommandFailures:
         assert "--source-flow" in err["message"]
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("stream", ["rgb", "flow"])
+    def test_transfer_source_must_be_a_source_checkpoint(self, pipeline, tmp_path, capsys,
+                                                         stream):
+        sources = {f"--source-{s}": pipeline["src"] / f"source_{s}.ckpt" for s in ("rgb", "flow")}
+        sources[f"--source-{stream}"] = pipeline["tgt"] / f"target_{stream}.ckpt"
+        rc = cli.main(["train", "--role", "target", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "m")]
+                      + [str(v) for pair in sources.items() for v in pair] + TRAIN_FLAGS)
+        assert rc == 1
+        assert _one_error(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"--source-{stream} holds a target model of "
+                                               f"the same stream ({stream}); transfer needs a "
+                                               f"source {stream} model"}
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("flags, names", [
         (["--train.lr_rgb", "1e300"], "L_class=nan"),
         # the flow stream diverges after the RGB outputs were written
@@ -1059,10 +1074,9 @@ class TestCommandFailures:
     def test_integer_too_long_to_convert_exits_one(self, pipeline, tmp_path, capsys, where,
                                                    error):
         # json.loads raises a plain ValueError on an integer of more than 4,300
-        # digits; a flag value that does not parse is kept as text
+        # digits, which a flag value reports as a file does
         huge = "9" * 5000
-        message = ("synth: 'seed' must be an integer, got '9999" if where == "flag"
-                   else "Exceeds the limit (4300 digits)")
+        message = "Exceeds the limit (4300 digits)"
         data, out = tmp_path / "data", tmp_path / "out"
         shutil.copytree(pipeline["data"], data)
         paths = {"manifest": data / "manifest.json", "detections": tmp_path / "detections.json",
@@ -1109,6 +1123,22 @@ class TestCommandFailures:
         assert err["error"] == "InputError"
         assert "'tset'" in err["message"] and "source, test, train" in err["message"]
         assert not out.exists() or list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_a_misspelt_split_fails_before_any_work(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # eval would fail on its missing detections file, and ablate would train
+        calls = []
+        monkeypatch.setattr(cli, "train_source", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "train_target", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--data", str(pipeline["data"]), "--detections",
+                         str(tmp_path / "missing.json"), "--out", str(out / "r.json")],
+                "ablate": _ablate_argv(pipeline["data"], out / "ablation.csv")}[command]
+        assert cli.main(argv + ["--split", "tset"]) == 1
+        err = _one_error(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "split 'tset' has no videos" in err["message"]
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("split", ["source", "train"])
     def test_detect_ignores_corrupt_files_outside_the_test_split(self, pipeline, tmp_path,
@@ -1427,3 +1457,160 @@ class TestAblateCommand:
         assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
         _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test",
                                passes=len(cli.ABLATION_ARMS))
+
+
+# ---------------------------------------------------------------------------
+# command-line fuzzing: each kind of outside input corrupted in turn
+# ---------------------------------------------------------------------------
+
+FUZZ_CASES = 50         # seeded cases per kind of input
+HUGE_INT = "9" * 5000   # more digits than json.loads converts (4,300)
+
+
+def _json_paths(doc, path=()):
+    """The path of ``doc`` and of every value nested in it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, path + (key,))
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def _fuzz_json(text, rng):
+    """One seeded corruption of a JSON text, as bytes: the text truncated; one
+    byte of invalid UTF-8; a key removed; or at a random place a value of
+    another kind, NaN or an infinity, 10**400 or an integer too long to convert."""
+    blob = text.encode()
+    kind = int(rng.integers(7))
+    if kind == 0:
+        return blob[:int(rng.integers(len(blob)))]
+    if kind == 1:
+        at = int(rng.integers(len(blob)))
+        return blob[:at] + b"\xff" + blob[at + 1:]
+    doc = json.loads(text)
+    paths = list(_json_paths(doc))
+
+    def at(path):
+        return doc if not path else at(path[:-1])[path[-1]]
+
+    objects = [path for path in paths if isinstance(at(path), dict) and at(path)]
+    if kind == 2 and objects:
+        obj = at(_pick(rng, objects))
+        del obj[_pick(rng, sorted(obj))]
+        return json.dumps(doc).encode()
+    path = _pick(rng, paths)
+    other_kinds = [v for v in (None, True, "x", 1.5, 7, [], {}) if type(v) is not type(at(path))]
+    value = _pick(rng, {4: [math.nan, math.inf, -math.inf], 5: [10 ** 400],
+                        6: ["<huge>"]}.get(kind, other_kinds))
+    if path:
+        at(path[:-1])[path[-1]] = value
+    else:
+        doc = value
+    return json.dumps(doc).replace('"<huge>"', HUGE_INT).encode()
+
+
+def _fuzz_flag(rng):
+    """``--<section>.<key>=<value>`` for a seeded config field and a seeded
+    value: another kind, NaN or an infinity, a huge integer, a truncated
+    array, an empty text or invalid UTF-8 (as Python passes it on, escaped)."""
+    fields = [f"{section}.{name}" for section in cli._SECTION_CLASSES
+              for name in cli._section_fields(section)]
+    values = ["null", "true", '"x"', "x", "1.5", "7", "-7", "[]", "{}", "[1.5, ", "",
+              "NaN", "Infinity", "-Infinity", str(10 ** 400), HUGE_INT, "\udcff", '"\udcff"']
+    return f"--{_pick(rng, fields)}={_pick(rng, values)}"
+
+
+def _fuzz_checkpoint_header(blob, rng):
+    hlen, = struct.unpack("<I", blob[8:12])
+    header = _fuzz_json(blob[12:12 + hlen].decode(), rng)
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + hlen:]
+
+
+CKPT_PAYLOAD_CORRUPTIONS = (
+    _truncate, _ckpt_payload_value(math.nan), _ckpt_payload_value(math.inf),
+    _ckpt_payload_value(-math.inf), TSRC_CORRUPTIONS[11],       # trailing bytes
+)
+
+
+def _fuzz_case(what, pipeline, root, rng):
+    """Write one seeded corruption of ``what`` under ``root``; returns the
+    command line that reads it (detect or eval) and the directory it writes to."""
+    data, ckpts, out = pipeline["data"], pipeline["tgt"], root / "out"
+    files = {"detections": pipeline["det"],
+             "predictions": pipeline["det"].parent / "detections.predictions.json"}
+    flags = []
+    if what in ("manifest", "feature file"):
+        data = root / "data"
+        data.mkdir()
+        (data / "features").symlink_to(pipeline["data"] / "features")
+        text = (pipeline["data"] / "manifest.json").read_text()
+        if what == "feature file":      # one test video's file, which detect reads
+            doc = json.loads(text)
+            paths = _pick(rng, [v for v in doc["videos"] if v["split"] == "test"])["features"]
+            stream = _pick(rng, STREAMS).value
+            (data / "bad.tsrf").write_bytes(_pick(rng, TSRF_CORRUPTIONS)(
+                (pipeline["data"] / paths[stream]).read_bytes(), rng))
+            paths[stream] = "bad.tsrf"
+            (data / "manifest.json").write_text(json.dumps(doc))
+        else:
+            (data / "manifest.json").write_bytes(_fuzz_json(text, rng))
+    elif what.startswith("checkpoint"):
+        ckpts = root / "ckpts"
+        ckpts.mkdir()
+        stream = _pick(rng, STREAMS)
+        for s in STREAMS:
+            blob = (pipeline["tgt"] / f"target_{s.value}.ckpt").read_bytes()
+            if s == stream:
+                corrupt = (_fuzz_checkpoint_header if what == "checkpoint header"
+                           else _pick(rng, CKPT_PAYLOAD_CORRUPTIONS))
+                blob = corrupt(blob, rng)
+            (ckpts / f"target_{s.value}.ckpt").write_bytes(blob)
+    elif what == "config file":
+        _, doc = cli.resolve_config(None, {})
+        (root / "cfg.json").write_bytes(_fuzz_json(json.dumps(doc, default=list), rng))
+        flags = ["--config", str(root / "cfg.json")]
+    elif what == "flag value":
+        flags = [_fuzz_flag(rng)]
+    else:
+        text = files[what].read_text()
+        files[what] = root / f"{what}.json"
+        files[what].write_bytes(_fuzz_json(text, rng))
+    if what in ("detections", "predictions") or what == "manifest" and rng.integers(2):
+        return ["eval", "--data", str(data), "--detections", str(files["detections"]),
+                "--predictions", str(files["predictions"]),
+                "--out", str(out / "report.json")], out
+    return _detect_argv(data, out / "detections.json", ckpts) + flags, out
+
+
+class TestCommandLineFuzz:
+    @pytest.mark.parametrize("what", ["manifest", "config file", "flag value",
+                                      "checkpoint header", "checkpoint payload",
+                                      "feature file", "detections", "predictions"])
+    def test_every_corrupt_input_exits_zero_or_one(self, pipeline, tmp_path, capsys, what):
+        # a 1 comes with one JSON error line and leaves no file behind
+        if what == "detections":    # entries to corrupt: none reach the default threshold
+            det = tmp_path / "detections.json"
+            assert cli.main(_detect_argv(pipeline["data"], det, pipeline["tgt"])
+                            + ["--detect.threshold=0.02"]) == 0
+            assert json.loads(det.read_text()) != []
+            pipeline = {**pipeline, "det": det}
+        codes = []
+        for case in range(FUZZ_CASES):
+            root = tmp_path / str(case)
+            root.mkdir()
+            argv, out = _fuzz_case(what, pipeline, root, np.random.default_rng([22, case]))
+            try:
+                codes.append(cli.main(argv))
+            except BaseException as exc:    # noqa: BLE001 - SystemExit too: a usage error
+                pytest.fail(f"{what} case {case}: {argv} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, (case, err)
+            if codes[-1] == 1:
+                assert "error" in _one_error(err), (case, err)
+                assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
+            else:
+                assert codes[-1] == 0 and err == "", (case, argv, err)
+        assert codes.count(1) >= FUZZ_CASES // 2, codes

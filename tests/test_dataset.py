@@ -330,7 +330,9 @@ class TestManifest:
         manifest = _make_manifest()
         assert [v.video_id for v in manifest.split("source")] == ["v0"]
         assert [v.video_id for v in manifest.split("test")] == ["v1"]
-        assert manifest.split("train") == ()
+        with pytest.raises(InputError, match="split 'train' has no videos; "
+                                             "the manifest's splits are source, test$"):
+            manifest.split("train")
 
 
 # values a fault writes in place of a key's value, an array element or a

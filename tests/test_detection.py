@@ -15,7 +15,7 @@ from wtal.detection import (
     fused_frame_scores,
     predict_split,
 )
-from wtal.errors import ConfigError, DataFormatError, ShapeError
+from wtal.errors import ConfigError, DataFormatError, InputError, ShapeError
 from wtal.training import TrainConfig, forward_video, init_model, train_source
 
 import oracles
@@ -396,10 +396,11 @@ class TestChunkedPrediction:
             self._side_by_side(monkeypatch)
         rng = np.random.default_rng(24)
         data = self._dataset(tmp_path, rng)
-        assert data.split("train") == ()
-        scores = predict_split(data, "train", *self._models(rng))
-        assert scores == ([], {})
-        assert detect_split(data, "train", scores[1], DetectConfig()) == []
+        models = self._models(rng)
+        for call in (lambda: predict_split(data, "train", *models),
+                     lambda: detect_split(data, "train", {}, DetectConfig())):
+            with pytest.raises(InputError, match="split 'train' has no videos"):
+                call()
 
     @pytest.mark.parametrize("side_by_side", [True, False])
     def test_an_rgb_error_is_reported_before_a_flow_error(self, tmp_path, monkeypatch,

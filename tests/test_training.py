@@ -488,7 +488,7 @@ class TestTrainingLoops:
         manifest = tiny_data.manifest
         targets_only = Dataset(tiny_data.root, dataclasses.replace(
             manifest, videos=tuple(v for v in manifest.videos if v.split != "source")))
-        with pytest.raises(InputError, match="needs a source split"):
+        with pytest.raises(InputError, match="split 'source' has no videos"):
             train_target(targets_only, Stream.RGB, TINY_CFG, source_model=src)
 
     def test_transfer_terms_appear_in_log(self, tiny_data):
