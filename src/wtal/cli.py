@@ -186,8 +186,14 @@ def _cmd_train(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     cfg = run_cfg.train
     # a target run loads and checks both source models before any stream trains
     sources = dict.fromkeys(STREAMS)
-    if args.role == "target" and cfg.transfer.enabled:
-        paths = {Stream.RGB: args.source_rgb, Stream.FLOW: args.source_flow}
+    transfer = args.role == "target" and cfg.transfer.enabled
+    paths = {Stream.RGB: args.source_rgb, Stream.FLOW: args.source_flow}
+    given = [f"--source-{s.value}" for s, path in paths.items() if path is not None]
+    if given and not transfer:      # checked before any file is read
+        raise ConfigError(f"only a target run with transfer enabled reads {' and '.join(given)}"
+                          f"; this run has role {args.role}, transfer.enabled "
+                          f"{str(cfg.transfer.enabled).lower()}")
+    if transfer:
         if None in paths.values():
             raise ConfigError("transfer is enabled: pass --source-rgb and --source-flow")
         for stream, path in paths.items():

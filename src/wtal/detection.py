@@ -8,18 +8,18 @@ proposals with half-open frame intervals [ind_start, ind_end), scored by
 the mean in-run fused score; detect_split converts them to t = ind / fps.
 No suppression is needed: maximal runs are disjoint by construction.
 
-predict_split scores each stream in one pass over the split, which must
-hold videos (Manifest.split): consecutive test videos form chunks with the
-training step's rule (chunk_bounds, within both models' frame budgets), and
-each chunk is decoded and run forward once, giving the video logits and the
-frame score maps off the same pass. The two passes share nothing, so in a
-process that has already loaded multiprocessing (one that ran train or
-ablate), on a split of at least FORK_MIN_FRAMES frames, they run side by
-side (training.run_streams: RGB here, flow in a forked child); otherwise,
-and so in a lone detect command, one after the other. Either way an RGB
-error is raised before a flow error. predict_split then fuses the video
-logits into the prediction records; detect_split only fuses and thresholds
-the maps it returned, one video at a time.
+predict_split scores each stream in one pass over the split, which must hold
+videos (Manifest.split): consecutive test videos form chunks with the
+training step's rule (chunk_bounds: at most CHUNK_VIDEOS videos, within both
+models' frame budgets); each chunk is decoded and run forward once, giving
+the video logits and the frame score maps off the same pass. The two passes
+share nothing, so in a process that has already loaded multiprocessing (one
+that ran train or ablate), on a split of at least FORK_MIN_FRAMES frames,
+they run side by side (training.run_streams: RGB here, flow in a forked
+child); otherwise, and so in a lone detect command, one after the other.
+Either way an RGB error is raised before a flow error. predict_split then
+fuses the video logits into the prediction records; detect_split only fuses
+and thresholds the maps it returned, one video at a time.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ isolates single terms. Each transfer tap with a nonzero weight is one
 
 A step runs the attention forward and backward once per chunk: its
 videos side by side in one feature matrix, consecutive videos of the batch
-up to CHUNK_CELLS // attention_hidden frames (256 at the default 64: about
-a dozen default videos, or one 150-250 frame video). The classifier runs
-forward and backward once on the stacked (B, r*d) pooled matrix M under
-one (B, h) dropout mask, and the transfer taps read M and its hidden layer.
+up to CHUNK_CELLS // attention_hidden frames (1,024 at the default 64) and
+CHUNK_VIDEOS videos (a default 16-video batch, or four to six 150-250
+frame videos). The classifier runs forward and backward once on the stacked
+(B, r*d) pooled matrix M under one (B, h) dropout mask, and the transfer
+taps read M and its hidden layer.
 ``chunk_bounds`` is the one grouping rule: the step, the source-activation
 cache and detection's ``predict_split`` all chunk with it.
 
@@ -81,12 +82,15 @@ _ROLE_CODE = {"source": 0, "target": 1}
 _HEADER_TYPES = {"role": str, "stream": str, "iteration": int, "attention_enabled": bool,
                  "attention_mode": str, "params": list, "config": dict}
 _LABEL_SUBSET_CODE = 7
-# Attention hidden units times frames per chunk, so that every (hidden,
-# frames) temporary stays within glibc's default 128 KiB mmap threshold.
-# Larger blocks are mapped fresh and page-fault on every step: one chunk per
-# 16-video batch of 150-250 frames made the step about 1.5x slower than one
-# chunk per video.
-CHUNK_CELLS = 16384
+# A chunk closes at CHUNK_CELLS // attention_hidden frames (1,024 at 64) or at
+# CHUNK_VIDEOS videos, whichever comes first. Swept against 256 frames and no
+# cap (2 cores, perfbench medians): frame budgets of 512, 1,024 and 2,048 made
+# plain_long train 1.12-1.17x, 1.24-1.31x and 1.11-1.22x as fast, though 1,024
+# frames page-fault. A cap under 16 splits a default batch in two and gives up
+# kt_default's 1.03-1.09x; 32 slowed its detect by 5-10%, as the dense (B, N)
+# membership products grow with videos x frames.
+CHUNK_CELLS = 65536
+CHUNK_VIDEOS = 16
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,11 @@ def _pool(model: Model, x: FeatureMatrix,
 
 def chunk_bounds(counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
     """Consecutive items grouped greedily into chunks of at most ``budget``
-    frames, as [start, stop) index pairs; an item longer than the budget
-    makes a chunk of its own."""
+    frames and CHUNK_VIDEOS items, as [start, stop) index pairs; an item
+    longer than the budget makes a chunk of its own."""
     bounds, start, total = [], 0, 0
     for i, n in enumerate(counts):
-        if i > start and total + n > budget:
+        if i > start and (total + n > budget or i - start >= CHUNK_VIDEOS):
             bounds.append((start, i))
             start, total = i, 0
         total += n

@@ -798,6 +798,25 @@ class TestCommandFailures:
         err = json.loads(capsys.readouterr().err.strip())
         assert "source-rgb" in err["message"]
 
+    @pytest.mark.parametrize("role,flags,named", [
+        ("source", ["--source-rgb", "nonexistent.ckpt"], "--source-rgb"),
+        ("source", ["--source-flow", "x"], "--source-flow"),
+        ("target", ["--transfer.enabled", "false", "--source-rgb", "x", "--source-flow", "y"],
+         "--source-rgb and --source-flow"),
+    ], ids=["source-rgb", "source-flow", "target-without-transfer"])
+    def test_an_unused_source_flag_fails_before_any_file_is_read(self, tmp_path, capsys,
+                                                                 role, flags, named):
+        # neither the dataset nor the checkpoints exist: the flag check comes first
+        rc = cli.main(["train", "--role", role, "--data", str(tmp_path / "missing"),
+                       "--out", str(tmp_path / "m"), *flags])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert named in err["message"] and f"role {role}" in err["message"]
+        enabled = "false" if role == "target" else "true"
+        assert f"transfer.enabled {enabled}" in err["message"]
+        assert not (tmp_path / "m").exists()
+
     def test_wrong_stream_source_discards_earlier_outputs(self, pipeline, tmp_path,
                                                           capsys):
         # the RGB stream trains and writes first; the flow stream then fails

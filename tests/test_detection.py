@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wtal import detection
+from wtal import detection, training
 from wtal.dataset import (STREAMS, Dataset, FeatureMatrix, Manifest, Stream, SyntheticSpec,
                           VideoRecord, encode_features, generate_synthetic, load_dataset)
 from wtal.detection import (
@@ -280,9 +280,10 @@ class TestSplitOutputs:
 class TestChunkedPrediction:
     """predict_split runs chunks of videos; the oracle runs one video at a time."""
 
-    # budget 256 at attention_hidden 64: a 300-frame video makes a chunk of
-    # its own, and 1-frame videos ride along with their neighbours
-    LENGTHS = (300, 1, 12, 7, 250, 9, 1, 40, 200, 3, 1)
+    # the 1,100-frame video is longer than every case's frame budget
+    # (training.CHUNK_CELLS // attention_hidden) and makes a chunk of its own;
+    # 1-frame videos ride along with their neighbours
+    LENGTHS = (1100, 1, 12, 7, 250, 9, 1, 40, 200, 3, 1)
 
     @staticmethod
     def _dataset(root, rng, d=5, n_classes=3):
@@ -312,11 +313,13 @@ class TestChunkedPrediction:
         m_rgb, m_flow = self._models(rng, mode, heads, enabled, hidden_rgb, hidden_flow)
         preds, scores = predict_split(data, "test", m_rgb, m_flow)
         # one pass per chunk and stream, within both models' frame budgets
-        budget = 16384 // max(hidden_rgb, hidden_flow)
+        budget = training.CHUNK_CELLS // max(hidden_rgb, hidden_flow)
         per_stream = {s: [counts for stream, counts in chunks if stream == s] for s in STREAMS}
         assert per_stream[Stream.RGB] == per_stream[Stream.FLOW]
         assert [n for counts in per_stream[Stream.RGB] for n in counts] == list(self.LENGTHS)
         assert all(sum(counts) <= budget or len(counts) == 1 for _, counts in chunks)
+        assert all(len(counts) <= training.CHUNK_VIDEOS for _, counts in chunks)
+        assert (max(self.LENGTHS),) in per_stream[Stream.RGB] and max(self.LENGTHS) > budget
         self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
 
     @staticmethod

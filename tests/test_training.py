@@ -354,8 +354,8 @@ class TestTotalLoss:
         assert total == reference[0] and np.array_equal(grad, reference[2])
 
     def test_one_attention_pass_per_chunk(self, monkeypatch):
-        # default shapes: 16 videos of 15-25 frames fill at most two
-        # 256-frame chunks at attention_hidden 64
+        # default shapes: 16 videos of 15-25 frames, in greedy chunks of at most
+        # CHUNK_CELLS // attention_hidden frames and CHUNK_VIDEOS videos
         rng = np.random.default_rng(8)
         cfg = TrainConfig()
         model = init_model(16, 8, Stream.RGB, "target", cfg, rng)
@@ -364,7 +364,7 @@ class TestTotalLoss:
         mask = training._draw_mask(rng, (16, cfg.classifier_hidden), cfg.dropout)
         acts = (rng.normal(size=(16, 16)), rng.normal(size=(16, cfg.classifier_hidden)))
         reference = total_loss(batch, model, mask, acts)
-        calls, frames = [], []
+        calls, chunks = [], []
 
         def counted(name):
             fn = getattr(training, name)
@@ -372,15 +372,20 @@ class TestTotalLoss:
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 if name == "attend":
-                    frames.append(args[0].n)
+                    chunks.append(tuple(args[3]))
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in ("attend", "attention_grads"):
             monkeypatch.setattr(training, name, counted(name))
         total, _, grad = total_loss(batch, model, mask, acts)
-        assert 1 <= calls.count("attend") == calls.count("attention_grads") <= 2
-        assert sum(frames) == sum(x.n for x, _ in batch) and max(frames) <= 256
+        budget, cap = training.CHUNK_CELLS // cfg.attention_hidden, training.CHUNK_VIDEOS
+        assert calls.count("attend") == calls.count("attention_grads") == len(chunks)
+        assert [n for counts in chunks for n in counts] == [x.n for x, _ in batch]
+        assert all(sum(counts) <= budget and len(counts) <= cap for counts in chunks)
+        # a chunk closes only where the next video would break a limit
+        assert all(sum(counts) + after[0] > budget or len(counts) == cap
+                   for counts, after in zip(chunks, chunks[1:]))
         assert total == reference[0] and np.array_equal(grad, reference[2])
 
     def test_rejects_empty_batch_and_unknown_terms(self):
@@ -421,6 +426,14 @@ class TestChunkedStep:
         np.testing.assert_allclose(list(terms.values()), ref_terms, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
         assert np.any(grad[:model.attention.w1.size] != 0.0) == enabled
+
+    def test_a_chunk_closes_at_the_frame_budget_or_the_video_cap(self):
+        cap = training.CHUNK_VIDEOS
+        assert training.chunk_bounds([], 10) == []
+        assert training.chunk_bounds([4, 6, 1, 30, 2], 10) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+        # 1-frame videos fit the budget many times over: the cap closes each chunk
+        assert training.chunk_bounds([1] * (2 * cap + 1), 10 * cap) == [
+            (0, cap), (cap, 2 * cap), (2 * cap, 2 * cap + 1)]
 
 
 class TestGradientCertification:
