@@ -23,7 +23,7 @@ import struct
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import eq
 from pathlib import Path
@@ -516,9 +516,11 @@ def load_manifest(path: Path) -> Manifest:
 
 
 class Dataset:
-    """A manifest over a dataset directory. Nothing is decoded up front:
-    each ``features`` call reads, decodes and checks one file and keeps
-    nothing, so a command decodes only the splits it reads."""
+    """A manifest over a dataset directory. Nothing is read up front and
+    nothing is kept: ``read_split`` (and so ``iter_split``) reads a split's
+    files of one stream in one pass each time it is called, and ``features``
+    reads, decodes and checks one file, so a command reads only the splits
+    it uses."""
 
     def __init__(self, root: Path, manifest: Manifest):
         self.root = root
@@ -553,9 +555,49 @@ class Dataset:
             raise DataFormatError(f"{rec.video_id}/{stream.value} ({fpath}): {exc}") from exc
         return mat
 
+    def read_split(self, recs: Sequence[VideoRecord], stream: Stream) -> list[FeatureMatrix]:
+        """The ``stream`` matrices of the videos ``recs``, in order, from one
+        pass: one read per file into one float32 buffer, then one finiteness
+        check and one float64 cast for them all, each matrix a view of the
+        cast. If any file fails a check, the files are read again one by one
+        through ``features``, which raises the first faulty file's error."""
+        try:
+            mats = self._one_pass(recs, stream)
+        except (OSError, ValueError, MemoryError, struct.error):   # a missing file, a vast n
+            mats = None
+        return mats if mats is not None else [self.features(rec.video_id, stream) for rec in recs]
+
+    def _one_pass(self, recs: Sequence[VideoRecord], stream: Stream) -> list[FeatureMatrix] | None:
+        """``read_split``'s pass, or None if a file's header or length is not
+        the one ``features`` accepts, or a value is not finite."""
+        paths = [os.path.join(self._dir, rec.feature_paths[stream]) for rec in recs]
+        d = self._dims.get(stream)
+        if d is None:       # the first file's header sizes the reads; all are checked
+            with open(paths[0], "rb") as fh:
+                d = int.from_bytes(fh.read(HEADER_BYTES)[8:12], "little")
+            if d < 1:
+                return None
+        starts = list(accumulate([rec.n for rec in recs], initial=0))
+        buf = np.empty((starts[-1], d), dtype="<f4")
+        raw, head, tail = memoryview(buf).cast("B"), bytearray(HEADER_BYTES), bytearray(1)
+        for path, rec, lo, hi in zip(paths, recs, starts, starts[1:]):
+            fd = os.open(path, os.O_RDONLY)
+            try:        # one read: the header, the payload in place, and a byte too many
+                got = os.readv(fd, [head, raw[4 * d * lo:4 * d * hi], tail])
+            finally:
+                os.close(fd)
+            if (got != HEADER_BYTES + 4 * d * (hi - lo)
+                    or head != struct.pack("<4sIII", MAGIC, FORMAT_VERSION, d, rec.n)):
+                return None
+        if not np.isfinite(buf).all():
+            return None
+        self._dims[stream] = d
+        vals = buf.astype(np.float64)
+        return [FeatureMatrix(vals[lo:hi].T) for lo, hi in zip(starts, starts[1:])]
+
     def iter_split(self, name: str, stream: Stream) -> Iterator[tuple[VideoRecord, FeatureMatrix]]:
-        for rec in self.split(name):
-            yield rec, self.features(rec.video_id, stream)
+        recs = self.split(name)
+        yield from zip(recs, self.read_split(recs, stream))
 
 
 def load_dataset(root: Path | str) -> Dataset:

@@ -11,8 +11,9 @@ No suppression is needed: maximal runs are disjoint by construction.
 predict_split scores each stream in one pass over the split, which must hold
 videos (Manifest.split): consecutive test videos form chunks with the
 training step's rule (chunk_bounds: at most CHUNK_VIDEOS videos, within both
-models' frame budgets); each chunk is decoded and run forward once, giving
-the video logits and the frame score maps off the same pass. The two passes
+models' frame budgets). Each pass reads the split's files first
+(Dataset.read_split), then runs each chunk forward once, giving the video
+logits and the frame score maps off the same pass. The two passes
 share nothing, so in a process that has already loaded multiprocessing (one
 that ran train or ablate), on a split of at least FORK_MIN_FRAMES frames,
 they run side by side (training.run_streams: RGB here, flow in a forked
@@ -101,12 +102,12 @@ def extract_proposals(scores: np.ndarray, cfg: DetectConfig) -> list[tuple[int, 
 def stream_scores(data: Dataset, recs: Sequence[VideoRecord], stream: Stream,
                   model: Model, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """One stream's pass over the videos ``recs``: the (V, C) video logits
-    and their (C, N) frame score maps side by side, in ``recs`` order. Each
-    chunk of at most ``budget`` frames is decoded and runs forward once."""
-    logits, maps = [], []
+    and their (C, N) frame score maps side by side, in ``recs`` order. The
+    split is read first, then each chunk of at most ``budget`` frames runs
+    forward once."""
+    xs, logits, maps = data.read_split(recs, stream), [], []
     for lo, hi in chunk_bounds([rec.n for rec in recs], budget):
-        z, w = chunk_scores(model, *stack_videos([data.features(rec.video_id, stream)
-                                                  for rec in recs[lo:hi]]))
+        z, w = chunk_scores(model, *stack_videos(xs[lo:hi]))
         logits.append(z)
         maps.append(w)
     return np.vstack(logits), np.hstack(maps)

@@ -422,19 +422,21 @@ def _assert_forwarded_once(calls, data, split, passes=1):
 
 
 @pytest.fixture
-def decodes(monkeypatch, tmp_path):
-    """A function that lists the byte length of each feature file decoded so
-    far, by this process and by the forked flow-stream child alike."""
-    log = tmp_path / "decodes.log"
-    decode = wtal.dataset.decode_features
+def reads(monkeypatch, tmp_path):
+    """A function that lists the (video id, stream) of each feature file that
+    ``Dataset.read_split`` has read so far, in read order, by this process and
+    by the forked flow-stream child alike."""
+    log = tmp_path / "reads.log"
+    read = wtal.dataset.Dataset.read_split
 
-    def record(blob):
+    def record(self, recs, stream):
         with open(log, "a") as fh:
-            fh.write(f"{len(blob)}\n")
-        return decode(blob)
+            fh.writelines(f"{rec.video_id} {stream.value}\n" for rec in recs)
+        return read(self, recs, stream)
 
-    monkeypatch.setattr(wtal.dataset, "decode_features", record)
-    return lambda: [int(n) for n in log.read_text().split()] if log.exists() else []
+    monkeypatch.setattr(wtal.dataset.Dataset, "read_split", record)
+    return lambda: ([tuple(line.split()) for line in log.read_text().splitlines()]
+                    if log.exists() else [])
 
 
 def _train_argv(pipeline, out, role, transfer=True):
@@ -608,7 +610,7 @@ class TestPipeline:
         ("target_no_transfer", ("train",)), ("detect", ("test",)), ("eval", ()),
     ])
     def test_each_command_decodes_only_the_splits_it_reads(self, pipeline, tmp_path,
-                                                            decodes, command, splits):
+                                                            reads, command, splits):
         out = tmp_path / "out"
         argv = {
             "source": _train_argv(pipeline, out, "source"),
@@ -620,7 +622,9 @@ class TestPipeline:
         }[command]
         assert cli.main(argv) == 0
         manifest = load_manifest(pipeline["data"] / "manifest.json")
-        assert len(decodes()) == len(STREAMS) * sum(len(manifest.split(s)) for s in splits)
+        # each file of the command's splits once per command, and no other file
+        assert sorted(reads()) == sorted((rec.video_id, stream.value) for s in splits
+                                         for rec in manifest.split(s) for stream in STREAMS)
 
     def test_resolved_config_is_logged(self, pipeline, tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "d"),

@@ -11,6 +11,7 @@ import pytest
 
 import wtal.dataset
 from wtal.dataset import (
+    Dataset,
     FeatureMatrix,
     Manifest,
     Segment,
@@ -654,6 +655,16 @@ class TestGenerateSynthetic:
             dataclasses.replace(TINY_SPEC, shift=(1.0, 2.0))
 
 
+def _per_file_error(root, split, stream):
+    """The error that reading ``split``'s ``stream`` files one by one through
+    ``Dataset.features`` raises, on a freshly loaded dataset."""
+    data = load_dataset(root)
+    with pytest.raises(DataFormatError) as exc:
+        for rec in data.split(split):
+            data.features(rec.video_id, stream)
+    return str(exc.value)
+
+
 class TestLoadDataset:
     def test_load_round_trip(self, tmp_path):
         manifest = generate_synthetic(TINY_SPEC, tmp_path)
@@ -664,16 +675,21 @@ class TestLoadDataset:
                 assert (mat.d, mat.n) == (TINY_SPEC.d, rec.n)
 
     def test_load_decodes_no_file_and_each_read_decodes_one(self, tmp_path, monkeypatch):
+        # each iter_split reads its split's files in one read_split pass,
+        # which on sound files decodes none of them one by one
         generate_synthetic(TINY_SPEC, tmp_path)
-        calls = []
-        decode = wtal.dataset.decode_features
+        reads, decodes = [], []
+        read, decode = Dataset.read_split, wtal.dataset.decode_features
+        monkeypatch.setattr(Dataset, "read_split", lambda self, recs, stream: reads.append(
+            [(rec.video_id, stream) for rec in recs]) or read(self, recs, stream))
         monkeypatch.setattr(wtal.dataset, "decode_features",
-                            lambda blob: calls.append(len(blob)) or decode(blob))
+                            lambda blob: decodes.append(len(blob)) or decode(blob))
         data = load_dataset(tmp_path)
-        assert calls == []
+        assert reads == []
         for _ in range(2):      # nothing is kept between reads
-            list(data.iter_split("test", Stream.FLOW))
-        assert len(calls) == 2 * TINY_SPEC.target_test
+            assert len(list(data.iter_split("test", Stream.FLOW))) == TINY_SPEC.target_test
+        files = [(rec.video_id, Stream.FLOW) for rec in data.split("test")]
+        assert reads == [files, files] and decodes == []
 
     def test_feature_paths_join_the_dataset_root_like_pathlib(self, tmp_path):
         # an absolute path is read as given, a path with ".." climbs out of the root
@@ -690,36 +706,58 @@ class TestLoadDataset:
             np.testing.assert_array_equal(data.features(rec.video_id, stream).values,
                                           decode_features(path.read_bytes()).values)
 
+    # Each fault sits in the split's first or last file, then mid-split; the
+    # split's one-pass read must fall back to the per-file read's exact error.
     def test_missing_feature_file(self, tmp_path):
-        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
-        (tmp_path / rec.feature_paths[Stream.RGB]).unlink()
-        data = load_dataset(tmp_path)
-        with pytest.raises(DataFormatError, match="missing feature file") as exc:
-            list(data.iter_split(rec.split, Stream.RGB))
-        assert f"{rec.video_id}/rgb" in str(exc.value)
-        assert str(tmp_path / rec.feature_paths[Stream.RGB]) in str(exc.value)
+        for i in (0, 2):
+            root = tmp_path / str(i)
+            rec = generate_synthetic(TINY_SPEC, root).videos[i]
+            (root / rec.feature_paths[Stream.RGB]).unlink()
+            data = load_dataset(root)
+            with pytest.raises(DataFormatError, match="missing feature file") as exc:
+                list(data.iter_split(rec.split, Stream.RGB))
+            assert f"{rec.video_id}/rgb" in str(exc.value)
+            assert str(root / rec.feature_paths[Stream.RGB]) in str(exc.value)
+            assert str(exc.value) == _per_file_error(root, rec.split, Stream.RGB)
 
     def test_frame_count_mismatch(self, tmp_path):
-        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
-        victim = tmp_path / rec.feature_paths[Stream.RGB]
-        victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d, 99)))))
-        data = load_dataset(tmp_path)
-        with pytest.raises(DataFormatError, match="n=99"):
-            list(data.iter_split(rec.split, Stream.RGB))
+        for i in (0, 2):
+            root = tmp_path / str(i)
+            rec = generate_synthetic(TINY_SPEC, root).videos[i]
+            victim = root / rec.feature_paths[Stream.RGB]
+            victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d, 99)))))
+            data = load_dataset(root)
+            with pytest.raises(DataFormatError, match="n=99") as exc:
+                list(data.iter_split(rec.split, Stream.RGB))
+            assert str(exc.value) == _per_file_error(root, rec.split, Stream.RGB)
 
     def test_feature_dim_mismatch(self, tmp_path):
-        manifest = generate_synthetic(TINY_SPEC, tmp_path)
-        rec = manifest.videos[-1]
-        victim = tmp_path / rec.feature_paths[Stream.FLOW]
-        victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d + 1, rec.n)))))
-        data = load_dataset(tmp_path)
-        with pytest.raises(DataFormatError, match="differs"):
-            list(data.iter_split(rec.split, Stream.FLOW))
+        for i in (-1, 2):
+            root = tmp_path / str(i)
+            rec = generate_synthetic(TINY_SPEC, root).videos[i]
+            victim = root / rec.feature_paths[Stream.FLOW]
+            victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d + 1, rec.n)))))
+            data = load_dataset(root)
+            with pytest.raises(DataFormatError, match="differs") as exc:
+                list(data.iter_split(rec.split, Stream.FLOW))
+            assert str(exc.value) == _per_file_error(root, rec.split, Stream.FLOW)
 
     def test_corrupt_feature_file(self, tmp_path):
-        rec = generate_synthetic(TINY_SPEC, tmp_path).videos[0]
-        victim = tmp_path / rec.feature_paths[Stream.FLOW]
-        victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
-        data = load_dataset(tmp_path)
-        with pytest.raises(DataFormatError, match="magic"):
-            list(data.iter_split(rec.split, Stream.FLOW))
+        faults = [      # (the corrupted file from the sound one, the error's words)
+            (lambda blob: b"XXXX" + blob[4:], "magic"),
+            (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+             "unsupported feature format version 2"),
+            (lambda blob: blob + b"\0", "truncated or oversized payload"),
+        ] + [(lambda blob, v=v: blob[:-4] + struct.pack("<f", v),     # the last frame
+              "non-finite feature value at frame") for v in (math.nan, math.inf, -math.inf)]
+        for k, (corrupt, words) in enumerate(faults):
+            for i in (0, 2, 3):     # the source split's first, a middle and its last file
+                root = tmp_path / f"{k}-{i}"
+                rec = generate_synthetic(TINY_SPEC, root).videos[i]
+                victim = root / rec.feature_paths[Stream.FLOW]
+                victim.write_bytes(corrupt(victim.read_bytes()))
+                data = load_dataset(root)
+                with pytest.raises(DataFormatError, match=words) as exc:
+                    list(data.iter_split(rec.split, Stream.FLOW))
+                assert f"{rec.video_id}/flow" in str(exc.value)
+                assert str(exc.value) == _per_file_error(root, rec.split, Stream.FLOW)
