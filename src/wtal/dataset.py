@@ -108,6 +108,8 @@ class VideoRecord(NamedTuple):
             raise InputError(f"{self.video_id}: need n >= 1 and fps > 0")
         if self.n > _FLOAT_MAX:     # segments are checked against n / fps
             raise InputError(f"{self.video_id}: n is too large for a float")
+        if not math.isfinite(self.n / self.fps):
+            raise InputError(f"{self.video_id}: n / fps is too large for a float")
         if not self.labels:
             raise InputError(f"{self.video_id}: empty label set")
         for c in self.labels:
@@ -180,6 +182,8 @@ class SyntheticSpec:
         lo, hi = self.frames
         if not (1 <= lo <= hi):
             raise ConfigError(f"empty frame-count range {self.frames}")
+        if not math.isfinite(hi / self.fps):
+            raise ConfigError(f"a {hi}-frame video at fps {self.fps} is too long for a float")
         if lo < 7:
             raise ConfigError("untrimmed videos need at least 7 frames for run placement")
         flo, fhi = self.action_fraction
@@ -355,8 +359,8 @@ def config_value(f: Field, value, where: str):
     ``f.metadata["kind"]``, for a field that takes more) and every integer
     of an integer field fits in 64 bits, brought to the field's type: an
     array becomes a tuple of the default's length and an integer a float
-    where the default is one. A config-valued field builds its class from a
-    nested object, through ``config_from_json``."""
+    where the field takes a number. A config-valued field builds its class
+    from a nested object, through ``config_from_json``."""
     default = field_default(f)
     if is_dataclass(default):
         return config_from_json(type(default), value, f"{where}.{f.name}")
@@ -370,7 +374,8 @@ def config_value(f: Field, value, where: str):
         raise ConfigError(f"{where}: {f.name!r} holds an integer outside 64 bits, got {value!r}")
     if is_json(value, list):
         return tuple(value)
-    return float(value) if kind is float else value
+    numeric = kind is float or isinstance(kind, tuple) and float in kind
+    return float(value) if numeric and is_json(value, float) else value
 
 
 def config_from_json(cls: type, obj, where: str):

@@ -24,7 +24,7 @@ is the one place that turns the transfer settings into weights (FC1 and
 FC2 weigh 0 when transfer is off, FC2 also when ``fc2_enabled`` is off);
 source training passes the class loss alone, and the gradient certifier
 isolates single terms. Each transfer tap with a nonzero weight is one
-``transfer_loss`` call and one ``transfer_grads`` call.
+``transfer_loss`` call, which returns its gradient too.
 
 A step runs the attention forward and backward once per chunk: its
 videos side by side in one feature matrix, consecutive videos of the batch
@@ -68,7 +68,8 @@ from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
 from .dataset import (Dataset, FeatureMatrix, Stream, check_fields, config_from_json,
                       is_json, parse_json, read_file)
 from .errors import ConfigError, DataFormatError, DivergenceError, InputError, ShapeError
-from .transfer import KernelConfig, TransferConfig, transfer_grads, transfer_loss
+from .transfer import KernelConfig, TransferConfig, transfer_loss
+from .transfer import mmd2_grad_u as transfer_grads  # noqa: F401 - perfbench/tracer.py wraps it
 
 CKPT_MAGIC = b"TSRC"
 CKPT_VERSION = 1
@@ -315,8 +316,8 @@ def total_loss(batch: Sequence[tuple[FeatureMatrix, np.ndarray]], model: Model,
         for tap, source, target in (("fc1", source_acts[0], pooled_m),
                                     ("fc2", source_acts[1], cls.hidden_clean)):
             if w[tap]:
-                terms[tap], sigma = transfer_loss(source, target, model.cfg.kernel)
-                kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
+                terms[tap], _, g = transfer_loss(source, target, model.cfg.kernel)
+                kt_grads[tap] = w[tap] * g
 
     total = sum((w[k] * terms[k] for k in LOSS_TERMS if w[k]), 0.0)
 

@@ -27,16 +27,17 @@ was:
   i = j; zeroing them alone would also break the bit equality with K_tu
   (whose diagonal is a cross term) that the exact zero relies on.
 
-``transfer_loss`` reads the bandwidth and the statistic off one set of
-blocks; ``median_bandwidth``, ``mmd2`` and ``mmd2_grad_u`` are the same
-reads for callers holding raw batches. The gradient is in matrix form:
+``transfer_loss`` reads the statistic, the bandwidth and the gradient on
+the target batch off one set of blocks, each block exponentiated once;
+``median_bandwidth``, ``mmd2`` and ``mmd2_grad_u`` are the same reads for
+callers holding raw batches. The gradient is in matrix form:
 (2 / (n_u^2 s^2)) (K_uu U - rowsum(K_uu) U) - (2 / (n_t n_u s^2))
 (K_tu' T - colsum(K_tu) U), where the sums scale the rows of U.
 
 The loss taps two points per stream: the pooled representation entering
 FC1, and the post-relu hidden activations after FC1 (pre-dropout). Each
-tap is one ``transfer_loss`` / ``transfer_grads`` pair with its own
-bandwidth; which taps run is decided by the training loss weights alone.
+tap is one ``transfer_loss`` call with its own bandwidth; which taps run
+is decided by the training loss weights alone.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .errors import ConfigError, SampleError, ShapeError
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """sigma is a positive number or the string "median"."""
+    """sigma is the string "median" or a positive number whose square is a
+    positive float (above about 1.57e-162)."""
 
     sigma: float | str = field(default="median", metadata={"kind": (str, float)})
 
@@ -58,8 +60,9 @@ class KernelConfig:
         if isinstance(self.sigma, str):
             if self.sigma != "median":
                 raise ConfigError(f'kernel sigma must be positive or "median", got {self.sigma!r}')
-        elif not self.sigma > 0:
-            raise ConfigError(f"kernel sigma must be positive, got {self.sigma}")
+        elif not (self.sigma > 0 and self.sigma * self.sigma > 0):
+            raise ConfigError(f"kernel sigma must be positive with a positive float square, "
+                              f"got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,6 @@ def _median_distance(d_tt: np.ndarray, d_uu: np.ndarray, d_tu: np.ndarray) -> fl
     return med if med > 0 else 1.0
 
 
-def _v_statistic(d_tt: np.ndarray, d_uu: np.ndarray, d_tu: np.ndarray,
-                 sigma: float) -> float:
-    s2 = 2.0 * sigma * sigma
-    n_t, n_u = d_tu.shape
-    k_tt = float(np.sum(np.exp(-d_tt / s2))) / (n_t * n_t)
-    k_uu = float(np.sum(np.exp(-d_uu / s2))) / (n_u * n_u)
-    k_tu = float(np.sum(np.exp(-d_tu / s2))) / (n_t * n_u)
-    return k_tt + k_uu - 2.0 * k_tu
-
-
 def median_bandwidth(points: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample."""
     points = np.asarray(points, dtype=np.float64)
@@ -134,40 +127,36 @@ def median_bandwidth(points: np.ndarray) -> float:
     return _median_distance(*_sq_blocks(points[:1], points[1:])[2:])
 
 
+def _tap(t: np.ndarray, u: np.ndarray, sigma: float | str
+         ) -> tuple[float, float, np.ndarray]:
+    """(squared MMD, bandwidth, d mmd2 / d u) from one set of blocks; ``sigma``
+    is a number or "median". The gradient holds sigma constant (the source
+    side is frozen): for the Gaussian kernel, d k(x, y)/d x = k(x, y) (y - x)
+    / sigma^2."""
+    t, u, d_tt, d_uu, d_tu = _sq_blocks(*_check_pair(t, u))
+    sigma = _median_distance(d_tt, d_uu, d_tu) if sigma == "median" else float(sigma)
+    n_t, n_u = d_tu.shape
+    s2 = sigma * sigma
+    k_tt, k_uu, k_tu = (np.exp(-d / (2.0 * s2)) for d in (d_tt, d_uu, d_tu))
+    value = (float(np.sum(k_tt)) / (n_t * n_t) + float(np.sum(k_uu)) / (n_u * n_u)
+             - 2.0 * (float(np.sum(k_tu)) / (n_t * n_u)))
+    g = (2.0 / (n_u * n_u * s2)) * (k_uu @ u - k_uu.sum(axis=1)[:, None] * u)
+    g -= (2.0 / (n_t * n_u * s2)) * (k_tu.T @ t - k_tu.sum(axis=0)[:, None] * u)
+    return value, sigma, g
+
+
 def mmd2(t: np.ndarray, u: np.ndarray, sigma: float) -> float:
     """Biased squared-MMD V-statistic between row batches T and U."""
-    t, u = _check_pair(t, u)
-    return _v_statistic(*_sq_blocks(t, u)[2:], sigma)
+    return _tap(t, u, sigma)[0]
 
 
 def mmd2_grad_u(t: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
-    """d mmd2 / d u_p, sigma held constant (the source side is frozen).
-
-    For the Gaussian kernel, d k(x, y)/d x = k(x, y) (y - x) / sigma^2.
-    """
-    t, u, _, d_uu, d_tu = _sq_blocks(*_check_pair(t, u))
-    n_t, n_u = d_tu.shape
-    s2 = sigma * sigma
-    k_uu = np.exp(-d_uu / (2.0 * s2))    # (n_u, n_u)
-    k_tu = np.exp(-d_tu / (2.0 * s2))    # (n_t, n_u)
-    g = (2.0 / (n_u * n_u * s2)) * (k_uu @ u - k_uu.sum(axis=1)[:, None] * u)
-    g -= (2.0 / (n_t * n_u * s2)) * (k_tu.T @ t - k_tu.sum(axis=0)[:, None] * u)
-    return g
+    """d mmd2 / d u_p, sigma held constant."""
+    return _tap(t, u, sigma)[2]
 
 
 def transfer_loss(source: np.ndarray, target: np.ndarray,
-                  kcfg: KernelConfig) -> tuple[float, float]:
-    """Squared MMD at one classifier tap, and the bandwidth it used."""
-    t, u = _check_pair(source, target)
-    _, _, d_tt, d_uu, d_tu = _sq_blocks(t, u)
-    if kcfg.sigma == "median":
-        sigma = _median_distance(d_tt, d_uu, d_tu)
-    else:
-        sigma = float(kcfg.sigma)
-    return _v_statistic(d_tt, d_uu, d_tu, sigma), sigma
-
-
-def transfer_grads(source: np.ndarray, target: np.ndarray, sigma: float) -> np.ndarray:
-    """Gradient of one tap's squared MMD w.r.t. the target batch (rows align
-    with videos), at the bandwidth ``transfer_loss`` returned."""
-    return mmd2_grad_u(source, target, sigma)
+                  kcfg: KernelConfig) -> tuple[float, float, np.ndarray]:
+    """Squared MMD at one classifier tap, the bandwidth it used, and its
+    gradient w.r.t. the target batch (rows align with videos)."""
+    return _tap(source, target, kcfg.sigma)

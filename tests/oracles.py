@@ -308,7 +308,7 @@ def total_loss_per_video(batch, model, dropout_mask=None, source_acts=None, weig
     from wtal.classifier import (class_loss, class_loss_grad_logits, classifier_grads,
                                  classify)
     from wtal.training import LOSS_TERMS, loss_weights
-    from wtal.transfer import transfer_grads, transfer_loss
+    from wtal.transfer import transfer_loss
 
     cfg = model.cfg
     w = loss_weights(cfg) if weights is None else dict.fromkeys(LOSS_TERMS, 0.0) | weights
@@ -328,8 +328,8 @@ def total_loss_per_video(batch, model, dropout_mask=None, source_acts=None, weig
         for tap, source, target in (("fc1", source_acts[0], pooled_m),
                                     ("fc2", source_acts[1], cls.hidden_clean)):
             if w[tap]:
-                terms[tap], sigma = transfer_loss(source, target, cfg.kernel)
-                kt_grads[tap] = w[tap] * transfer_grads(source, target, sigma)
+                terms[tap], _, g = transfer_loss(source, target, cfg.kernel)
+                kt_grads[tap] = w[tap] * g
     total = sum(w[k] * terms[k] for k in LOSS_TERMS)
 
     g_logits = w["class"] * class_loss_grad_logits(cls.probs, labels) / len(batch)
@@ -358,7 +358,8 @@ def broadcast_sq_dists(a, b):
 
 
 def broadcast_transfer_loss(source, target, kcfg):
-    """One tap's (squared MMD, bandwidth) from broadcast distances."""
+    """One tap's (squared MMD, bandwidth, gradient on the target batch) from
+    broadcast distances."""
     if kcfg.sigma == "median":
         z = np.vstack([source, target])
         iu = np.triu_indices(len(z), k=1)
@@ -371,7 +372,7 @@ def broadcast_transfer_loss(source, target, kcfg):
     k_tt = float(np.sum(np.exp(-broadcast_sq_dists(source, source) / s2))) / (n_t * n_t)
     k_uu = float(np.sum(np.exp(-broadcast_sq_dists(target, target) / s2))) / (n_u * n_u)
     k_tu = float(np.sum(np.exp(-broadcast_sq_dists(source, target) / s2))) / (n_t * n_u)
-    return k_tt + k_uu - 2.0 * k_tu, sigma
+    return k_tt + k_uu - 2.0 * k_tu, sigma, broadcast_transfer_grads(source, target, sigma)
 
 
 def broadcast_transfer_grads(source, target, sigma):

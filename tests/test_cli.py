@@ -108,6 +108,15 @@ class TestResolveConfig:
         assert run_cfg.synth.frames == (8, 12)
         assert run_cfg.synth.shift == (1, 2.5, 0)
 
+    def test_a_number_field_stores_an_integer_as_a_float(self):
+        # so --kernel.sigma 2 and --kernel.sigma 2.0 write the same checkpoint
+        for spelling in ("2", "2.0"):
+            run_cfg, doc = cli.resolve_config(None, {"kernel.sigma": spelling,
+                                                     "synth.shift": spelling})
+            for value in (run_cfg.train.kernel.sigma, run_cfg.synth.shift,
+                          doc["kernel"]["sigma"], doc["synth"]["shift"]):
+                assert value == 2.0 and type(value) is float
+
     def test_bool_and_string_fields(self):
         run_cfg, _ = cli.resolve_config(
             None, {"transfer.enabled": "false", "kernel.sigma": "median",
@@ -1074,21 +1083,22 @@ class TestCommandFailures:
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     def test_frame_count_beyond_a_float_exits_one(self, pipeline, tmp_path, capsys, command):
-        # a JSON integer that n / fps cannot convert
-        data = tmp_path / "data"
-        data.mkdir()
-        doc = json.loads((pipeline["data"] / "manifest.json").read_text())
-        doc["videos"][0]["n"] = 10 ** 400
-        (data / "manifest.json").write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        argv = {"detect": _detect_argv(data, out / "det.json", pipeline["tgt"]),
-                "eval": ["eval", "--data", str(data), "--detections", str(pipeline["det"]),
-                         "--out", str(out / "r.json")]}[command]
-        assert cli.main(argv) == 1
-        err = _one_error(capsys.readouterr().err)
-        assert err == {"error": "InputError", "message": f"{data / 'manifest.json'}: "
-                       f"{doc['videos'][0]['id']}: n is too large for a float"}
-        assert not out.exists()
+        # a JSON integer that n / fps cannot convert, and an fps that makes n / fps overflow
+        for key, value, what in (("n", 10 ** 400, "n"), ("fps", 1e-310, "n / fps")):
+            data = tmp_path / key
+            data.mkdir()
+            doc = json.loads((pipeline["data"] / "manifest.json").read_text())
+            doc["videos"][0][key] = value
+            (data / "manifest.json").write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            argv = {"detect": _detect_argv(data, out / "det.json", pipeline["tgt"]),
+                    "eval": ["eval", "--data", str(data), "--detections", str(pipeline["det"]),
+                             "--out", str(out / "r.json")]}[command]
+            assert cli.main(argv) == 1
+            err = _one_error(capsys.readouterr().err)
+            assert err == {"error": "InputError", "message": f"{data / 'manifest.json'}: "
+                           f"{doc['videos'][0]['id']}: {what} is too large for a float"}
+            assert not out.exists()
 
     @pytest.mark.parametrize("where, error", [
         ("flag", "ConfigError"), ("config", "ConfigError"), ("manifest", "DataFormatError"),
@@ -1206,7 +1216,9 @@ class TestCommandFailures:
         ("detect", "--synth.frames", "[3,2]", "empty frame-count range"),
         ("eval", "--synth.d", "0", "feature dimension"),
         ("synth", "--train.iterations", "0", "iterations"),
-    ], ids=["train", "detect", "eval", "synth"])
+        ("synth", "--kernel.sigma", "1e-200", "got 1e-200"),
+        ("synth", "--synth.fps", "1e-310", "too long for a float"),
+    ], ids=["train", "detect", "eval", "synth", "synth_sigma_squared", "synth_fps"])
     def test_every_config_section_is_checked(self, pipeline, tmp_path, capsys, command,
                                              flag, value, message):
         # each command checks every section, also those it does not read

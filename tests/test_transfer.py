@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wtal import training
+from wtal import training, transfer
 from wtal.dataset import FeatureMatrix, Stream
 from wtal.errors import ConfigError, SampleError, ShapeError
 from wtal.numerics import finite_diff_grad, grad_rel_error
@@ -17,7 +17,6 @@ from wtal.transfer import (
     median_bandwidth,
     mmd2,
     mmd2_grad_u,
-    transfer_grads,
     transfer_loss,
 )
 
@@ -87,6 +86,8 @@ class TestMedianBandwidth:
             KernelConfig(sigma=-1.0)
         with pytest.raises(ConfigError):
             KernelConfig(sigma="mean")
+        with pytest.raises(ConfigError, match="got 1e-200"):
+            KernelConfig(sigma=1e-200)     # its square is 0 in float64
 
 
 class TestMmd2:
@@ -190,7 +191,7 @@ class TestGramForm:
             swap = abs(mmd2(t, u, sigma) - mmd2(u, t, sigma))
             worst_swap = max(worst_swap, swap)
             if (mmd2(t, t.copy(), sigma) != 0.0 or swap > 1e-14
-                    or transfer_loss(t, t.copy(), KernelConfig(sigma=1.0)) != (0.0, 1.0)):
+                    or transfer_loss(t, t.copy(), KernelConfig(sigma=1.0))[:2] != (0.0, 1.0)):
                 failures.append(draw)
         assert not failures, f"draws {failures[:10]} fail; worst swap {worst_swap:.2e}"
 
@@ -200,13 +201,12 @@ class TestGramForm:
         # offset 50 with spread 0.01 loses ~1e-10 to cancellation uncentred
         rng = np.random.default_rng(16)
         source, target = offset + spread * rng.normal(size=(2, 16, width))
-        value, sigma = transfer_loss(source, target, KernelConfig())
-        want_value, want_sigma = oracles.broadcast_transfer_loss(source, target, KernelConfig())
+        value, sigma, grad = transfer_loss(source, target, KernelConfig())
+        want_value, want_sigma, want_grad = oracles.broadcast_transfer_loss(
+            source, target, KernelConfig())
         np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12)
         np.testing.assert_allclose(value, want_value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(transfer_grads(source, target, sigma),
-                                   oracles.broadcast_transfer_grads(source, target, sigma),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
     def test_total_loss_matches_broadcast_oracle(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -218,7 +218,6 @@ class TestGramForm:
         mask = (rng.random((cfg.batch_size, cfg.classifier_hidden)) < 0.2) / 0.2
         total, terms, grad = total_loss(batch, model, mask, acts)
         monkeypatch.setattr(training, "transfer_loss", oracles.broadcast_transfer_loss)
-        monkeypatch.setattr(training, "transfer_grads", oracles.broadcast_transfer_grads)
         want_total, want_terms, want_grad = total_loss(batch, model, mask, acts)
         assert terms["fc1"] > 0.0 and terms["fc2"] > 0.0
         np.testing.assert_allclose([total, *terms.values()], [want_total, *want_terms.values()],
@@ -252,7 +251,7 @@ class TestTransferLoss:
         rng = np.random.default_rng(10)
         for width in (4, 3):
             source, target = rng.normal(size=(2, 5, width))
-            value, sigma = transfer_loss(source, target, KernelConfig())
+            value, sigma, _ = transfer_loss(source, target, KernelConfig())
             expected_sigma = oracles.median_pairwise_distance(np.vstack([source, target]))
             np.testing.assert_allclose(sigma, expected_sigma, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
@@ -263,7 +262,7 @@ class TestTransferLoss:
         rng = np.random.default_rng(12)
         for width in (3, 2):
             batch = rng.normal(size=(4, width))
-            assert transfer_loss(batch, batch.copy(), KernelConfig(sigma=1.0)) == (0.0, 1.0)
+            assert transfer_loss(batch, batch.copy(), KernelConfig(sigma=1.0))[:2] == (0.0, 1.0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="3 vs 4"):
@@ -276,11 +275,26 @@ class TestTransferLoss:
         kcfg = KernelConfig(sigma=1.3)
         for width in (3, 2):
             source, target = rng.normal(size=(2, 4, width))
-            _, sigma = transfer_loss(source, target, kcfg)
-            analytic = transfer_grads(source, target, sigma)
+            _, _, analytic = transfer_loss(source, target, kcfg)
             numeric = finite_diff_grad(
                 lambda v: transfer_loss(source, v, kcfg)[0], target)
             assert grad_rel_error(analytic, numeric) < 1e-6
+
+    def test_one_block_build_per_tap(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        cfg = TrainConfig(attention_hidden=2, classifier_hidden=3)
+        model = init_model(3, 2, Stream.RGB, "target", cfg, rng)
+        batch = [(FeatureMatrix(rng.normal(size=(3, 5))), np.eye(2)[i % 2]) for i in range(3)]
+        acts = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        builds = []
+        sq_blocks = transfer._sq_blocks
+        monkeypatch.setattr(transfer, "_sq_blocks", lambda t, u: builds.append(1) or sq_blocks(t, u))
+        _, terms, _ = total_loss(batch, model, source_acts=acts)
+        assert terms["fc1"] > 0.0 and terms["fc2"] > 0.0
+        assert len(builds) == 2
+        # the tap's gradient is mmd2_grad_u's at the bandwidth it returned, bit for bit
+        _, sigma, grad = transfer_loss(*acts, KernelConfig())
+        assert grad.tobytes() == mmd2_grad_u(*acts, sigma).tobytes()
 
     def test_fc2_can_be_disabled(self):
         model, batch, acts = fc2_switch_case(11)
