@@ -240,8 +240,9 @@ def _cmd_detect(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     if n_rgb != n_flow:
         raise ConfigError(f"RGB checkpoint has {n_rgb} classes, flow checkpoint has {n_flow}")
     data = load_dataset(args.data)
-    if n_rgb != data.n_classes:
-        raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has {data.n_classes}")
+    if n_rgb != data.manifest.n_classes:
+        raise ConfigError(f"checkpoints have {n_rgb} classes, dataset has "
+                          f"{data.manifest.n_classes}")
     predictions, scores = predict_split(data, args.split, model_rgb, model_flow)
     detections = detect_split(data, args.split, scores, run_cfg.detect)
     out = Path(args.out)
@@ -274,6 +275,9 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
 
 
 def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
+    out = Path(args.out)
+    if out.suffix in (".csv", ".svg"):      # the report's sibling of that suffix is out itself
+        raise ConfigError(f"--out {out} is where the report's {out.suffix} file goes")
     # scoring needs the annotations only, not the feature files
     manifest = load_manifest(Path(args.data) / "manifest.json")
     manifest.split(args.split)      # a misspelt split fails before any file is read
@@ -286,7 +290,7 @@ def _cmd_eval(args, _run_cfg: RunConfig, outputs: _Outputs) -> int:
         acc = read_file(args.predictions, lambda data: accuracy_from_predictions(
             parse_json(data, "predictions file", InputError), manifest, args.split))
     report = map_at_iou(instances, gt, thresholds, acc)
-    emit_report(report, manifest.class_names, Path(args.out), outputs.write)
+    emit_report(report, manifest.class_names, out, outputs.write)
     return 0
 
 
@@ -326,7 +330,7 @@ def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     if not (0.0 < args.iou <= 1.0):
         raise ConfigError(f"--iou must lie in (0, 1], got {args.iou!r}")
     data = load_dataset(args.data)
-    data.split(args.split)      # a misspelt split fails before any arm trains
+    data.manifest.split(args.split)      # a misspelt split fails before any arm trains
     cfg = run_cfg.train
     arms = [(name, dataclasses.replace(cfg, attention_enabled=att_on,
                                        transfer=dataclasses.replace(cfg.transfer, enabled=kt_on)))
@@ -435,7 +439,7 @@ def main(argv=None) -> int:
             _log_resolved(args.command, doc)
         with _Outputs() as outputs:
             return args.func(args, run_cfg, outputs)
-    except (WtalError, OSError, np.linalg.LinAlgError) as exc:
+    except (WtalError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import eq
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,13 @@ class Stream(str, Enum):
 
 
 STREAMS = (Stream.RGB, Stream.FLOW)
+
+
+def check_size(count: int, what: str) -> int:
+    """``count``, unless ``what``'s ``count`` float64 values are more than numpy allocates."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{what} would hold {count} float64 values, more than numpy allocates")
+    return count
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,8 @@ class SyntheticSpec:
             raise ConfigError(f"a {hi}-frame video at fps {self.fps} is too long for a float")
         if lo < 7:
             raise ConfigError("untrimmed videos need at least 7 frames for run placement")
+        check_size((self.n_classes + 1) ** 2 * self.d, "the class means' distance tensor")
+        check_size(hi * self.d, f"a {hi}-frame video")
         flo, fhi = self.action_fraction
         if not (0 < flo <= fhi < 1):
             raise ConfigError(f"empty action-fraction range {self.action_fraction}")
@@ -521,31 +530,21 @@ def load_manifest(path: Path) -> Manifest:
 
 
 class Dataset:
-    """A manifest over a dataset directory. Nothing is read up front and
-    nothing is kept: ``read_split`` (and so ``iter_split``) reads a split's
-    files of one stream in one pass each time it is called, and ``features``
-    reads, decodes and checks one file, so a command reads only the splits
-    it uses."""
+    """A manifest over a dataset directory. Nothing is read up front, and of
+    the features only each stream's width is kept, so that a later file of
+    another width is named: ``read_split`` reads some videos' files of one
+    stream in one pass each time it is called, and ``features`` reads,
+    decodes and checks one file, so a command reads only what it uses."""
 
-    def __init__(self, root: Path, manifest: Manifest):
-        self.root = root
-        self._dir = os.fspath(root)     # joined as a str per read, not as a pathlib path
+    def __init__(self, root: Path | str, manifest: Manifest):
+        self.root = os.fspath(root)     # joined as a str per read, not as a pathlib path
         self.manifest = manifest
-        self._records = {rec.video_id: rec for rec in manifest.videos}
         self._dims: dict[Stream, int] = {}      # feature width per stream, seen so far
 
-    @property
-    def n_classes(self) -> int:
-        return self.manifest.n_classes
-
-    def split(self, name: str) -> tuple[VideoRecord, ...]:
-        return self.manifest.split(name)
-
-    def features(self, video_id: str, stream: Stream) -> FeatureMatrix:
+    def features(self, rec: VideoRecord, stream: Stream) -> FeatureMatrix:
         """Decode one feature file, checking n against the manifest and d
         against the stream's files read before it."""
-        rec = self._records[video_id]
-        fpath = os.path.join(self._dir, rec.feature_paths[stream])
+        fpath = os.path.join(self.root, rec.feature_paths[stream])
         try:
             with open(fpath, "rb") as fh:
                 mat = decode_features(fh.read())
@@ -570,12 +569,12 @@ class Dataset:
             mats = self._one_pass(recs, stream)
         except (OSError, ValueError, MemoryError, struct.error):   # a missing file, a vast n
             mats = None
-        return mats if mats is not None else [self.features(rec.video_id, stream) for rec in recs]
+        return mats if mats is not None else [self.features(rec, stream) for rec in recs]
 
     def _one_pass(self, recs: Sequence[VideoRecord], stream: Stream) -> list[FeatureMatrix] | None:
         """``read_split``'s pass, or None if a file's header or length is not
         the one ``features`` accepts, or a value is not finite."""
-        paths = [os.path.join(self._dir, rec.feature_paths[stream]) for rec in recs]
+        paths = [os.path.join(self.root, rec.feature_paths[stream]) for rec in recs]
         d = self._dims.get(stream)
         if d is None:       # the first file's header sizes the reads; all are checked
             with open(paths[0], "rb") as fh:
@@ -600,15 +599,10 @@ class Dataset:
         vals = buf.astype(np.float64)
         return [FeatureMatrix(vals[lo:hi].T) for lo, hi in zip(starts, starts[1:])]
 
-    def iter_split(self, name: str, stream: Stream) -> Iterator[tuple[VideoRecord, FeatureMatrix]]:
-        recs = self.split(name)
-        yield from zip(recs, self.read_split(recs, stream))
-
 
 def load_dataset(root: Path | str) -> Dataset:
     """Load and validate a dataset's manifest; feature files are read when used."""
-    root = Path(root)
-    return Dataset(root, load_manifest(root / "manifest.json"))
+    return Dataset(root, load_manifest(Path(root, "manifest.json")))
 
 
 # ---------------------------------------------------------------------------

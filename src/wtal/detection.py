@@ -118,7 +118,7 @@ def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
     """Classification records for accuracy scoring, and each video's (RGB,
     flow) frame score maps by id, from one stream_scores pass per stream
     (side by side where the module docstring says, RGB then flow otherwise)."""
-    recs = data.split(split)
+    recs = data.manifest.split(split)
     budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
     models = dict(zip(STREAMS, (model_rgb, model_flow)))
 
@@ -147,7 +147,7 @@ def detect_split(data: Dataset, split: str,
     """Proposals for every video in a split, as output-schema dicts in
     seconds, from the score maps that predict_split returned."""
     out = []
-    for rec in data.split(split):
+    for rec in data.manifest.split(split):
         fused = fused_frame_scores(*scores[rec.video_id], cfg)
         for c, lo, hi, confidence in extract_proposals(fused, cfg):
             out.append({

@@ -65,8 +65,8 @@ from .attention import (MODES, AttentionOutput, AttentionParams, attend,
 from .classifier import (ClassifierOutput, ClassifierParams, class_loss,
                          class_loss_grad_logits, classifier_grads, classify,
                          label_vector)
-from .dataset import (Dataset, FeatureMatrix, Stream, check_fields, config_from_json,
-                      is_json, parse_json, read_file)
+from .dataset import (Dataset, FeatureMatrix, Stream, VideoRecord, check_fields, check_size,
+                      config_from_json, is_json, parse_json, read_file)
 from .errors import ConfigError, DataFormatError, DivergenceError, InputError, ShapeError
 from .transfer import KernelConfig, TransferConfig, transfer_loss
 from .transfer import mmd2_grad_u as transfer_grads  # noqa: F401 - perfbench/tracer.py wraps it
@@ -138,6 +138,7 @@ class TrainConfig:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if min(self.attention_hidden, self.heads, self.classifier_hidden) < 1:
             raise ConfigError("layer sizes must be >= 1")
+        check_size(self.batch_size * self.classifier_hidden, "a batch's hidden layer")
         if not self.init_scale >= 0:
             raise ConfigError("init_scale must be >= 0")
         if not (0.0 < self.label_fraction <= 1.0):
@@ -203,7 +204,8 @@ def init_model(d: int, n_classes: int, stream: Stream, role: str, cfg: TrainConf
                rng: np.random.Generator) -> Model:
     """Weights ~ N(0, init_scale^2 / fan_in), twice that for FC1 (a ReLU follows); biases 0."""
     shapes = param_shapes(d, n_classes, cfg)
-    model = Model(np.zeros(sum(map(math.prod, shapes))), shapes, stream, role, cfg)
+    count = check_size(sum(map(math.prod, shapes)), "the model's parameter vector")
+    model = Model(np.zeros(count), shapes, stream, role, cfg)
     s = cfg.init_scale
     for key, view in zip(PARAM_KEYS, model.views(model.flat)):
         if view.ndim == 2:
@@ -390,9 +392,9 @@ def labeled_subset(n_videos: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
-         records: list, weights: dict[str, float] | None = None,
+         recs: Sequence[VideoRecord], weights: dict[str, float] | None = None,
          source_model: Model | None = None) -> tuple[Model, list[str]]:
-    """The SGD loop of both roles over ``records``, logging one CSV row per step.
+    """The SGD loop of both roles over the videos ``recs``, logging one CSV row per step.
 
     With a ``source_model``, each step adds the transfer terms against the
     frozen model's activations on a sampled batch of source clips. Those
@@ -400,30 +402,30 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
     holding one chunk's intermediates at a time.
     """
     init_rng, batch_rng, mask_rng = _rng_tree(cfg, stream, role)
-    model = init_model(records[0][1].d, dataset.n_classes, stream, role, cfg, init_rng)
+    xs, n_classes = dataset.read_split(recs, stream), dataset.manifest.n_classes
+    model = init_model(xs[0].d, n_classes, stream, role, cfg, init_rng)
     if source_model is not None:
         if source_model.shapes != model.shapes:
             raise ConfigError(f"source/target shape mismatch: "
                               f"{source_model.shapes} vs {model.shapes}")
-        source_records = list(dataset.iter_split("source", stream))
+        source_xs = dataset.read_split(dataset.manifest.split("source"), stream)
         h, width = model.classifier.fc1_w.shape
-        src_m = np.empty((len(source_records), width))
-        src_hidden = np.empty((len(source_records), h))
-        xs = [x for _, x in source_records]
-        for lo, hi in chunk_bounds([x.n for x in xs], chunk_budget(source_model)):
-            att, cls = forward_video(source_model, *stack_videos(xs[lo:hi]))
+        src_m = np.empty((len(source_xs), width))
+        src_hidden = np.empty((len(source_xs), h))
+        for lo, hi in chunk_bounds([x.n for x in source_xs], chunk_budget(source_model)):
+            att, cls = forward_video(source_model, *stack_videos(source_xs[lo:hi]))
             src_m[lo:hi], src_hidden[lo:hi] = att.m, cls.hidden_clean
 
     velocity = np.zeros_like(model.flat)
-    ys = [label_vector(rec.labels, dataset.n_classes) for rec, _ in records]
+    ys = [label_vector(rec.labels, n_classes) for rec in recs]
     rows = [CSV_HEADER]
     for it in range(cfg.iterations):
-        idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
-        batch = [(records[i][1], ys[i]) for i in idx]
+        idx = batch_rng.integers(0, len(recs), size=cfg.batch_size)
+        batch = [(xs[i], ys[i]) for i in idx]
         mask = _draw_mask(mask_rng, (cfg.batch_size, cfg.classifier_hidden), cfg.dropout)
         source_acts = None
         if source_model is not None:
-            sidx = batch_rng.integers(0, len(source_records), size=cfg.batch_size)
+            sidx = batch_rng.integers(0, len(source_xs), size=cfg.batch_size)
             source_acts = (src_m[sidx], src_hidden[sidx])
         with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
             total, terms, grad = total_loss(batch, model, mask, source_acts, weights)
@@ -440,27 +442,26 @@ def _fit(dataset: Dataset, stream: Stream, role: str, cfg: TrainConfig,
 def train_source(dataset: Dataset, stream: Stream, cfg: TrainConfig
                  ) -> tuple[Model, list[str]]:
     """Train one stream's source model on the trimmed split, class loss only."""
-    records = list(dataset.iter_split("source", stream))
-    for rec, _ in records:
+    recs = dataset.manifest.split("source")
+    for rec in recs:
         if not rec.trimmed:
             raise InputError(f"{rec.video_id}: source training needs trimmed videos")
-    return _fit(dataset, stream, "source", cfg, records, weights={"class": 1.0})
+    return _fit(dataset, stream, "source", cfg, recs, weights={"class": 1.0})
 
 
 def train_target(dataset: Dataset, stream: Stream, cfg: TrainConfig,
                  source_model: Model | None = None) -> tuple[Model, list[str]]:
-    """Train one stream's target model on the untrimmed train split."""
-    records = list(dataset.iter_split("train", stream))
+    """Train one stream's target model on the untrimmed train split's labeled videos."""
+    recs = dataset.manifest.split("train")
     if cfg.label_fraction < 1.0:
-        keep = labeled_subset(len(records), cfg.label_fraction, cfg.seed)
-        records = [records[i] for i in keep]
+        recs = [recs[i] for i in labeled_subset(len(recs), cfg.label_fraction, cfg.seed)]
     if not cfg.transfer.enabled:
         source_model = None
     elif source_model is None:
         raise ConfigError("knowledge transfer needs a source model")
     elif source_model.stream != stream:
         raise ConfigError("source model belongs to the other stream")
-    return _fit(dataset, stream, "target", cfg, records, source_model=source_model)
+    return _fit(dataset, stream, "target", cfg, recs, source_model=source_model)
 
 
 # ---------------------------------------------------------------------------

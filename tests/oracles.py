@@ -275,14 +275,15 @@ def transfer_fit_per_step(data, stream, cfg, source_model):
     init_rng, batch_rng, mask_rng = (
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence((cfg.seed, 1, code)).spawn(3))
-    records = list(data.iter_split("train", stream))
-    source_records = list(data.iter_split("source", stream))
-    model = init_model(records[0][1].d, data.n_classes, stream, "target", cfg, init_rng)
+    recs, source_recs = data.manifest.split("train"), data.manifest.split("source")
+    records = list(zip(recs, data.read_split(recs, stream)))
+    source_records = list(zip(source_recs, data.read_split(source_recs, stream)))
+    model = init_model(records[0][1].d, data.manifest.n_classes, stream, "target", cfg, init_rng)
     velocity = np.zeros_like(model.flat)
     keep = 1.0 - cfg.dropout
     for it in range(cfg.iterations):
         idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
-        batch = [(records[i][1], label_vector(records[i][0].labels, data.n_classes))
+        batch = [(records[i][1], label_vector(records[i][0].labels, data.manifest.n_classes))
                  for i in idx]
         mask = ((mask_rng.random((cfg.batch_size, cfg.classifier_hidden)) < keep) / keep
                 if cfg.dropout else None)
@@ -419,9 +420,9 @@ def predict_split_per_video(data, split, model_rgb, model_flow):
     from wtal.numerics import stable_softmax
 
     records, scores = [], {}
-    for rec in data.split(split):
-        z_rgb, w_rgb = video_scores(model_rgb, data.features(rec.video_id, Stream.RGB))
-        z_flow, w_flow = video_scores(model_flow, data.features(rec.video_id, Stream.FLOW))
+    for rec in data.manifest.split(split):
+        z_rgb, w_rgb = video_scores(model_rgb, data.features(rec, Stream.RGB))
+        z_flow, w_flow = video_scores(model_flow, data.features(rec, Stream.FLOW))
         records.append({
             "video_id": rec.video_id,
             "logits_rgb": z_rgb.tolist(),

@@ -140,18 +140,18 @@ def _probe_accuracy(data):
     """
     def frames_of(split):
         xs, ys = [], []
-        for rec in data.split(split):
+        for rec in data.manifest.split(split):
             fl = oracles.frame_labels(rec)
-            x = data.features(rec.video_id, Stream.RGB).values
+            x = data.features(rec, Stream.RGB).values
             xs.append(x.T)
-            ys.append(np.where(fl < 0, data.n_classes, fl))
+            ys.append(np.where(fl < 0, data.manifest.n_classes, fl))
         return np.vstack(xs), np.concatenate(ys)
 
     xtr, ytr = frames_of("train")
     xte, yte = frames_of("test")
     xtr1 = np.hstack([xtr, np.ones((len(xtr), 1))])
     xte1 = np.hstack([xte, np.ones((len(xte), 1))])
-    onehot = np.eye(data.n_classes + 1)[ytr]
+    onehot = np.eye(data.manifest.n_classes + 1)[ytr]
     w = np.linalg.solve(xtr1.T @ xtr1 + 1e-3 * np.eye(xtr1.shape[1]),
                         xtr1.T @ onehot)
     return float(np.mean(np.argmax(xte1 @ w, axis=1) == yte))

@@ -419,13 +419,13 @@ def _assert_forwarded_once(calls, data, split, passes=1):
     """Per stream, the forward passes hold every ``split`` video's frames
     exactly once per pass over the split, in manifest order, and each holds
     at most 20 frames or one longer video."""
-    recs = data.split(split)
+    recs = data.manifest.split(split)
     for stream in STREAMS:
         mine = [(counts, values) for s, counts, values in calls if s == stream]
         assert len(mine) > passes
         assert all(sum(counts) <= 20 or len(counts) == 1 for counts, _ in mine)
         assert [n for counts, _ in mine for n in counts] == [rec.n for rec in recs] * passes
-        frames = np.hstack([data.features(rec.video_id, stream).values for rec in recs])
+        frames = np.hstack([data.features(rec, stream).values for rec in recs])
         np.testing.assert_array_equal(np.hstack([v for _, v in mine]),
                                       np.hstack([frames] * passes))
 
@@ -493,10 +493,10 @@ def _corrupt_first(data, split, stream=Stream.RGB):
 class TestPipeline:
     def test_synth_output_loads(self, pipeline):
         data = load_dataset(pipeline["data"])
-        assert data.n_classes == 2
-        assert len(data.split("source")) == 6
-        assert len(data.split("train")) == 6
-        assert len(data.split("test")) == 4
+        assert data.manifest.n_classes == 2
+        assert len(data.manifest.split("source")) == 6
+        assert len(data.manifest.split("train")) == 6
+        assert len(data.manifest.split("test")) == 4
 
     def test_train_writes_checkpoints_and_logs(self, pipeline):
         for role, outdir in (("source", pipeline["src"]), ("target", pipeline["tgt"])):
@@ -739,6 +739,20 @@ class TestCommandFailures:
         assert "error" in err and "message" in err
         assert not out.exists()
         assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".svg"])
+    def test_eval_out_that_a_sibling_report_replaces_exits_one(self, pipeline, tmp_path,
+                                                               capsys, suffix):
+        # the report's CSV or SVG would overwrite the JSON report; this is
+        # found before the detections file, here present or missing, is read
+        out = tmp_path / f"r{suffix}"
+        for detections in (pipeline["det"], tmp_path / "missing.json"):
+            rc = cli.main(["eval", "--data", str(pipeline["data"]),
+                           "--detections", str(detections), "--out", str(out)])
+            assert rc == 1
+            err = _one_error(capsys.readouterr().err)
+            assert err["error"] == "ConfigError" and f"--out {out} " in err["message"]
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda h: h.update(stream="depth"), "unknown checkpoint stream 'depth'"),
@@ -988,7 +1002,7 @@ class TestCommandFailures:
     def test_non_finite_feature_fails_detect(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
-        rec = load_dataset(pipeline["data"]).split("test")[0]
+        rec = load_dataset(pipeline["data"]).manifest.split("test")[0]
         path = data / rec.feature_paths[Stream.RGB]
         blob = bytearray(path.read_bytes())
         d, = struct.unpack("<I", blob[8:12])
@@ -1014,7 +1028,7 @@ class TestCommandFailures:
     def test_corrupt_feature_file_fails_detect(self, pipeline, tmp_path, capsys, case):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
-        rec = load_dataset(pipeline["data"]).split("test")[-1]
+        rec = load_dataset(pipeline["data"]).manifest.split("test")[-1]
         rel = rec.feature_paths[Stream.FLOW]
         blob = (data / rel).read_bytes()
         (data / rel).write_bytes(TSRF_CORRUPTIONS[case](blob, np.random.default_rng(case)))
@@ -1218,7 +1232,13 @@ class TestCommandFailures:
         ("synth", "--train.iterations", "0", "iterations"),
         ("synth", "--kernel.sigma", "1e-200", "got 1e-200"),
         ("synth", "--synth.fps", "1e-310", "too long for a float"),
-    ], ids=["train", "detect", "eval", "synth", "synth_sigma_squared", "synth_fps"])
+        # sizes numpy cannot allocate, each rejected where its product is first known
+        *[(command, flag, str(2 ** 62), "more than numpy allocates") for command, flag in [
+            ("train", "--train.classifier_hidden"), ("train", "--train.attention_hidden"),
+            ("train", "--train.heads"), ("train", "--train.batch_size"),
+            ("synth", "--synth.d"), ("synth", "--synth.n_classes")]],
+    ], ids=["train", "detect", "eval", "synth", "synth_sigma_squared", "synth_fps",
+            "classifier_hidden", "attention_hidden", "heads", "batch_size", "d", "n_classes"])
     def test_every_config_section_is_checked(self, pipeline, tmp_path, capsys, command,
                                              flag, value, message):
         # each command checks every section, also those it does not read
@@ -1233,6 +1253,16 @@ class TestCommandFailures:
         err = _one_error(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and message in err["message"]
         assert not out.exists()
+
+    def test_a_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def allocate(*_):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "generate_synthetic", allocate)
+        assert cli.main(["synth", "--out", str(tmp_path / "data")] + SYNTH_FLAGS) == 1
+        assert _one_error(capsys.readouterr().err) == {
+            "error": "MemoryError", "message": "Unable to allocate 8.00 EiB for an array"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_replaces_an_existing_output_and_a_stale_partial(self, pipeline,
                                                                     tmp_path):

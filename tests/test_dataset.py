@@ -591,8 +591,8 @@ class TestGenerateSynthetic:
         data = load_dataset(tmp_path)
         means = {}
         for stream in STREAMS:
-            for rec in data.split("train") + data.split("test"):
-                mat = data.features(rec.video_id, stream)
+            for rec in data.manifest.split("train") + data.manifest.split("test"):
+                mat = data.features(rec, stream)
                 labels = oracles.frame_labels(rec)
                 for i in range(rec.n):
                     col = mat.values[:, i]
@@ -606,8 +606,8 @@ class TestGenerateSynthetic:
                             assert np.linalg.norm(col) > 0
                             means[key] = col
             # trimmed sources with zero shift reuse the same class means
-            for rec in data.split("source"):
-                mat = data.features(rec.video_id, stream)
+            for rec in data.manifest.split("source"):
+                mat = data.features(rec, stream)
                 for i in range(rec.n):
                     np.testing.assert_array_equal(
                         mat.values[:, i], means[(stream, rec.labels[0])])
@@ -620,14 +620,14 @@ class TestGenerateSynthetic:
         generate_synthetic(spec, tmp_path)
         data = load_dataset(tmp_path)
         target_mean = {}
-        for rec in data.split("train"):
+        for rec in data.manifest.split("train"):
             labels = oracles.frame_labels(rec)
-            mat = data.features(rec.video_id, Stream.RGB)
+            mat = data.features(rec, Stream.RGB)
             for i in range(rec.n):
                 if labels[i] >= 0:
                     target_mean[int(labels[i])] = mat.values[:, i]
-        rec = data.split("source")[0]
-        col = data.features(rec.video_id, Stream.RGB).values[:, 0]
+        rec = data.manifest.split("source")[0]
+        col = data.features(rec, Stream.RGB).values[:, 0]
         delta = col - target_mean[rec.labels[0]]
         np.testing.assert_allclose(np.linalg.norm(delta), 3.0, rtol=1e-6)
 
@@ -638,14 +638,14 @@ class TestGenerateSynthetic:
         generate_synthetic(spec, tmp_path)
         data = load_dataset(tmp_path)
         target_mean = {}
-        for rec in data.split("train"):
+        for rec in data.manifest.split("train"):
             labels = oracles.frame_labels(rec)
-            mat = data.features(rec.video_id, Stream.RGB)
+            mat = data.features(rec, Stream.RGB)
             for i in range(rec.n):
                 if labels[i] >= 0:
                     target_mean[int(labels[i])] = mat.values[:, i]
-        rec = data.split("source")[0]
-        col = data.features(rec.video_id, Stream.RGB).values[:, 0]
+        rec = data.manifest.split("source")[0]
+        col = data.features(rec, Stream.RGB).values[:, 0]
         np.testing.assert_allclose(col - target_mean[rec.labels[0]], vec,
                                    rtol=0, atol=1e-6)
 
@@ -660,8 +660,8 @@ def _per_file_error(root, split, stream):
     ``Dataset.features`` raises, on a freshly loaded dataset."""
     data = load_dataset(root)
     with pytest.raises(DataFormatError) as exc:
-        for rec in data.split(split):
-            data.features(rec.video_id, stream)
+        for rec in data.manifest.split(split):
+            data.features(rec, stream)
     return str(exc.value)
 
 
@@ -671,12 +671,13 @@ class TestLoadDataset:
         data = load_dataset(tmp_path)
         assert data.manifest == manifest
         for stream in STREAMS:
-            for rec, mat in data.iter_split("train", stream):
+            recs = data.manifest.split("train")
+            for rec, mat in zip(recs, data.read_split(recs, stream)):
                 assert (mat.d, mat.n) == (TINY_SPEC.d, rec.n)
 
     def test_load_decodes_no_file_and_each_read_decodes_one(self, tmp_path, monkeypatch):
-        # each iter_split reads its split's files in one read_split pass,
-        # which on sound files decodes none of them one by one
+        # each read_split call reads its split's files in one pass, which
+        # on sound files decodes none of them one by one
         generate_synthetic(TINY_SPEC, tmp_path)
         reads, decodes = [], []
         read, decode = Dataset.read_split, wtal.dataset.decode_features
@@ -686,9 +687,10 @@ class TestLoadDataset:
                             lambda blob: decodes.append(len(blob)) or decode(blob))
         data = load_dataset(tmp_path)
         assert reads == []
+        recs = data.manifest.split("test")
         for _ in range(2):      # nothing is kept between reads
-            assert len(list(data.iter_split("test", Stream.FLOW))) == TINY_SPEC.target_test
-        files = [(rec.video_id, Stream.FLOW) for rec in data.split("test")]
+            assert len(data.read_split(recs, Stream.FLOW)) == TINY_SPEC.target_test
+        files = [(rec.video_id, Stream.FLOW) for rec in recs]
         assert reads == [files, files] and decodes == []
 
     def test_feature_paths_join_the_dataset_root_like_pathlib(self, tmp_path):
@@ -702,9 +704,26 @@ class TestLoadDataset:
         entry["features"] = {"rgb": str(tmp_path / "rgb.tsrf"), "flow": "../flow.tsrf"}
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(doc))
         data = load_dataset(tmp_path / "ds")
+        rec = data.manifest.videos[0]       # the record that holds the edited paths
         for stream, path in zip(STREAMS, (tmp_path / "rgb.tsrf", tmp_path / "flow.tsrf")):
-            np.testing.assert_array_equal(data.features(rec.video_id, stream).values,
+            np.testing.assert_array_equal(data.features(rec, stream).values,
                                           decode_features(path.read_bytes()).values)
+
+    def test_a_stream_keeps_its_width_across_reads(self, tmp_path):
+        # the train split's files set the RGB width; a wider source split,
+        # sound on its own, then fails at its first file
+        manifest = generate_synthetic(TINY_SPEC, tmp_path)
+        for rec in manifest.split("source"):
+            wide = FeatureMatrix(np.ones((TINY_SPEC.d + 1, rec.n)))
+            (tmp_path / rec.feature_paths[Stream.RGB]).write_bytes(encode_features(wide))
+        data = load_dataset(tmp_path)
+        data.read_split(manifest.split("train"), Stream.RGB)
+        with pytest.raises(DataFormatError) as exc:
+            data.read_split(manifest.split("source"), Stream.RGB)
+        first = manifest.split("source")[0]
+        path = tmp_path / first.feature_paths[Stream.RGB]
+        assert str(exc.value) == f"{first.video_id}/rgb ({path}): d=5 differs from 4"
+        assert len(load_dataset(tmp_path).read_split(manifest.split("source"), Stream.RGB)) == 4
 
     # Each fault sits in the split's first or last file, then mid-split; the
     # split's one-pass read must fall back to the per-file read's exact error.
@@ -715,7 +734,7 @@ class TestLoadDataset:
             (root / rec.feature_paths[Stream.RGB]).unlink()
             data = load_dataset(root)
             with pytest.raises(DataFormatError, match="missing feature file") as exc:
-                list(data.iter_split(rec.split, Stream.RGB))
+                data.read_split(data.manifest.split(rec.split), Stream.RGB)
             assert f"{rec.video_id}/rgb" in str(exc.value)
             assert str(root / rec.feature_paths[Stream.RGB]) in str(exc.value)
             assert str(exc.value) == _per_file_error(root, rec.split, Stream.RGB)
@@ -728,7 +747,7 @@ class TestLoadDataset:
             victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d, 99)))))
             data = load_dataset(root)
             with pytest.raises(DataFormatError, match="n=99") as exc:
-                list(data.iter_split(rec.split, Stream.RGB))
+                data.read_split(data.manifest.split(rec.split), Stream.RGB)
             assert str(exc.value) == _per_file_error(root, rec.split, Stream.RGB)
 
     def test_feature_dim_mismatch(self, tmp_path):
@@ -739,7 +758,7 @@ class TestLoadDataset:
             victim.write_bytes(encode_features(FeatureMatrix(np.zeros((TINY_SPEC.d + 1, rec.n)))))
             data = load_dataset(root)
             with pytest.raises(DataFormatError, match="differs") as exc:
-                list(data.iter_split(rec.split, Stream.FLOW))
+                data.read_split(data.manifest.split(rec.split), Stream.FLOW)
             assert str(exc.value) == _per_file_error(root, rec.split, Stream.FLOW)
 
     def test_corrupt_feature_file(self, tmp_path):
@@ -758,6 +777,6 @@ class TestLoadDataset:
                 victim.write_bytes(corrupt(victim.read_bytes()))
                 data = load_dataset(root)
                 with pytest.raises(DataFormatError, match=words) as exc:
-                    list(data.iter_split(rec.split, Stream.FLOW))
+                    data.read_split(data.manifest.split(rec.split), Stream.FLOW)
                 assert f"{rec.video_id}/flow" in str(exc.value)
                 assert str(exc.value) == _per_file_error(root, rec.split, Stream.FLOW)

@@ -221,11 +221,11 @@ class TestSplitOutputs:
         data, m_rgb, m_flow = trained
         _, scores = predict_split(data, "test", m_rgb, m_flow)
         dets = detect_split(data, "test", scores, DetectConfig())
-        test_ids = {rec.video_id for rec in data.split("test")}
+        test_ids = {rec.video_id for rec in data.manifest.split("test")}
         for det in dets:
             assert set(det) == {"video_id", "class", "t_start", "t_end", "confidence"}
             assert det["video_id"] in test_ids
-            assert 0 <= det["class"] < data.n_classes
+            assert 0 <= det["class"] < data.manifest.n_classes
             assert 0.0 <= det["t_start"] < det["t_end"]
             assert 0.0 < det["confidence"] <= 1.0
 
@@ -234,9 +234,9 @@ class TestSplitOutputs:
         cfg = DetectConfig()
         _, scores = predict_split(data, "test", m_rgb, m_flow)
         dets = detect_split(data, "test", scores, cfg)
-        rec = data.split("test")[0]
-        _, w_rgb = video_scores(m_rgb, data.features(rec.video_id, Stream.RGB))
-        _, w_flow = video_scores(m_flow, data.features(rec.video_id, Stream.FLOW))
+        rec = data.manifest.split("test")[0]
+        _, w_rgb = video_scores(m_rgb, data.features(rec, Stream.RGB))
+        _, w_flow = video_scores(m_flow, data.features(rec, Stream.FLOW))
         # the split runs as chunks of videos, video_scores as a chunk of one
         np.testing.assert_allclose(scores[rec.video_id][0], w_rgb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(scores[rec.video_id][1], w_flow, rtol=0, atol=1e-12)
@@ -259,9 +259,9 @@ class TestSplitOutputs:
     def test_prediction_schema_and_fusion(self, trained):
         data, m_rgb, m_flow = trained
         preds, scores = predict_split(data, "test", m_rgb, m_flow)
-        assert len(preds) == len(data.split("test"))
+        assert len(preds) == len(data.manifest.split("test"))
         assert set(scores) == {pred["video_id"] for pred in preds}
-        for pred in preds:
+        for rec, pred in zip(data.manifest.split("test"), preds):
             z_rgb = np.array(pred["logits_rgb"])
             z_flow = np.array(pred["logits_flow"])
             fused = np.array(pred["probs_fused"])
@@ -269,12 +269,12 @@ class TestSplitOutputs:
             # the logits are read off the same forward pass as the score maps
             for model, stream, z, w in zip((m_rgb, m_flow), (Stream.RGB, Stream.FLOW),
                                            (z_rgb, z_flow), scores[pred["video_id"]]):
-                x = data.features(pred["video_id"], stream)
+                x = data.features(rec, stream)
                 np.testing.assert_allclose(z, video_scores(model, x)[0], rtol=0, atol=1e-12)
-                assert w.shape == (data.n_classes, x.n)
+                assert w.shape == (data.manifest.n_classes, x.n)
             np.testing.assert_allclose(fused, oracles.fuse_streams(z_rgb, z_flow),
                                        rtol=0, atol=1e-12)
-            assert z_rgb.shape == z_flow.shape == (data.n_classes,)
+            assert z_rgb.shape == z_flow.shape == (data.manifest.n_classes,)
 
 
 class TestChunkedPrediction:
@@ -412,7 +412,7 @@ class TestChunkedPrediction:
             self._side_by_side(monkeypatch)
         rng = np.random.default_rng(22)
         data = self._dataset(tmp_path, rng)
-        early, late = data.split("test")[1], data.split("test")[-2]
+        early, late = data.manifest.split("test")[1], data.manifest.split("test")[-2]
         (tmp_path / early.feature_paths[Stream.FLOW]).write_bytes(b"TSRF")
         (tmp_path / late.feature_paths[Stream.RGB]).write_bytes(b"TSRF")
         with pytest.raises(DataFormatError, match=f"{late.video_id}/rgb"):

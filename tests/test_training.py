@@ -451,9 +451,9 @@ class TestTrainingLoops:
         assert rows[0] == CSV_HEADER
         assert len(rows) == cfg.iterations + 1
         hits = 0
-        records = tiny_data.split("source")
+        records = tiny_data.manifest.split("source")
         for rec in records:
-            x = tiny_data.features(rec.video_id, Stream.FLOW)
+            x = tiny_data.features(rec, Stream.FLOW)
             _, cls = forward_video(model, x)
             hits += int(np.argmax(cls.probs) == rec.labels[0])
         assert hits / len(records) >= 0.99
@@ -523,7 +523,8 @@ class TestTrainingLoops:
             return forward_video(model, x, counts)
 
         monkeypatch.setattr(training, "forward_video", recording_forward)
-        clips = [x.values for _, x in tiny_data.iter_split("source", Stream.RGB)]
+        clips = [x.values for x in tiny_data.read_split(tiny_data.manifest.split("source"),
+                                                        Stream.RGB)]
         for iterations in (3, 30):
             calls.clear()
             cfg = dataclasses.replace(TINY_CFG, iterations=iterations)
@@ -562,8 +563,8 @@ class TestTrainingLoops:
         cfg = dataclasses.replace(TINY_CFG, attention_enabled=False,
                                   iterations=5, transfer=TransferConfig(enabled=False))
         model, _ = train_target(tiny_data, Stream.RGB, cfg)
-        rec = tiny_data.split("train")[0]
-        att, _ = forward_video(model, tiny_data.features(rec.video_id, Stream.RGB))
+        rec = tiny_data.manifest.split("train")[0]
+        att, _ = forward_video(model, tiny_data.features(rec, Stream.RGB))
         np.testing.assert_array_equal(att.a, np.full((1, rec.n), 1.0 / rec.n))
 
     def test_mask_matrix_is_successive_row_draws(self):
@@ -585,6 +586,18 @@ class TestTrainingLoops:
         np.testing.assert_array_equal(idx, labeled_subset(20, 0.25, seed=0))
         assert not np.array_equal(idx, labeled_subset(20, 0.25, seed=1))
         assert labeled_subset(10, 0.01, seed=0).shape == (1,)
+
+    def test_label_fraction_reads_only_the_labeled_videos(self, tiny_data, monkeypatch):
+        # an unlabeled video's file is never used, so it is never read
+        reads, read = [], Dataset.read_split
+        monkeypatch.setattr(Dataset, "read_split", lambda self, recs, stream: reads.append(
+            [rec.video_id for rec in recs]) or read(self, recs, stream))
+        cfg = dataclasses.replace(TINY_CFG, label_fraction=0.25, iterations=2,
+                                  transfer=TransferConfig(enabled=False))
+        train_target(tiny_data, Stream.RGB, cfg)
+        recs = tiny_data.manifest.split("train")
+        keep = labeled_subset(len(recs), 0.25, cfg.seed)
+        assert reads == [[recs[i].video_id for i in keep]] and len(keep) == 5
 
 
 class TestCheckpoints:
@@ -719,18 +732,17 @@ class TestCheckpoints:
 
 class TestErrors:
     def test_source_training_requires_trimmed_videos(self, tmp_path):
-        generate_synthetic(TINY_SPEC, tmp_path)
-        import json
-        mpath = tmp_path / "manifest.json"
-        doc = json.loads(mpath.read_text())
-        for rec in doc["videos"]:
-            if rec["split"] == "source":
-                rec["trimmed"] = False
-                rec.pop("segments", None)
-        mpath.write_text(json.dumps(doc))
-        data = load_dataset(tmp_path)
-        with pytest.raises(InputError, match="trimmed"):
-            train_source(data, Stream.RGB, TINY_CFG)
+        # checked before any file is read, so the missing files go unnoticed
+        manifest = generate_synthetic(TINY_SPEC, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["videos"][3]["trimmed"] = False
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        for rec in manifest.split("source"):
+            for stream in (Stream.RGB, Stream.FLOW):
+                (tmp_path / rec.feature_paths[stream]).unlink()
+        with pytest.raises(InputError, match=f"{doc['videos'][3]['id']}: source training "
+                                             f"needs trimmed videos"):
+            train_source(load_dataset(tmp_path), Stream.RGB, TINY_CFG)
 
     def test_empty_splits_rejected(self, tmp_path):
         generate_synthetic(TINY_SPEC, tmp_path)
