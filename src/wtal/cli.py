@@ -12,16 +12,15 @@ videos fails before any feature, detections or predictions file is read or
 any model trains. Artifacts are written atomically (temp file + rename) and
 removed if the command fails partway, so a nonzero exit leaves none behind.
 
-``train`` and ``ablate`` fit the two streams side by side: the RGB and flow
-models share nothing until detection fuses them, so ``training.run_streams``
-runs the RGB fits in this process and the flow fits (in ``ablate``, every
-arm's) in one forked child; the command writes its files only after both are
-back. Scoring each ``ablate`` arm runs the two streams' forward passes the
-same way once the split holds at least ``detection.FORK_MIN_FRAMES`` frames,
-and one after the other below that; a lone ``detect`` command, which has not
-loaded multiprocessing, always runs them one after the other. The results are
-those of running one stream after the other, bit for bit; an RGB error is
-raised before a flow error, and no process outlives the command.
+``train`` and ``ablate`` fit the two streams side by side, since the RGB and
+flow models share nothing until detection fuses them: ``training.run_streams``
+runs RGB here and flow in one forked child, and the command writes its files
+only after both are back. ``ablate`` reads the scored split of both streams
+before it forks; each process then trains and scores every arm, and the
+child sends back only the scores. A lone ``detect``, which has not loaded
+multiprocessing, runs its two forward passes one after the other. Results
+are those of running one stream after the other, bit for bit; an RGB error
+is raised before a flow error, and no process outlives the command.
 
 Exit codes: 0 ok, 1 runtime error (JSON error object on stderr), 2 usage.
 """
@@ -41,13 +40,13 @@ import numpy as np
 from .dataset import (STREAMS, Stream, SyntheticSpec, config_value, field_default,
                       generate_synthetic, is_json, json_text, load_dataset,
                       load_manifest, parse_json, read_file)
-from .detection import DetectConfig, detect_split, predict_split
+from .detection import DetectConfig, detect_split, fuse_passes, predict_split, stream_scores
 from .errors import ConfigError, InputError, WtalError
 from .evaluation import (accuracy_from_predictions, emit_report,
                          ground_truth_instances, instances_from_detections,
                          map_at_iou)
-from .training import (TrainConfig, certify_gradients, load_checkpoint, run_streams,
-                       save_checkpoint, train_source, train_target)
+from .training import (TrainConfig, certify_gradients, chunk_budget, load_checkpoint,
+                       run_streams, save_checkpoint, train_source, train_target)
 from .transfer import KernelConfig, TransferConfig
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -305,17 +304,21 @@ ABLATION_ARMS = (
 
 def run_ablation(data, arms: Sequence[tuple[str, TrainConfig]], dcfg: DetectConfig,
                  iou_thr: float = 0.5, split: str = "test") -> list[dict]:
-    """Train the ``(name, config)`` arms, then score each by fused accuracy and
-    mAP at ``iou_thr`` on ``split``. One ``run_streams`` call fits every arm of a
-    stream in turn, a transfer arm after a source model from its own config."""
-    def fit(stream: Stream):
-        return [train_target(data, stream, cfg, train_source(data, stream, cfg)[0]
-                             if cfg.transfer.enabled else None)[0] for _, cfg in arms]
+    """Score each ``(name, config)`` arm by fused accuracy and mAP at ``iou_thr`` on
+    ``split``, read first. In one ``run_streams`` call each stream fits and scores
+    every arm in turn, a transfer arm after a source model from its own config."""
+    recs = data.manifest.split(split)
+    xs = {stream: data.read_split(recs, stream) for stream in STREAMS}
 
-    models = run_streams(fit)
+    def fit(stream: Stream):
+        models = (train_target(data, stream, cfg, train_source(data, stream, cfg)[0]
+                               if cfg.transfer.enabled else None)[0] for _, cfg in arms)
+        return [stream_scores(xs[stream], model, chunk_budget(model)) for model in models]
+
+    passes = run_streams(fit)
     rows = []
-    for (name, _), model_rgb, model_flow in zip(arms, models[Stream.RGB], models[Stream.FLOW]):
-        predictions, scores = predict_split(data, split, model_rgb, model_flow)
+    for (name, _), rgb, flow in zip(arms, passes[Stream.RGB], passes[Stream.FLOW]):
+        predictions, scores = fuse_passes(recs, rgb, flow)
         detections = detect_split(data, split, scores, dcfg)
         acc = accuracy_from_predictions(predictions, data.manifest, split)
         report = map_at_iou(instances_from_detections(detections, data.manifest, split),
@@ -330,7 +333,6 @@ def _cmd_ablate(args, run_cfg: RunConfig, outputs: _Outputs) -> int:
     if not (0.0 < args.iou <= 1.0):
         raise ConfigError(f"--iou must lie in (0, 1], got {args.iou!r}")
     data = load_dataset(args.data)
-    data.manifest.split(args.split)      # a misspelt split fails before any arm trains
     cfg = run_cfg.train
     arms = [(name, dataclasses.replace(cfg, attention_enabled=att_on,
                                        transfer=dataclasses.replace(cfg.transfer, enabled=kt_on)))

@@ -84,12 +84,12 @@ class Segment(NamedTuple):
     t_start: float
     t_end: float
 
-    def validate(self, n: int, fps: float, n_classes: int | None = None) -> None:
+    def validate(self, n: int, fps: float, n_classes: int) -> None:
         if not (0.0 <= self.t_start < self.t_end <= n / fps + 1e-9):
             raise InputError(
                 f"segment [{self.t_start}, {self.t_end}] outside [0, {n / fps}]"
             )
-        if n_classes is not None and not (0 <= self.label < n_classes):
+        if not (0 <= self.label < n_classes):
             raise InputError(f"segment label {self.label} outside [0, {n_classes})")
 
 

@@ -12,15 +12,15 @@ predict_split scores each stream in one pass over the split, which must hold
 videos (Manifest.split): consecutive test videos form chunks with the
 training step's rule (chunk_bounds: at most CHUNK_VIDEOS videos, within both
 models' frame budgets). Each pass reads the split's files first
-(Dataset.read_split), then runs each chunk forward once, giving the video
-logits and the frame score maps off the same pass. The two passes
-share nothing, so in a process that has already loaded multiprocessing (one
-that ran train or ablate), on a split of at least FORK_MIN_FRAMES frames,
-they run side by side (training.run_streams: RGB here, flow in a forked
-child); otherwise, and so in a lone detect command, one after the other.
-Either way an RGB error is raised before a flow error. predict_split then
-fuses the video logits into the prediction records; detect_split only fuses
-and thresholds the maps it returned, one video at a time.
+(Dataset.read_split), then runs each chunk forward once (stream_scores),
+giving the video logits and the frame score maps off the same pass. The two
+passes share nothing, so in a process that has already loaded
+multiprocessing (one that ran train), on a split of at least FORK_MIN_FRAMES
+frames, they run side by side (training.run_streams: RGB here, flow in a
+forked child); otherwise, and so in a lone detect command, one after the
+other. Either way an RGB error is raised before a flow error. fuse_passes
+then fuses the video logits into the prediction records, as ablate does per
+arm; detect_split only fuses and thresholds the maps, one video at a time.
 """
 
 from __future__ import annotations
@@ -99,38 +99,24 @@ def extract_proposals(scores: np.ndarray, cfg: DetectConfig) -> list[tuple[int, 
                                  edges[1::2].tolist())]
 
 
-def stream_scores(data: Dataset, recs: Sequence[VideoRecord], stream: Stream,
-                  model: Model, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """One stream's pass over the videos ``recs``: the (V, C) video logits
-    and their (C, N) frame score maps side by side, in ``recs`` order. The
-    split is read first, then each chunk of at most ``budget`` frames runs
-    forward once."""
-    xs, logits, maps = data.read_split(recs, stream), [], []
-    for lo, hi in chunk_bounds([rec.n for rec in recs], budget):
+def stream_scores(xs: Sequence[FeatureMatrix], model: Model, budget: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's pass over a split's feature matrices ``xs``: the (V, C)
+    video logits and their (C, N) frame score maps side by side, in ``xs``
+    order, each chunk of at most ``budget`` frames run forward once."""
+    logits, maps = [], []
+    for lo, hi in chunk_bounds([x.n for x in xs], budget):
         z, w = chunk_scores(model, *stack_videos(xs[lo:hi]))
         logits.append(z)
         maps.append(w)
     return np.vstack(logits), np.hstack(maps)
 
 
-def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
-                  ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Classification records for accuracy scoring, and each video's (RGB,
-    flow) frame score maps by id, from one stream_scores pass per stream
-    (side by side where the module docstring says, RGB then flow otherwise)."""
-    recs = data.manifest.split(split)
-    budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
-    models = dict(zip(STREAMS, (model_rgb, model_flow)))
-
-    def one_pass(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-        return stream_scores(data, recs, stream, models[stream], budget)
-
-    if ("multiprocessing" in sys.modules
-            and sum(rec.n for rec in recs) >= FORK_MIN_FRAMES):
-        passes = run_streams(one_pass)
-    else:
-        passes = {stream: one_pass(stream) for stream in STREAMS}
-    (z_rgb, w_rgb), (z_flow, w_flow) = passes[Stream.RGB], passes[Stream.FLOW]
+def fuse_passes(recs: Sequence[VideoRecord], rgb: tuple[np.ndarray, np.ndarray],
+                flow: tuple[np.ndarray, np.ndarray]) -> tuple[list[dict], dict]:
+    """Classification records for accuracy scoring, and each video's (RGB, flow)
+    frame score maps by id, from each stream's stream_scores pass over ``recs``."""
+    (z_rgb, w_rgb), (z_flow, w_flow) = rgb, flow
     probs = stable_softmax((z_rgb + z_flow) / 2.0)
     cuts = np.cumsum([rec.n for rec in recs[:-1]])
     records = [{"video_id": rec.video_id, "logits_rgb": zr.tolist(),
@@ -139,6 +125,25 @@ def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
     scores = dict(zip([rec.video_id for rec in recs],
                       zip(np.split(w_rgb, cuts, axis=1), np.split(w_flow, cuts, axis=1))))
     return records, scores
+
+
+def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
+                  ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """fuse_passes of one stream_scores pass per stream over the split (side
+    by side where the module docstring says, RGB then flow otherwise)."""
+    recs = data.manifest.split(split)
+    budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
+    models = dict(zip(STREAMS, (model_rgb, model_flow)))
+
+    def one_pass(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+        return stream_scores(data.read_split(recs, stream), models[stream], budget)
+
+    if ("multiprocessing" in sys.modules
+            and sum(rec.n for rec in recs) >= FORK_MIN_FRAMES):
+        passes = run_streams(one_pass)
+    else:
+        passes = {stream: one_pass(stream) for stream in STREAMS}
+    return fuse_passes(recs, passes[Stream.RGB], passes[Stream.FLOW])
 
 
 def detect_split(data: Dataset, split: str,

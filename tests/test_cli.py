@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -399,17 +400,26 @@ SMALL_CHUNK_CELLS = 4 * 20
 
 
 @pytest.fixture
-def forward_calls(monkeypatch):
-    """Each forward pass that ``wtal.detection`` runs, in call order, as
-    (stream, per-video frame counts, the chunk's features), with chunks of
-    at most 20 frames."""
+def forward_calls(monkeypatch, tmp_path):
+    """A function that lists each forward pass that ``wtal.detection`` has
+    run so far, by this process and by the forked flow-stream child alike, as
+    (stream, per-video frame counts, the chunk's features), in call order
+    within each process, with chunks of at most 20 frames."""
     monkeypatch.setattr(wtal.training, "CHUNK_CELLS", SMALL_CHUNK_CELLS)
-    calls = []
     forward = wtal.detection.forward_video
 
     def record(model, x, counts=None):
-        calls.append((model.stream, tuple(counts or (x.n,)), x.values))
+        with open(tmp_path / f"forward.{os.getpid()}.log", "ab") as fh:   # one log per process
+            pickle.dump((model.stream, tuple(counts or (x.n,)), x.values), fh)
         return forward(model, x, counts)
+
+    def calls():
+        out = []
+        for log in sorted(tmp_path.glob("forward.*.log")):
+            with open(log, "rb") as fh:
+                while fh.peek(1):
+                    out.append(pickle.load(fh))
+        return out
 
     monkeypatch.setattr(wtal.detection, "forward_video", record)
     return calls
@@ -600,7 +610,7 @@ class TestPipeline:
                          "--ckpt-rgb", str(pipeline["tgt"] / "target_rgb.ckpt"),
                          "--ckpt-flow", str(pipeline["tgt"] / "target_flow.ckpt"),
                          "--out", str(det)]) == 0
-        _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test")
+        _assert_forwarded_once(forward_calls(), load_dataset(pipeline["data"]), "test")
         # smaller chunks move the scores by rounding only
         for path in (det, tmp_path / "detections.predictions.json"):
             got = json.loads(path.read_text())
@@ -1512,15 +1522,43 @@ class TestAblateCommand:
             assert 0.0 <= float(m) <= 1.0
 
     def test_one_run_streams_call_fits_every_arm(self, pipeline, tmp_path, monkeypatch):
+        # a split of at least FORK_MIN_FRAMES frames, where detect would fork too
+        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
         calls, run_streams = [], cli.run_streams
-        monkeypatch.setattr(cli, "run_streams", lambda fit: calls.append(fit) or run_streams(fit))
+        for module in (cli, wtal.detection):
+            monkeypatch.setattr(module, "run_streams",
+                                lambda work: calls.append(work) or run_streams(work))
         assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
         assert len(calls) == 1
+
+    def test_reads_each_test_file_once_per_stream(self, pipeline, tmp_path, reads):
+        assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
+        test = load_manifest(pipeline["data"] / "manifest.json").split("test")
+        ids = {rec.video_id for rec in test}
+        assert sorted(read for read in reads() if read[0] in ids) == \
+            sorted((rec.video_id, stream.value) for rec in test for stream in STREAMS)
+
+    @pytest.mark.parametrize("stream", ["rgb", "flow"])
+    def test_missing_test_file_fails_before_any_arm_trains(self, pipeline, tmp_path, capsys,
+                                                           monkeypatch, stream):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        rel = load_manifest(data / "manifest.json").split("test")[0].feature_paths[Stream(stream)]
+        (data / rel).unlink()
+        # a call made in a forked child does not reach this process's list
+        calls, fit, run_streams = [], cli.train_target, cli.run_streams
+        monkeypatch.setattr(cli, "train_target", lambda *args: calls.append(args) or fit(*args))
+        monkeypatch.setattr(cli, "run_streams",
+                            lambda work: calls.append(work) or run_streams(work))
+        out = tmp_path / "ablation.csv"
+        assert cli.main(_ablate_argv(data, out)) == 1
+        assert rel in _one_error(capsys.readouterr().err)["message"]
+        assert calls == [] and not out.exists()
 
     def test_one_forward_per_test_video_and_stream_per_arm(self, pipeline, tmp_path,
                                                             forward_calls):
         assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
-        _assert_forwarded_once(forward_calls, load_dataset(pipeline["data"]), "test",
+        _assert_forwarded_once(forward_calls(), load_dataset(pipeline["data"]), "test",
                                passes=len(cli.ABLATION_ARMS))
 
 

@@ -321,11 +321,11 @@ class TestManifest:
 
     def test_segment_bounds_checked(self):
         with pytest.raises(InputError):
-            Segment(0, -0.1, 0.2).validate(n=10, fps=25.0)
+            Segment(0, -0.1, 0.2).validate(n=10, fps=25.0, n_classes=2)
         with pytest.raises(InputError):
-            Segment(0, 0.3, 0.2).validate(n=10, fps=25.0)
+            Segment(0, 0.3, 0.2).validate(n=10, fps=25.0, n_classes=2)
         with pytest.raises(InputError):
-            Segment(0, 0.0, 5.0).validate(n=10, fps=25.0)
+            Segment(0, 0.0, 5.0).validate(n=10, fps=25.0, n_classes=2)
 
     def test_split_selector(self):
         manifest = _make_manifest()
