@@ -17,10 +17,10 @@ flow models share nothing until detection fuses them: ``training.run_streams``
 runs RGB here and flow in one forked child, and the command writes its files
 only after both are back. ``ablate`` reads the scored split of both streams
 before it forks; each process then trains and scores every arm, and the
-child sends back only the scores. A lone ``detect``, which has not loaded
-multiprocessing, runs its two forward passes one after the other. Results
-are those of running one stream after the other, bit for bit; an RGB error
-is raised before a flow error, and no process outlives the command.
+child sends back only the scores. ``detect`` does not fork: it runs its two
+forward passes in its own process, one after the other. Results are those
+of running one stream after the other, bit for bit; an RGB error is raised
+before a flow error, and no process outlives the command.
 
 Exit codes: 0 ok, 1 runtime error (JSON error object on stderr), 2 usage.
 """

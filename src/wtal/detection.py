@@ -13,40 +13,25 @@ videos (Manifest.split): consecutive test videos form chunks with the
 training step's rule (chunk_bounds: at most CHUNK_VIDEOS videos, within both
 models' frame budgets). Each pass reads the split's files first
 (Dataset.read_split), then runs each chunk forward once (stream_scores),
-giving the video logits and the frame score maps off the same pass. The two
-passes share nothing, so in a process that has already loaded
-multiprocessing (one that ran train), on a split of at least FORK_MIN_FRAMES
-frames, they run side by side (training.run_streams: RGB here, flow in a
-forked child); otherwise, and so in a lone detect command, one after the
-other. Either way an RGB error is raised before a flow error. fuse_passes
-then fuses the video logits into the prediction records, as ablate does per
-arm; detect_split only fuses and thresholds the maps, one video at a time.
+giving the video logits and the frame score maps off the same pass. Both
+passes run in the calling process, RGB then flow, so an RGB error is raised
+before a flow error. fuse_passes then fuses the video logits into the
+prediction records, as ablate does per arm; detect_split only fuses and
+thresholds the maps, one video at a time.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .classifier import classify
-from .dataset import STREAMS, Dataset, FeatureMatrix, Stream, VideoRecord
+from .dataset import STREAMS, Dataset, FeatureMatrix, VideoRecord
 from .errors import ConfigError, ShapeError
 from .numerics import sigmoid, stable_softmax
-from .training import (Model, chunk_bounds, chunk_budget, forward_video, run_streams,
-                       stack_videos)
-
-# The fewest test frames for which predict_split runs the two streams in two
-# processes, and only in a process that has already loaded multiprocessing.
-# Measured on default-shaped models (2 cores, OpenBLAS on one thread), in one
-# process that ran train before detect, in-process -> side by side, median
-# detect time: 2,000 frames 55.9 -> 59.8 ms, 3,000 69.2 -> 66.3 ms, 4,000
-# 85.7 -> 82.2 ms, 6,000 118.2 -> 106.4 ms, 20,000 322.6 -> 263.2 ms. A lone
-# detect, forking by size alone, was slower (medians of 21 alternating pairs):
-# 4,127 frames 333.3 -> 357.6 ms, 20,164 472.2 -> 499.6 ms; so it does not fork.
-FORK_MIN_FRAMES = 4000
+from .training import Model, chunk_bounds, chunk_budget, forward_video, stack_videos
 
 
 @dataclass(frozen=True)
@@ -129,21 +114,13 @@ def fuse_passes(recs: Sequence[VideoRecord], rgb: tuple[np.ndarray, np.ndarray],
 
 def predict_split(data: Dataset, split: str, model_rgb: Model, model_flow: Model
                   ) -> tuple[list[dict], dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """fuse_passes of one stream_scores pass per stream over the split (side
-    by side where the module docstring says, RGB then flow otherwise)."""
+    """fuse_passes of one stream_scores pass per stream over the split, RGB
+    then flow, both in this process."""
     recs = data.manifest.split(split)
     budget = min(chunk_budget(model_rgb), chunk_budget(model_flow))
-    models = dict(zip(STREAMS, (model_rgb, model_flow)))
-
-    def one_pass(stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-        return stream_scores(data.read_split(recs, stream), models[stream], budget)
-
-    if ("multiprocessing" in sys.modules
-            and sum(rec.n for rec in recs) >= FORK_MIN_FRAMES):
-        passes = run_streams(one_pass)
-    else:
-        passes = {stream: one_pass(stream) for stream in STREAMS}
-    return fuse_passes(recs, passes[Stream.RGB], passes[Stream.FLOW])
+    rgb, flow = (stream_scores(data.read_split(recs, stream), model, budget)
+                 for stream, model in zip(STREAMS, (model_rgb, model_flow)))
+    return fuse_passes(recs, rgb, flow)
 
 
 def detect_split(data: Dataset, split: str,

@@ -1440,39 +1440,10 @@ class TestStreamsSideBySide:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
-    def test_detect_with_a_killed_child_exits_one(self, pipeline, tmp_path, capfd,
-                                                  monkeypatch):
-        parent, scores = os.getpid(), wtal.detection.chunk_scores
-
-        def killed_in_child(model, x, counts=None):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return scores(model, x, counts)
-
-        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
-        monkeypatch.setattr(wtal.detection, "chunk_scores", killed_in_child)
-        out = tmp_path / "out" / "detections.json"
-        assert cli.main(_detect_argv(pipeline["data"], out, pipeline["tgt"])) == 1
-        err = _one_error(capfd.readouterr().err)
-        assert err["error"] == "ChildProcessError"
-        assert f"exited with code {-signal.SIGKILL}" in err["message"]
-        assert not out.parent.exists() or list(out.parent.iterdir()) == []
-        assert multiprocessing.active_children() == []
-
-    def test_detect_side_by_side_writes_the_same_files(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
-        out = tmp_path / "detections.json"
-        assert cli.main(_detect_argv(pipeline["data"], out, pipeline["tgt"])) == 0
-        assert out.read_bytes() == pipeline["det"].read_bytes()
-        sidecar = "detections.predictions.json"
-        assert (tmp_path / sidecar).read_bytes() == \
-            (pipeline["det"].parent / sidecar).read_bytes()
-
     def test_a_lone_detect_runs_both_passes_in_process(self, pipeline, tmp_path):
         out = tmp_path / "detections.json"
         argv = _detect_argv(pipeline["data"], out, pipeline["tgt"])
-        run = _python("-c", "import sys; from wtal import cli, detection; "
-                      f"detection.FORK_MIN_FRAMES = 0; rc = cli.main({argv!r}); "
+        run = _python("-c", f"import sys; from wtal import cli; rc = cli.main({argv!r}); "
                       "print(rc, 'multiprocessing' in sys.modules)")
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "0 False"
@@ -1522,12 +1493,9 @@ class TestAblateCommand:
             assert 0.0 <= float(m) <= 1.0
 
     def test_one_run_streams_call_fits_every_arm(self, pipeline, tmp_path, monkeypatch):
-        # a split of at least FORK_MIN_FRAMES frames, where detect would fork too
-        monkeypatch.setattr(wtal.detection, "FORK_MIN_FRAMES", 0)
         calls, run_streams = [], cli.run_streams
-        for module in (cli, wtal.detection):
-            monkeypatch.setattr(module, "run_streams",
-                                lambda work: calls.append(work) or run_streams(work))
+        monkeypatch.setattr(cli, "run_streams",
+                            lambda work: calls.append(work) or run_streams(work))
         assert cli.main(_ablate_argv(pipeline["data"], tmp_path / "ablation.csv")) == 0
         assert len(calls) == 1
 

@@ -286,9 +286,9 @@ class TestChunkedPrediction:
     LENGTHS = (1100, 1, 12, 7, 250, 9, 1, 40, 200, 3, 1)
 
     @staticmethod
-    def _dataset(root, rng, d=5, n_classes=3):
+    def _dataset(root, rng, d=5, n_classes=3, lengths=LENGTHS):
         videos = []
-        for i, n in enumerate(TestChunkedPrediction.LENGTHS):
+        for i, n in enumerate(lengths):
             paths = {}
             for stream in STREAMS:
                 paths[stream] = f"{stream.value}_{i:02d}.tsrf"
@@ -354,49 +354,28 @@ class TestChunkedPrediction:
                 assert w.shape == ref_w.shape
                 np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)
 
-    def test_side_by_side_matches_in_process(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(21)
-        data = self._dataset(tmp_path, rng)
-        m_rgb, m_flow = self._models(rng)
-        in_process = predict_split(data, "test", m_rgb, m_flow)
-        assert sum(self.LENGTHS) < detection.FORK_MIN_FRAMES
-        self._side_by_side(monkeypatch)
-        chunks = self._record_chunks(monkeypatch)
-        preds, scores = predict_split(data, "test", m_rgb, m_flow)
-        # the flow pass ran in the forked child, which this process does not see
-        assert {stream for stream, _ in chunks} == {Stream.RGB}
-        assert preds == in_process[0]
-        assert list(scores) == list(in_process[1])
-        for maps, ref_maps in zip(scores.values(), in_process[1].values()):
-            for w, ref_w in zip(maps, ref_maps):
-                np.testing.assert_array_equal(w, ref_w)
-        self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
-
-    @staticmethod
-    def _side_by_side(monkeypatch):
-        """Make predict_split fork on any split: no frame cutoff, and
-        multiprocessing loaded, as in a process that has run train."""
-        import multiprocessing  # noqa: F401 - loaded, as train loads it
-        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
-
     def test_a_process_without_multiprocessing_does_not_fork(self, tmp_path, monkeypatch):
+        import multiprocessing
         rng = np.random.default_rng(23)
-        data = self._dataset(tmp_path, rng)
+        data = self._dataset(tmp_path, rng, lengths=self.LENGTHS * 3)   # 4,872 frames
         m_rgb, m_flow = self._models(rng)
-        monkeypatch.setattr(detection, "FORK_MIN_FRAMES", 0)
-        monkeypatch.delitem(sys.modules, "multiprocessing", raising=False)
         chunks = self._record_chunks(monkeypatch)
-        preds, scores = predict_split(data, "test", m_rgb, m_flow)
-        # both passes ran here, RGB first, and nothing imported multiprocessing
-        streams = [stream for stream, _ in chunks]
-        assert streams == sorted(streams, key=STREAMS.index) and set(streams) == set(STREAMS)
-        assert "multiprocessing" not in sys.modules
-        self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
+        # neither a lone detect nor a process that has loaded multiprocessing
+        # (as train does) forks, however large the split
+        for loaded in (False, True):
+            if loaded:
+                monkeypatch.setitem(sys.modules, "multiprocessing", multiprocessing)
+            else:
+                monkeypatch.delitem(sys.modules, "multiprocessing", raising=False)
+            chunks.clear()
+            preds, scores = predict_split(data, "test", m_rgb, m_flow)
+            # both passes ran here, RGB first, and loaded nothing
+            streams = [stream for stream, _ in chunks]
+            assert streams == sorted(streams, key=STREAMS.index) and set(streams) == set(STREAMS)
+            assert ("multiprocessing" in sys.modules) == loaded
+            self._assert_matches_oracle(data, m_rgb, m_flow, preds, scores)
 
-    @pytest.mark.parametrize("side_by_side", [True, False])
-    def test_an_empty_split_predicts_nothing(self, tmp_path, monkeypatch, side_by_side):
-        if side_by_side:
-            self._side_by_side(monkeypatch)
+    def test_an_empty_split_predicts_nothing(self, tmp_path):
         rng = np.random.default_rng(24)
         data = self._dataset(tmp_path, rng)
         models = self._models(rng)
@@ -405,11 +384,7 @@ class TestChunkedPrediction:
             with pytest.raises(InputError, match="split 'train' has no videos"):
                 call()
 
-    @pytest.mark.parametrize("side_by_side", [True, False])
-    def test_an_rgb_error_is_reported_before_a_flow_error(self, tmp_path, monkeypatch,
-                                                         side_by_side):
-        if side_by_side:
-            self._side_by_side(monkeypatch)
+    def test_an_rgb_error_is_reported_before_a_flow_error(self, tmp_path):
         rng = np.random.default_rng(22)
         data = self._dataset(tmp_path, rng)
         early, late = data.manifest.split("test")[1], data.manifest.split("test")[-2]
