@@ -84,14 +84,6 @@ class Segment(NamedTuple):
     t_start: float
     t_end: float
 
-    def validate(self, n: int, fps: float, n_classes: int) -> None:
-        if not (0.0 <= self.t_start < self.t_end <= n / fps + 1e-9):
-            raise InputError(
-                f"segment [{self.t_start}, {self.t_end}] outside [0, {n / fps}]"
-            )
-        if not (0 <= self.label < n_classes):
-            raise InputError(f"segment label {self.label} outside [0, {n_classes})")
-
 
 class VideoRecord(NamedTuple):
     """One video's metadata; features live in per-stream files.
@@ -110,43 +102,44 @@ class VideoRecord(NamedTuple):
     feature_paths: Mapping[Stream, str]
     segments: tuple[Segment, ...] | None = None
 
-    def validate(self, n_classes: int) -> None:
-        if self.n < 1 or self.fps <= 0:
-            raise InputError(f"{self.video_id}: need n >= 1 and fps > 0")
-        if self.n > _FLOAT_MAX:     # segments are checked against n / fps
-            raise InputError(f"{self.video_id}: n is too large for a float")
-        if not math.isfinite(self.n / self.fps):
-            raise InputError(f"{self.video_id}: n / fps is too large for a float")
-        if not self.labels:
-            raise InputError(f"{self.video_id}: empty label set")
-        for c in self.labels:
-            if not (0 <= c < n_classes):
-                raise InputError(f"{self.video_id}: label {c} outside [0, {n_classes})")
-        if self.trimmed and len(self.labels) != 1:
-            raise InputError(f"{self.video_id}: trimmed video must carry exactly one label")
-        for seg in self.segments or ():
-            try:
-                seg.validate(self.n, self.fps, n_classes)
-            except InputError as exc:
-                raise InputError(f"{self.video_id}: {exc}") from exc
 
-
-@dataclass(frozen=True)
 class Manifest:
-    version: int
-    class_names: tuple[str, ...]
-    videos: tuple[VideoRecord, ...]
+    """A dataset's classes and videos: VideoRecords, or a loaded manifest's checked JSON
+    records and their ``splits``; ``split`` builds a split's records on its first call for it."""
+
+    def __init__(self, version: int, class_names: Sequence[str], videos: Sequence,
+                 splits: Sequence[str] | None = None):
+        self.version, self.class_names = version, tuple(class_names)
+        self._splits = [rec.split for rec in videos] if splits is None else splits
+        self._videos: dict[str, list | tuple] = {}    # by split, a tuple of VideoRecords if built
+        for name, rec in zip(self._splits, videos):
+            self._videos.setdefault(name, []).append(rec)
+        if splits is None:
+            self._videos = {name: tuple(recs) for name, recs in self._videos.items()}
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
+    @property
+    def videos(self) -> tuple[VideoRecord, ...]:
+        """Every video, in manifest order."""
+        recs = {name: iter(self.split(name)) for name in self._videos}
+        return tuple(next(recs[name]) for name in self._splits)
+
+    def __eq__(self, other):
+        return isinstance(other, Manifest) and (self.version, self.class_names, self.videos) \
+            == (other.version, other.class_names, other.videos)
+
     def split(self, name: str) -> tuple[VideoRecord, ...]:
         """The split's videos; one without any is a misspelling, whose scores would read 0."""
-        recs = tuple(v for v in self.videos if v.split == name)
-        if not recs:
-            names = ", ".join(sorted({rec.split for rec in self.videos}))
-            raise InputError(f"split {name!r} has no videos; the manifest's splits are {names}")
+        recs = self._videos.get(name)
+        if recs is None:
+            names = ", ".join(sorted(self._videos))
+            raise InputError(f"split {name!r} has no videos; " + (
+                f"the manifest's splits are {names}" if names else "the manifest lists no videos"))
+        if isinstance(recs, list):
+            recs = self._videos[name] = tuple(map(_record_from_json, recs))
         return recs
 
 
@@ -434,6 +427,29 @@ _RECORD_RULES = (
 )
 
 
+def _check_values(obj, n_classes: int) -> None:
+    """Raise InputError naming the video unless record ``obj``, past check_entries, is in range."""
+    vid, n, fps, labels = obj["id"], obj["n"], float(obj["fps"]), obj["labels"]
+    if n < 1 or fps <= 0:
+        raise InputError(f"{vid}: need n >= 1 and fps > 0")
+    if n > _FLOAT_MAX:     # before n / fps converts it
+        raise InputError(f"{vid}: n is too large for a float")
+    if not math.isfinite(span := n / fps):
+        raise InputError(f"{vid}: n / fps is too large for a float")
+    if not labels:
+        raise InputError(f"{vid}: empty label set")
+    for c in labels:
+        if not 0 <= c < n_classes:
+            raise InputError(f"{vid}: label {c} outside [0, {n_classes})")
+    if obj["trimmed"] and len(labels) != 1:
+        raise InputError(f"{vid}: trimmed video must carry exactly one label")
+    for label, start, end in obj.get("segments", ()):
+        if not 0.0 <= float(start) < float(end) <= span + 1e-9:
+            raise InputError(f"{vid}: segment [{float(start)}, {float(end)}] outside [0, {span}]")
+        if not 0 <= label < n_classes:
+            raise InputError(f"{vid}: segment label {label} outside [0, {n_classes})")
+
+
 def _record_from_json(obj) -> VideoRecord:
     """The VideoRecord of a record object that passes ``check_entries``."""
     paths, segments = obj["features"], obj.get("segments")
@@ -458,12 +474,11 @@ def _manifest_from_json(doc) -> Manifest:
     if doc["version"] != 1:
         raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
     objs = doc["videos"]
-    check_entries(objs, _RECORD_FIELDS, _RECORD_RULES, DataFormatError, "manifest record")
-    manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
-                        videos=tuple(map(_record_from_json, objs)))
-    for rec in manifest.videos:
-        rec.validate(manifest.n_classes)
-    return manifest
+    splits = check_entries(objs, _RECORD_FIELDS, _RECORD_RULES, DataFormatError,
+                           "manifest record")[1]
+    for obj in objs:        # values once every record has its kinds, in record order
+        _check_values(obj, len(doc["classes"]))
+    return Manifest(1, doc["classes"], objs, splits)
 
 
 def parse_json(data: bytes, what: str, error: type[Exception]):

@@ -43,10 +43,11 @@ def json_kind_by_hand(value, kind):
 
 def manifest_by_hand(doc):
     """``dataset._manifest_from_json`` with its records checked one at a time,
-    in record order: each record's kinds, shapes and id before the next."""
-    from wtal.dataset import (_MANIFEST_FIELDS, _RECORD_FIELDS, Manifest, _record_from_json,
-                              check_fields)
-    from wtal.errors import DataFormatError
+    in record order: each record's kinds, shapes and id before the next, then
+    each record's values before the next; every record built by hand."""
+    from wtal.dataset import (_MANIFEST_FIELDS, _RECORD_FIELDS, Manifest, Segment, Stream,
+                              VideoRecord, check_fields)
+    from wtal.errors import DataFormatError, InputError
     check_fields(doc, _MANIFEST_FIELDS, DataFormatError, "manifest")
     if doc["version"] != 1:
         raise DataFormatError(f"unsupported manifest version {doc['version']!r}")
@@ -68,11 +69,37 @@ def manifest_by_hand(doc):
         if obj["id"] in seen:
             raise DataFormatError(f"duplicate video id {obj['id']!r}")
         seen.add(obj["id"])
-    manifest = Manifest(version=1, class_names=tuple(doc["classes"]),
-                        videos=tuple(map(_record_from_json, doc["videos"])))
-    for rec in manifest.videos:
-        rec.validate(manifest.n_classes)
-    return manifest
+    n_classes = len(doc["classes"])
+    records = []
+    for obj in doc["videos"]:
+        vid, n, fps, labels = obj["id"], obj["n"], float(obj["fps"]), tuple(obj["labels"])
+        if n < 1 or fps <= 0:
+            raise InputError(f"{vid}: need n >= 1 and fps > 0")
+        if n > sys.float_info.max:
+            raise InputError(f"{vid}: n is too large for a float")
+        if not math.isfinite(n / fps):
+            raise InputError(f"{vid}: n / fps is too large for a float")
+        if not labels:
+            raise InputError(f"{vid}: empty label set")
+        for c in labels:
+            if not 0 <= c < n_classes:
+                raise InputError(f"{vid}: label {c} outside [0, {n_classes})")
+        if obj["trimmed"] and len(labels) != 1:
+            raise InputError(f"{vid}: trimmed video must carry exactly one label")
+        segments = None
+        if "segments" in obj:
+            segments = tuple(Segment(c, float(a), float(b)) for c, a, b in obj["segments"])
+        for seg in segments or ():
+            if not 0.0 <= seg.t_start < seg.t_end <= n / fps + 1e-9:
+                raise InputError(f"{vid}: segment [{seg.t_start}, {seg.t_end}] "
+                                 f"outside [0, {n / fps}]")
+            if not 0 <= seg.label < n_classes:
+                raise InputError(f"{vid}: segment label {seg.label} outside [0, {n_classes})")
+        records.append(VideoRecord(
+            vid, obj["split"], n, fps, labels, obj["trimmed"],
+            {Stream.RGB: obj["features"]["rgb"], Stream.FLOW: obj["features"]["flow"]},
+            segments))
+    return Manifest(version=1, class_names=tuple(doc["classes"]), videos=tuple(records))
 
 
 def instances_by_hand(detections, manifest, split):

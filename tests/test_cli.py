@@ -1124,6 +1124,32 @@ class TestCommandFailures:
                            f"{doc['videos'][0]['id']}: {what} is too large for a float"}
             assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["segment_past_the_end", "label_out_of_range"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_a_fault_outside_the_scored_split_exits_one(self, pipeline, tmp_path, capsys,
+                                                        reads, command, fault):
+        # every record is checked on every load, not only the scored split's
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(pipeline["data"], data)
+        doc = json.loads((data / "manifest.json").read_text())
+        rec = [v for v in doc["videos"] if v["split"] == "train"][-1]
+        span = rec["n"] / rec["fps"]
+        if fault == "segment_past_the_end":
+            rec["segments"][-1][2] = span + 1.0
+            _, start, end = rec["segments"][-1]
+            message = f"segment [{float(start)}, {float(end)}] outside [0, {span}]"
+        else:
+            rec["labels"] = [len(doc["classes"])]
+            message = f"label {len(doc['classes'])} outside [0, {len(doc['classes'])})"
+        (data / "manifest.json").write_text(json.dumps(doc))
+        argv = {"detect": _detect_argv(data, out / "det.json", pipeline["tgt"]),
+                "eval": ["eval", "--data", str(data), "--detections", str(pipeline["det"]),
+                         "--out", str(out / "r.json")]}[command]
+        assert cli.main(argv + ["--split", "test"]) == 1
+        assert _one_error(capsys.readouterr().err) == {
+            "error": "InputError", "message": f"{data / 'manifest.json'}: {rec['id']}: {message}"}
+        assert reads() == [] and not out.exists()
+
     @pytest.mark.parametrize("where, error", [
         ("flag", "ConfigError"), ("config", "ConfigError"), ("manifest", "DataFormatError"),
         ("detections", "InputError"), ("predictions", "InputError"),

@@ -291,21 +291,28 @@ class TestManifest:
             counts.append(len(calls))
         assert counts[0] == counts[1], calls
 
-    def test_rejects_trimmed_multi_label(self):
+    @staticmethod
+    def _load_record(tmp_path, rec):
+        """Save a two-class manifest that holds ``rec`` alone, then load it."""
+        path = tmp_path / "manifest.json"
+        save_manifest(Manifest(version=1, class_names=("a", "b"), videos=(rec,)), path)
+        return load_manifest(path)
+
+    def test_rejects_trimmed_multi_label(self, tmp_path):
         rec = VideoRecord(
             video_id="v", split="source", n=5, fps=25.0, labels=(0, 1),
             trimmed=True, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"},
         )
         with pytest.raises(InputError, match="exactly one label"):
-            rec.validate(n_classes=2)
+            self._load_record(tmp_path, rec)
 
-    def test_rejects_label_out_of_range(self):
+    def test_rejects_label_out_of_range(self, tmp_path):
         rec = VideoRecord(
             video_id="v", split="test", n=5, fps=25.0, labels=(4,),
             trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"},
         )
         with pytest.raises(InputError, match="label 4"):
-            rec.validate(n_classes=2)
+            self._load_record(tmp_path, rec)
 
     @pytest.mark.parametrize("changes, message", [
         (dict(n=0), "need n >= 1 and fps > 0"),
@@ -313,19 +320,44 @@ class TestManifest:
         (dict(labels=()), "empty label set"),
         (dict(segments=(Segment(5, 0.0, 0.1),)), "segment label 5"),
     ], ids=["n", "fps", "labels", "segment_label"])
-    def test_rejects_bad_record(self, changes, message):
+    def test_rejects_bad_record(self, tmp_path, changes, message):
         rec = VideoRecord(video_id="v", split="test", n=5, fps=25.0, labels=(0,),
                           trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"})
         with pytest.raises(InputError, match=message):
-            rec._replace(**changes).validate(n_classes=2)
+            self._load_record(tmp_path, rec._replace(**changes))
 
-    def test_segment_bounds_checked(self):
-        with pytest.raises(InputError):
-            Segment(0, -0.1, 0.2).validate(n=10, fps=25.0, n_classes=2)
-        with pytest.raises(InputError):
-            Segment(0, 0.3, 0.2).validate(n=10, fps=25.0, n_classes=2)
-        with pytest.raises(InputError):
-            Segment(0, 0.0, 5.0).validate(n=10, fps=25.0, n_classes=2)
+    def test_segment_bounds_checked(self, tmp_path):
+        rec = VideoRecord(video_id="v", split="test", n=10, fps=25.0, labels=(0,),
+                          trimmed=False, feature_paths={Stream.RGB: "x", Stream.FLOW: "y"})
+        for segment in (Segment(0, -0.1, 0.2), Segment(0, 0.3, 0.2), Segment(0, 0.0, 5.0)):
+            with pytest.raises(InputError):
+                self._load_record(tmp_path, rec._replace(segments=(segment,)))
+
+    def test_builds_only_the_splits_it_is_asked_for(self, tmp_path, monkeypatch):
+        # the default manifest: 400 source, 200 train and 100 test videos
+        generate_synthetic(SyntheticSpec(), tmp_path)
+        path = tmp_path / "manifest.json"
+        by_hand = oracles.manifest_by_hand(json.loads(path.read_text()))
+        built = []
+        record = wtal.dataset.VideoRecord
+        monkeypatch.setattr(wtal.dataset, "VideoRecord",
+                            lambda *fields: built.append(fields[0]) or record(*fields))
+        manifest = load_manifest(path)
+        assert built == []
+        test = manifest.split("test")
+        assert len(built) == len(test) == 100 and manifest.split("test") is test
+        assert len(built) == 100
+        for split in ("source", "train", "test"):
+            assert [repr(rec) for rec in manifest.split(split)] == \
+                [repr(rec) for rec in by_hand.split(split)]
+        assert len(built) == 700 and len(manifest.videos) == 700
+
+    def test_a_manifest_without_videos_says_so(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        save_manifest(Manifest(version=1, class_names=("a", "b"), videos=()), path)
+        with pytest.raises(InputError) as exc:
+            load_manifest(path).split("test")
+        assert str(exc.value) == "split 'test' has no videos; the manifest lists no videos"
 
     def test_split_selector(self):
         manifest = _make_manifest()
@@ -563,11 +595,11 @@ class TestGenerateSynthetic:
 
     def test_segments_valid_and_disjoint(self, tmp_path):
         manifest = generate_synthetic(TINY_SPEC, tmp_path)
+        assert load_manifest(tmp_path / "manifest.json") == manifest     # every segment fits
         for rec in manifest.videos:
             assert rec.segments
             prev_end = -1.0
             for seg in rec.segments:
-                seg.validate(rec.n, rec.fps, manifest.n_classes)
                 assert seg.label == rec.labels[0]
                 assert seg.t_start >= prev_end
                 prev_end = seg.t_end

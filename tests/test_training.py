@@ -15,6 +15,7 @@ from wtal.classifier import class_loss, label_vector
 from wtal.dataset import (
     Dataset,
     FeatureMatrix,
+    Manifest,
     Stream,
     SyntheticSpec,
     config_from_json,
@@ -499,8 +500,9 @@ class TestTrainingLoops:
     def test_transfer_needs_a_source_split(self, tiny_data):
         src, _ = train_source(tiny_data, Stream.RGB, TINY_CFG)
         manifest = tiny_data.manifest
-        targets_only = Dataset(tiny_data.root, dataclasses.replace(
-            manifest, videos=tuple(v for v in manifest.videos if v.split != "source")))
+        targets_only = Dataset(tiny_data.root, Manifest(
+            manifest.version, manifest.class_names,
+            tuple(v for v in manifest.videos if v.split != "source")))
         with pytest.raises(InputError, match="split 'source' has no videos"):
             train_target(targets_only, Stream.RGB, TINY_CFG, source_model=src)
 
